@@ -14,7 +14,7 @@ from .hdfs import DEFAULT_BLOCK_SIZE, HdfsModel
 from .memory import MemoryAccountant
 from .network import NetworkModel
 from .specs import CLUSTER_SIZES, COST_MACHINE, GB, MB, R3_XLARGE, ClusterSpec, MachineSpec
-from .tracker import CpuSample, MemorySample, ResourceTracker, SimClock
+from .tracker import ResourceTracker, SimClock
 
 __all__ = [
     "Cluster",
@@ -31,8 +31,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "ResourceTracker",
     "SimClock",
-    "CpuSample",
-    "MemorySample",
     "FailureKind",
     "FaultPlan",
     "SimulatedFailure",

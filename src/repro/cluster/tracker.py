@@ -5,15 +5,18 @@ second, and network-card byte counts before/after each run (§4.2), then
 analyses "20 GB of log files". Figures 10 and 13 are drawn straight
 from these series. :class:`ResourceTracker` is the simulated
 equivalent: every engine phase reports what each machine did, and the
-tracker keeps per-machine time series plus aggregate counters.
+tracker folds each report into running aggregates as it arrives —
+cluster-wide CPU seconds by category, the peak per-phase user and
+iowait fractions, each machine's memory peak and (time, bytes) series,
+and the network, disk and memory-time counters. No per-phase sample is
+kept, so every query costs O(1) or O(series) however long the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-__all__ = ["SimClock", "CpuSample", "MemorySample", "ResourceTracker"]
+__all__ = ["SimClock", "ResourceTracker"]
 
 
 class SimClock:
@@ -35,39 +38,23 @@ class SimClock:
         return self._now
 
 
-@dataclass(frozen=True)
-class CpuSample:
-    """CPU seconds by category over one phase on one machine."""
-
-    time: float          # simulated timestamp at end of the phase
-    machine: int
-    user: float          # useful computation
-    system: float        # framework overhead
-    iowait: float        # waiting on disk
-    idle: float
-
-
-@dataclass(frozen=True)
-class MemorySample:
-    """Resident memory on one machine at one simulated instant."""
-
-    time: float
-    machine: int
-    used_bytes: int
-
-
 class ResourceTracker:
     """Accumulates the per-run resource series the paper logs."""
 
     def __init__(self, num_machines: int) -> None:
         self.num_machines = num_machines
         self._initial_machines = num_machines
-        self.cpu_samples: List[CpuSample] = []
-        self.memory_samples: List[MemorySample] = []
-        # Running per-machine aggregates, maintained by record_memory so
-        # the peak/series queries are O(1)/O(series) instead of scanning
-        # every sample — grid runs query them per cell, which used to
-        # make the harness quadratic in sample count.
+        # Running CPU aggregates, folded in by record_cpu in arrival
+        # order — the same order a scan over every sample would add
+        # them in, so the floats match such a scan bit for bit.
+        self._cpu_user = 0.0
+        self._cpu_system = 0.0
+        self._cpu_iowait = 0.0
+        self._cpu_idle = 0.0
+        self._best_user_ratio = 0.0
+        self._best_iowait_ratio = 0.0
+        # Running per-machine memory aggregates, maintained by
+        # record_memory so the peak/series queries are O(1)/O(series).
         self._memory_peaks: Dict[int, int] = {}
         self._memory_series: Dict[int, List[Tuple[float, int]]] = {}
         self.network_bytes_sent: float = 0.0
@@ -88,16 +75,18 @@ class ResourceTracker:
         idle: float = 0.0,
     ) -> None:
         """Record one machine's CPU breakdown for a completed phase."""
-        self.cpu_samples.append(
-            CpuSample(time=time, machine=machine, user=user, system=system,
-                      iowait=iowait, idle=idle)
-        )
+        self._cpu_user += user
+        self._cpu_system += system
+        self._cpu_iowait += iowait
+        self._cpu_idle += idle
+        denom = user + system + iowait + idle
+        if denom > 0:
+            self._best_user_ratio = max(self._best_user_ratio, user / denom)
+            self._best_iowait_ratio = max(self._best_iowait_ratio,
+                                          iowait / denom)
 
     def record_memory(self, time: float, machine: int, used_bytes: int) -> None:
         """Record a resident-memory sample, updating the running peaks."""
-        self.memory_samples.append(
-            MemorySample(time=time, machine=machine, used_bytes=used_bytes)
-        )
         if used_bytes > self._memory_peaks.get(machine, 0):
             self._memory_peaks[machine] = used_bytes
         self._memory_series.setdefault(machine, []).append((time, used_bytes))
@@ -159,25 +148,13 @@ class ResourceTracker:
 
     def cpu_totals(self) -> Dict[str, float]:
         """Aggregate CPU seconds by category across the cluster."""
-        totals = {"user": 0.0, "system": 0.0, "iowait": 0.0, "idle": 0.0}
-        for s in self.cpu_samples:
-            totals["user"] += s.user
-            totals["system"] += s.system
-            totals["iowait"] += s.iowait
-            totals["idle"] += s.idle
-        return totals
+        return {"user": self._cpu_user, "system": self._cpu_system,
+                "iowait": self._cpu_iowait, "idle": self._cpu_idle}
 
     def max_cpu_utilization(self) -> Dict[str, float]:
         """Peak per-phase fraction of (user, iowait) CPU (Figure 13a)."""
-        best_user = 0.0
-        best_iowait = 0.0
-        for s in self.cpu_samples:
-            denom = s.user + s.system + s.iowait + s.idle
-            if denom <= 0:
-                continue
-            best_user = max(best_user, s.user / denom)
-            best_iowait = max(best_iowait, s.iowait / denom)
-        return {"user": best_user, "iowait": best_iowait}
+        return {"user": self._best_user_ratio,
+                "iowait": self._best_iowait_ratio}
 
     def network_total_bytes(self) -> float:
         """Total bytes through the NICs (Figure 13c's metric)."""

@@ -203,7 +203,8 @@ class _GridRun:
         misses: List[Tuple[CellTask, Optional[str]]] = []
         for task in self.tasks:
             key = self.keys.get(task.index)
-            payload = self.cache.get(key) if (self.cache and key) else None
+            payload = (self.cache.get(key)
+                       if self.cache is not None and key else None)
             if payload is not None:
                 self._finish(
                     task, payload_to_result(payload), SOURCE_CACHE,

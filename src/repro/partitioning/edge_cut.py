@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.structures import Graph
+from .memo import memoised
 
 __all__ = ["VertexPartition", "random_vertex_partition"]
 
@@ -40,11 +41,13 @@ class VertexPartition:
         """Vertices per machine."""
         return np.bincount(self.part_of, minlength=self.num_parts)
 
+    @memoised
     def edge_counts(self) -> np.ndarray:
         """Out-edges stored per machine (edges live with their source)."""
         src_part = self.part_of[self.graph.edge_sources()]
         return np.bincount(src_part, minlength=self.num_parts)
 
+    @memoised
     def cut_edges(self) -> int:
         """Edges whose endpoints are on different machines."""
         src_part = self.part_of[self.graph.edge_sources()]

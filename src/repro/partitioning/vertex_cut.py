@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..graph.structures import Graph
+from .memo import memoised
 
 __all__ = [
     "EdgePartition",
@@ -65,6 +66,7 @@ class EdgePartition:
         if self.part_of_edge.shape != (self.graph.num_edges,):
             raise ValueError("part_of_edge must have one entry per edge")
 
+    @memoised
     def edge_counts(self) -> np.ndarray:
         """Edges stored per machine."""
         return np.bincount(self.part_of_edge, minlength=self.num_parts)
@@ -78,19 +80,18 @@ class EdgePartition:
         mean = total / self.num_parts
         return float(counts.max() / mean - 1.0)
 
+    @memoised
     def replica_counts(self) -> np.ndarray:
-        """Number of machines each vertex is replicated on (0 if isolated)."""
-        src = self.graph.edge_sources()
-        dst = self.graph.edge_targets()
-        vertex = np.concatenate([src, dst])
-        part = np.concatenate([self.part_of_edge, self.part_of_edge])
-        keys = vertex * self.num_parts + part
-        unique = np.unique(keys)
-        counts = np.bincount(
-            (unique // self.num_parts).astype(np.int64),
-            minlength=self.graph.num_vertices,
-        )
-        return counts.astype(np.int64)
+        """Number of machines each vertex is replicated on (0 if isolated).
+
+        One pass over the edges marks a (vertex, machine) bitmap at both
+        endpoints of every edge; a vertex's row sum is its replica count.
+        """
+        parts = self.num_parts
+        held = np.zeros(self.graph.num_vertices * parts, dtype=bool)
+        held[self.graph.edge_sources() * parts + self.part_of_edge] = True
+        held[self.graph.edge_targets() * parts + self.part_of_edge] = True
+        return held.reshape(-1, parts).sum(axis=1, dtype=np.int64)
 
     def replication_factor(self) -> float:
         """Average replicas per non-isolated vertex (Table 4's metric)."""

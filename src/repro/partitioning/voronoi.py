@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..graph.structures import Graph
+from .memo import memoised
 
 __all__ = ["BlockPartition", "voronoi_partition"]
 
@@ -46,6 +47,7 @@ class BlockPartition:
         """Number of blocks."""
         return int(self.machine_of_block.shape[0])
 
+    @memoised
     def machine_of_vertex(self) -> np.ndarray:
         """Machine of each vertex, via its block."""
         return self.machine_of_block[self.block_of]
@@ -67,6 +69,7 @@ class BlockPartition:
         mean = total / self.num_parts
         return float(loads.max() / mean - 1.0)
 
+    @memoised
     def cut_fraction(self) -> float:
         """Fraction of edges crossing *machines* (the network-visible cut)."""
         if self.graph.num_edges == 0:
@@ -76,6 +79,7 @@ class BlockPartition:
         dst_m = machine[self.graph.edge_targets()]
         return float(np.count_nonzero(src_m != dst_m) / self.graph.num_edges)
 
+    @memoised
     def block_cut_fraction(self) -> float:
         """Fraction of edges crossing blocks (drives Blogel-B messaging)."""
         if self.graph.num_edges == 0:

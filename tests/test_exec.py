@@ -22,6 +22,7 @@ from repro.exec import (
     cell_key,
     dataset_fingerprint,
     execute_grid,
+    execute_specs,
     plan_grid,
 )
 from repro.exec.serialize import PAYLOAD_VERSION
@@ -152,6 +153,35 @@ def test_cache_budget_adopts_preexisting_entries(tmp_path):
     assert bounded.evictions == 1
     assert bounded.get(keys[0]) is None
     assert bounded.get(keys[1]) == payload(1)
+
+
+class UncountableCache(ResultCache):
+    """A cache that refuses to be sized and counts its lookups."""
+
+    def __init__(self, cache_dir):
+        super().__init__(cache_dir)
+        self.gets = 0
+
+    def __len__(self):
+        raise AssertionError("the scheduler must not size the cache")
+
+    def get(self, key):
+        self.gets += 1
+        return super().get(key)
+
+
+def test_scheduler_looks_up_every_cell_without_sizing_the_cache(tmp_path):
+    # an empty cache is still a cache: every cell is looked up, and no
+    # cell triggers a scan of the whole cache directory
+    specs = [tiny_spec()]
+    cache = UncountableCache(tmp_path / "cache")
+    cold = execute_specs(specs, jobs=1, cache=cache)
+    assert cold.report.executed == 4 and cold.report.cache_hits == 0
+    assert cache.gets == 4
+    warm = execute_specs(specs, jobs=1, cache=cache)
+    assert warm.report.executed == 0 and warm.report.cache_hits == 4
+    assert cache.gets == 8
+    assert warm.grid.same_results(cold.grid)
 
 
 def test_cell_keys_invalidate_on_code_dataset_or_coordinates():
