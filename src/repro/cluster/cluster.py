@@ -143,15 +143,8 @@ class Cluster:
         step = max(work_seconds_per_machine) + iowait_seconds
         with self.tracer.span("compute", cat="cluster", seconds=step,
                               iowait_seconds=iowait_seconds):
-            for m, busy in enumerate(work_seconds_per_machine):
-                self.tracker.record_cpu(
-                    time=self.now + step,
-                    machine=m,
-                    user=busy * (1.0 - system_fraction),
-                    system=busy * system_fraction,
-                    iowait=iowait_seconds,
-                    idle=max(0.0, step - busy - iowait_seconds),
-                )
+            self.tracker.record_cpu(work_seconds_per_machine, step,
+                                    system_fraction, iowait_seconds)
             self.tracker.record_memory_integral(
                 self.memory.total_used_bytes() * step
             )
@@ -288,7 +281,4 @@ class Cluster:
 
     def sample_memory(self) -> None:
         """Snapshot every machine's resident memory into the tracker."""
-        for m in range(self.num_workers):
-            self.tracker.record_memory(
-                time=self.now, machine=m, used_bytes=int(self.memory.used_bytes(m))
-            )
+        self.tracker.record_memory(self.now, self.memory.used_by_machine())

@@ -9,8 +9,9 @@ resident total would exceed capacity.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List, Tuple
 
+from ..obs.metrics import fold_sum
 from .failures import SimulatedOOM
 from .specs import GB, MachineSpec
 
@@ -38,17 +39,25 @@ class MemoryAccountant:
         """Current resident bytes on one machine."""
         return self._used[machine_id]
 
+    def used_by_machine(self) -> Tuple[float, ...]:
+        """Current resident bytes on every machine, in machine order."""
+        return tuple(self._used)
+
     def peak_bytes(self, machine_id: int) -> float:
         """Peak resident bytes on one machine."""
         return self._peak[machine_id]
 
     def total_used_bytes(self) -> float:
         """Current resident bytes across every machine (cost integrand)."""
-        return sum(self._used)
+        return fold_sum(self._used)
 
     def total_peak_bytes(self) -> float:
         """Sum of per-machine peaks (what Table 8 reports)."""
-        return sum(self._peak)
+        return fold_sum(self._peak)
+
+    def max_peak_bytes(self) -> float:
+        """Largest peak on any live machine (a run's peak memory)."""
+        return max(self._peak[:self.num_machines])
 
     def label_bytes(self, machine_id: int, label: str) -> float:
         """Bytes currently attributed to a label on one machine."""
@@ -56,19 +65,7 @@ class MemoryAccountant:
 
     def allocate(self, machine_id: int, nbytes: float, label: str) -> None:
         """Charge an allocation; raises :class:`SimulatedOOM` over capacity."""
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        new_total = self._used[machine_id] + nbytes
-        if new_total > self.capacity_bytes:
-            raise SimulatedOOM(
-                f"machine {machine_id} needs {new_total / GB:.1f} GB for "
-                f"{label!r} but has {self.capacity_bytes / GB:.1f} GB",
-                machine=machine_id,
-            )
-        self._used[machine_id] = new_total
-        self._peak[machine_id] = max(self._peak[machine_id], new_total)
-        labels = self._by_label[machine_id]
-        labels[label] = labels.get(label, 0.0) + nbytes
+        self._charge(((machine_id, nbytes),), label)
 
     def allocate_even(self, nbytes: float, label: str, skew: float = 0.0) -> None:
         """Spread an allocation across machines, optionally skewed.
@@ -77,15 +74,37 @@ class MemoryAccountant:
         over a perfectly even split — partitioners are never perfectly
         balanced (Figure 11), and OOM triggers on the *heaviest* machine.
         """
-        if self.num_machines == 1:
-            self.allocate(0, nbytes, label)
-            return
-        even = nbytes / self.num_machines
-        heavy = even * (1.0 + skew)
-        rest = (nbytes - heavy) / (self.num_machines - 1)
-        self.allocate(0, heavy, label)
-        for m in range(1, self.num_machines):
-            self.allocate(m, rest, label)
+        n = self.num_machines
+        if n == 1:
+            shares = [nbytes]
+        else:
+            heavy = nbytes / n * (1.0 + skew)
+            shares = [heavy] + [(nbytes - heavy) / (n - 1)] * (n - 1)
+        self._charge(enumerate(shares), label)
+
+    def _charge(self, shares: Iterable[Tuple[int, float]], label: str) -> None:
+        """Charge ``(machine, bytes)`` shares in order.
+
+        The first negative or over-capacity share raises; the shares
+        before it stay charged, exactly as separate allocations would.
+        """
+        capacity = self.capacity_bytes
+        used, peak, by_label = self._used, self._peak, self._by_label
+        for machine_id, nbytes in shares:
+            if nbytes < 0:
+                raise ValueError("allocation size must be non-negative")
+            new_total = used[machine_id] + nbytes
+            if new_total > capacity:
+                raise SimulatedOOM(
+                    f"machine {machine_id} needs {new_total / GB:.1f} GB for "
+                    f"{label!r} but has {capacity / GB:.1f} GB",
+                    machine=machine_id,
+                )
+            used[machine_id] = new_total
+            if new_total > peak[machine_id]:
+                peak[machine_id] = new_total
+            labels = by_label[machine_id]
+            labels[label] = labels.get(label, 0.0) + nbytes
 
     def rescale(self, num_machines: int) -> None:
         """Redistribute every live allocation across a new machine count.

@@ -4,17 +4,25 @@ The paper records CPU utilization per process type, memory usage every
 second, and network-card byte counts before/after each run (§4.2), then
 analyses "20 GB of log files". Figures 10 and 13 are drawn straight
 from these series. :class:`ResourceTracker` is the simulated
-equivalent: every engine phase reports what each machine did, and the
-tracker folds each report into running aggregates as it arrives —
-cluster-wide CPU seconds by category, the peak per-phase user and
-iowait fractions, each machine's memory peak and (time, bytes) series,
-and the network, disk and memory-time counters. No per-phase sample is
-kept, so every query costs O(1) or O(series) however long the run.
+equivalent, charged once per fleet-wide event rather than once per
+machine:
+
+* one :meth:`~ResourceTracker.record_cpu` call per compute phase takes
+  every machine's load, derives each machine's user/system/iowait/idle
+  split and folds it, in machine order, into cluster-wide CPU seconds
+  and the peak per-machine user and iowait fractions;
+* one :meth:`~ResourceTracker.record_memory` call per snapshot keeps
+  the whole fleet's resident bytes as one row, from which the
+  per-machine peaks and (time, bytes) series are derived on query;
+* network, disk and memory-time counters are running sums.
+
+No per-machine sample object is ever built, so recording costs one
+call per phase however wide the cluster.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["SimClock", "ResourceTracker"]
 
@@ -44,19 +52,18 @@ class ResourceTracker:
     def __init__(self, num_machines: int) -> None:
         self.num_machines = num_machines
         self._initial_machines = num_machines
-        # Running CPU aggregates, folded in by record_cpu in arrival
-        # order — the same order a scan over every sample would add
-        # them in, so the floats match such a scan bit for bit.
+        # Running CPU aggregates, folded in by record_cpu in phase and
+        # machine order — the order a scan over per-machine samples
+        # would add them in, so the floats match such a scan bit for bit.
         self._cpu_user = 0.0
         self._cpu_system = 0.0
         self._cpu_iowait = 0.0
         self._cpu_idle = 0.0
         self._best_user_ratio = 0.0
         self._best_iowait_ratio = 0.0
-        # Running per-machine memory aggregates, maintained by
-        # record_memory so the peak/series queries are O(1)/O(series).
-        self._memory_peaks: Dict[int, int] = {}
-        self._memory_series: Dict[int, List[Tuple[float, int]]] = {}
+        # One (time, bytes per machine) row per memory snapshot; rows
+        # change length when the fleet is rescaled.
+        self._memory_rows: List[Tuple[float, Tuple[int, ...]]] = []
         self.network_bytes_sent: float = 0.0
         self.network_bytes_received: float = 0.0
         self.disk_bytes_read: float = 0.0
@@ -67,29 +74,48 @@ class ResourceTracker:
 
     def record_cpu(
         self,
-        time: float,
-        machine: int,
-        user: float = 0.0,
-        system: float = 0.0,
+        loads: Sequence[float],
+        step: float,
+        system_fraction: float = 0.0,
         iowait: float = 0.0,
-        idle: float = 0.0,
     ) -> None:
-        """Record one machine's CPU breakdown for a completed phase."""
-        self._cpu_user += user
-        self._cpu_system += system
-        self._cpu_iowait += iowait
-        self._cpu_idle += idle
-        denom = user + system + iowait + idle
-        if denom > 0:
-            self._best_user_ratio = max(self._best_user_ratio, user / denom)
-            self._best_iowait_ratio = max(self._best_iowait_ratio,
-                                          iowait / denom)
+        """Record one compute phase of ``step`` seconds on every machine.
 
-    def record_memory(self, time: float, machine: int, used_bytes: int) -> None:
-        """Record a resident-memory sample, updating the running peaks."""
-        if used_bytes > self._memory_peaks.get(machine, 0):
-            self._memory_peaks[machine] = used_bytes
-        self._memory_series.setdefault(machine, []).append((time, used_bytes))
+        ``loads[m]`` is machine ``m``'s busy time; ``system_fraction``
+        of it is framework overhead, every machine also waits ``iowait``
+        seconds on disk, and the rest of the step is idle (never
+        negative). Machines fold into the running sums in order, so the
+        totals match adding one machine at a time bit for bit.
+        """
+        user_total, system_total = self._cpu_user, self._cpu_system
+        iowait_total, idle_total = self._cpu_iowait, self._cpu_idle
+        best_user, best_iowait = self._best_user_ratio, self._best_iowait_ratio
+        keep = 1.0 - system_fraction
+        for busy in loads:
+            user = busy * keep
+            system = busy * system_fraction
+            idle = step - busy - iowait
+            if not idle > 0.0:  # max(0.0, idle): -0.0 and NaN become 0.0
+                idle = 0.0
+            user_total += user
+            system_total += system
+            iowait_total += iowait
+            idle_total += idle
+            denom = user + system + iowait + idle
+            if denom > 0:
+                ratio = user / denom
+                if ratio > best_user:
+                    best_user = ratio
+                ratio = iowait / denom
+                if ratio > best_iowait:
+                    best_iowait = ratio
+        self._cpu_user, self._cpu_system = user_total, system_total
+        self._cpu_iowait, self._cpu_idle = iowait_total, idle_total
+        self._best_user_ratio, self._best_iowait_ratio = best_user, best_iowait
+
+    def record_memory(self, time: float, used_bytes: Iterable[float]) -> None:
+        """Snapshot every machine's resident bytes (as ints) at ``time``."""
+        self._memory_rows.append((time, tuple(map(int, used_bytes))))
 
     def record_network(self, sent: float, received: float) -> None:
         """Add to the NIC byte counters."""
@@ -134,17 +160,27 @@ class ResourceTracker:
 
     # -- queries (what the figures plot) ----------------------------------
 
+    def _memory_peaks(self) -> List[int]:
+        """Each machine's largest sample (0 if never above 0)."""
+        peaks: List[int] = []
+        for _, row in self._memory_rows:
+            if len(row) > len(peaks):
+                peaks.extend([0] * (len(row) - len(peaks)))
+            peaks[:len(row)] = map(max, peaks, row)
+        return peaks
+
     def peak_memory_bytes(self) -> int:
-        """Largest single-machine resident memory seen (O(machines))."""
-        return max(self._memory_peaks.values(), default=0)
+        """Largest single-machine resident memory seen."""
+        return max(self._memory_peaks(), default=0)
 
     def total_memory_bytes(self) -> int:
         """Sum of every machine's peak memory (Table 8's metric)."""
-        return sum(self._memory_peaks.values())
+        return sum(self._memory_peaks())
 
     def memory_series(self, machine: int) -> List[Tuple[float, int]]:
         """(time, bytes) series for one machine (Figure 10's lines)."""
-        return list(self._memory_series.get(machine, ()))
+        return [(time, row[machine]) for time, row in self._memory_rows
+                if machine < len(row)]
 
     def cpu_totals(self) -> Dict[str, float]:
         """Aggregate CPU seconds by category across the cluster."""

@@ -470,10 +470,7 @@ class Engine(abc.ABC):
         finally:
             cluster.sample_memory()
             result.network_bytes = cluster.tracker.network_total_bytes()
-            result.peak_memory_bytes = max(
-                (cluster.memory.peak_bytes(m) for m in range(cluster.num_workers)),
-                default=0.0,
-            )
+            result.peak_memory_bytes = cluster.memory.max_peak_bytes()
             result.total_memory_bytes = cluster.memory.total_peak_bytes()
             result.extras["tracker_peak_total"] = float(
                 cluster.tracker.total_memory_bytes()

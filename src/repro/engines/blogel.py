@@ -460,11 +460,7 @@ class BlogelBEngine(BspExecutionMixin, Engine):
                     "bytes_shuffled": (
                         metrics.counter("bytes_shuffled").value - shuffled_before
                     ),
-                    "peak_memory_bytes": max(
-                        (cluster.memory.peak_bytes(m)
-                         for m in range(cluster.num_workers)),
-                        default=0.0,
-                    ),
+                    "peak_memory_bytes": cluster.memory.max_peak_bytes(),
                 })
                 metrics.counter("supersteps").inc()
                 metrics.counter("messages_sent").inc(round_messages)

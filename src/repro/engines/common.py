@@ -70,10 +70,7 @@ def observed_superstep(
         updates=int(stats.updates),
     ) as span:
         yield span
-        peak = max(
-            (cluster.memory.peak_bytes(m) for m in range(cluster.num_workers)),
-            default=0.0,
-        )
+        peak = cluster.memory.max_peak_bytes()
         span.attrs["bytes_shuffled"] = (
             metrics.counter("bytes_shuffled").value - shuffled_before
         )

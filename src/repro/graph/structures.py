@@ -84,6 +84,7 @@ class Graph:
             np.cumsum(counts, out=self._offsets[1:])
         self._in_offsets: Optional[np.ndarray] = None
         self._in_src: Optional[np.ndarray] = None
+        self._src: Optional[np.ndarray] = None
 
     # -- basic shape ----------------------------------------------------
 
@@ -149,8 +150,17 @@ class Graph:
     # -- edge views -----------------------------------------------------
 
     def edge_sources(self) -> np.ndarray:
-        """Source vertex of every edge, aligned with :meth:`edge_targets`."""
-        return np.repeat(np.arange(self._n, dtype=np.int64), self.out_degrees())
+        """Source vertex of every edge, aligned with :meth:`edge_targets`.
+
+        Built once, lazily, and returned read-only: every superstep of
+        the edge-parallel kernels asks for it.
+        """
+        if self._src is None:
+            src = np.repeat(np.arange(self._n, dtype=np.int64),
+                            self.out_degrees())
+            src.flags.writeable = False
+            self._src = src
+        return self._src
 
     def edge_targets(self) -> np.ndarray:
         """Target vertex of every edge (CSR order)."""

@@ -16,10 +16,11 @@ integral records that are not lexically enclosed in a span ``with``
 block. ``record_memory_integral`` joined the tracked set with the cost
 record (``repro.obs.cost``): the memory×time integral it accrues is
 billed as GB-hours, so an unspanned call would charge dollars the trace
-cannot attribute. Peak-memory sampling and CPU records stay exempt:
-``sample_memory`` records peaks outside spans by design (a gauge, not
-work), and ``record_cpu`` is only called by the span-wrapped compute
-primitives.
+cannot attribute. Memory snapshots and CPU records stay exempt:
+``sample_memory`` records one fleet-wide memory row outside spans by
+design (a gauge, not work), and ``record_cpu``, which charges a whole
+compute phase in one call, is only called by the span-wrapped
+``parallel_compute`` primitive.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from .metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
+    fold_sum,
 )
 from .observation import RunObservation
 from .report import (
@@ -57,6 +58,7 @@ __all__ = [
     "Span",
     "SpanError",
     "Tracer",
+    "fold_sum",
     "Counter",
     "Gauge",
     "Histogram",

@@ -15,9 +15,12 @@ values land in the registry and therefore in the run journal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, MutableMapping, Optional, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, MutableMapping, Optional, Union,
+)
 
 __all__ = [
+    "fold_sum",
     "MetricError",
     "Counter",
     "Gauge",
@@ -25,6 +28,22 @@ __all__ = [
     "MetricsRegistry",
     "ExtrasView",
 ]
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Add ``values`` strictly left to right, starting from integer 0.
+
+    This is what builtin :func:`sum` computed for floats up to Python
+    3.11. From 3.12 on, :func:`sum` compensates rounding error, so the
+    same list can sum to a different float, and simulated totals (memory
+    integrals, histogram sums) would change the journals with the
+    interpreter version. Totals that reach a run's journal go through
+    this fold instead. Like :func:`sum`, an empty fold is ``0``.
+    """
+    total: float = 0
+    for value in values:
+        total += value
+    return total
 
 
 class MetricError(TypeError):
@@ -100,7 +119,7 @@ class Histogram:
 
     @property
     def total(self) -> float:
-        return sum(self.observations)
+        return fold_sum(self.observations)
 
     @property
     def mean(self) -> float:

@@ -226,29 +226,36 @@ class TestHdfsModel:
 class TestResourceTracker:
     def test_memory_series_per_machine(self):
         t = ResourceTracker(2)
-        t.record_memory(0.0, 0, 100)
-        t.record_memory(1.0, 0, 200)
-        t.record_memory(0.5, 1, 50)
+        t.record_memory(0.0, [100, 50])
+        t.record_memory(1.0, [200.7, 40])
         assert t.memory_series(0) == [(0.0, 100), (1.0, 200)]
+        assert t.memory_series(1) == [(0.0, 50), (1.0, 40)]
+        assert t.memory_series(2) == []
         assert t.peak_memory_bytes() == 200
 
     def test_total_memory_sums_peaks(self):
         t = ResourceTracker(2)
-        t.record_memory(0.0, 0, 100)
-        t.record_memory(1.0, 0, 80)
-        t.record_memory(0.0, 1, 40)
+        t.record_memory(0.0, [100, 40])
+        t.record_memory(1.0, [80, 0])
         assert t.total_memory_bytes() == 140
 
     def test_cpu_totals(self):
         t = ResourceTracker(1)
-        t.record_cpu(1.0, 0, user=2.0, system=1.0, iowait=0.5, idle=0.5)
+        # 3 s busy, a quarter of it system time, 0.5 s iowait, 4 s step
+        t.record_cpu([3.0], 4.0, system_fraction=0.25, iowait=0.5)
+        assert t.cpu_totals() == {"user": 2.25, "system": 0.75,
+                                  "iowait": 0.5, "idle": 0.5}
+
+    def test_cpu_phase_sums_machines_and_clamps_idle(self):
+        t = ResourceTracker(3)
+        t.record_cpu([1.0, 2.0, 3.0], 2.5)
         totals = t.cpu_totals()
-        assert totals["user"] == 2.0
-        assert totals["iowait"] == 0.5
+        assert totals["user"] == 6.0
+        assert totals["idle"] == 1.5 + 0.5 + 0.0   # never negative
 
     def test_max_cpu_utilization(self):
         t = ResourceTracker(1)
-        t.record_cpu(1.0, 0, user=3.0, system=0.0, iowait=1.0, idle=0.0)
+        t.record_cpu([3.0], 4.0, iowait=1.0)
         util = t.max_cpu_utilization()
         assert util["user"] == pytest.approx(0.75)
         assert util["iowait"] == pytest.approx(0.25)
