@@ -440,7 +440,7 @@ def _cmd_run(args) -> int:
     if execution.report.cache_hits:
         print("cell served from the result cache (use --no-cache to re-run)")
     if args.trace and result.observation is not None:
-        lines = result.observation.journal().write(args.trace)
+        lines = result.observation.write(args.trace)
         print(f"journal: {lines} events written to {args.trace}")
     if not result.ok:
         print(f"failure: {result.failure_detail}")
@@ -489,7 +489,7 @@ def _cmd_grid(args) -> int:
         for result in grid.cells.values():
             if result.observation is None:
                 continue
-            result.observation.journal().write(trace_dir / _trace_filename(result))
+            result.observation.write(trace_dir / _trace_filename(result))
             written += 1
         execution.scheduler_journal().write(trace_dir / "_scheduler.jsonl")
         print(f"{written} cell journals (+ _scheduler.jsonl) written to "
@@ -606,13 +606,13 @@ def _cmd_chaos(args) -> int:
         for reference in report.clean.values():
             if reference.observation is None:
                 continue
-            reference.observation.journal().write(
+            reference.observation.write(
                 trace_dir / _trace_filename(reference, tag="clean"))
             written += 1
         for cell in report.cells:
             if cell.faulted.observation is None:
                 continue
-            cell.faulted.observation.journal().write(trace_dir / _trace_filename(
+            cell.faulted.observation.write(trace_dir / _trace_filename(
                 cell.faulted, tag=f"{cell.fault}x{cell.intensity}"))
             written += 1
         print(f"{written} journals written to {trace_dir}/")
@@ -694,13 +694,13 @@ def _cmd_elastic(args) -> int:
         for reference in report.clean.values():
             if reference.observation is None:
                 continue
-            reference.observation.journal().write(
+            reference.observation.write(
                 trace_dir / _trace_filename(reference, tag="clean"))
             written += 1
         for cell in report.cells:
             if cell.rescaled.observation is None:
                 continue
-            cell.rescaled.observation.journal().write(
+            cell.rescaled.observation.write(
                 trace_dir / _trace_filename(
                     cell.rescaled,
                     tag=f"{cell.direction}{cell.magnitude}s{cell.at_superstep}",
@@ -890,7 +890,7 @@ def _cmd_submit(args) -> int:
         for result in grid.cells.values():
             if result.observation is None:
                 continue
-            result.observation.journal().write(
+            result.observation.write(
                 trace_dir / _trace_filename(result))
             written += 1
         print(f"{written} cell journals written to {trace_dir}/")

@@ -18,6 +18,7 @@ import numpy as np
 from ..cluster import ClusterSpec, FailureKind
 from ..datasets import load_dataset
 from ..engines import GRID_SYSTEMS, make_engine, workload_for
+from ..obs.metrics import fold_sum
 from .cost import cost_experiment
 
 __all__ = ["Finding", "verify_all_findings", "FINDINGS", "EXTENSION_FINDINGS"]
@@ -304,6 +305,11 @@ def _chaos_recovery_tradeoff() -> Finding:
     return finding
 
 
+def _mean(values: List[float]) -> float:
+    """Left-fold mean (see :func:`~repro.obs.fold_sum`); 0.0 when empty."""
+    return fold_sum(values) / len(values) if values else 0.0
+
+
 def _elastic_rescale_tolerance() -> Finding:
     finding = Finding(
         key="elastic-rescale-tolerance",
@@ -322,11 +328,8 @@ def _elastic_rescale_tolerance() -> Finding:
     scale_in = [c for c in cells if c.direction == "in"]
     exact = bool(cells) and all(c.tolerated for c in cells)
 
-    def mean(values: List[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
     rescale_bill = {
-        mech: mean([c.rescale_seconds for c in cells if c.mechanism == mech])
+        mech: _mean([c.rescale_seconds for c in cells if c.mechanism == mech])
         for mech in ("reexecution", "checkpoint", "none")
     }
     # restart-from-zero repeats everything completed so far, so a late
@@ -350,8 +353,8 @@ def _elastic_rescale_tolerance() -> Finding:
             k: round(v, 2) for k, v in report.dollars_by_mechanism().items()
         },
         "mean_overhead_seconds": {
-            "out": round(mean([c.overhead_seconds for c in out]), 1),
-            "in": round(mean([c.overhead_seconds for c in scale_in]), 1),
+            "out": round(_mean([c.overhead_seconds for c in out]), 1),
+            "in": round(_mean([c.overhead_seconds for c in scale_in]), 1),
         },
         "rescaled_answers_exact": exact,
     }
@@ -361,8 +364,8 @@ def _elastic_rescale_tolerance() -> Finding:
         and rescale_bill["reexecution"] < rescale_bill["checkpoint"]
         and rescale_bill["checkpoint"] < rescale_bill["none"]
         and restart_monotone
-        and mean([c.overhead_seconds for c in scale_in])
-        > mean([c.overhead_seconds for c in out])
+        and _mean([c.overhead_seconds for c in scale_in])
+        > _mean([c.overhead_seconds for c in out])
     )
     return finding
 

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..obs.hostclock import host_now
+from ..obs.metrics import fold_sum
 from .experiment import ElasticReport, elasticity_experiment
 
 __all__ = ["run_bench", "main", "BENCH_SCHEMA_VERSION"]
@@ -49,7 +50,7 @@ def _mean_by(report: ElasticReport, key, value) -> Dict[str, float]:
         if cell.completed:
             groups.setdefault(key(cell), []).append(value(cell))
     return {
-        name: sum(values) / len(values)
+        name: fold_sum(values) / len(values)
         for name, values in sorted(groups.items())
     }
 

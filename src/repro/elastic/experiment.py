@@ -33,6 +33,7 @@ from ..chaos.plan import ChaosPlan
 from ..core.runner import ExperimentSpec
 from ..engines import make_engine
 from ..engines.base import RunResult
+from ..obs.metrics import fold_sum
 
 __all__ = [
     "DIRECTIONS",
@@ -88,7 +89,7 @@ def run_cost_dollars(result: RunResult) -> float:
     obs = result.observation
     if obs is None:
         return 0.0
-    cost = obs.journal().cost()
+    cost = obs.cost()
     if cost is None:
         return 0.0
     return float(cost["dollars"])
@@ -195,7 +196,7 @@ class ElasticReport:
                     cell.dollars_per_rescale
                 )
         return {
-            mechanism: sum(values) / len(values)
+            mechanism: fold_sum(values) / len(values)
             for mechanism, values in sums.items()
         }
 

@@ -34,7 +34,8 @@ if TYPE_CHECKING:
     from ..chaos.plan import ChaosPlan
 from ..datasets.registry import Dataset
 from ..graph.stats import estimate_diameter
-from ..obs import ExtrasView, MetricsRegistry, RunObservation
+from ..obs import (ExtrasView, FrozenJournalObservation, MetricsRegistry,
+                   RunObservation)
 from ..graph.structures import Graph
 from ..workloads.base import Workload, WorkloadKind, WorkloadState
 from ..workloads.pagerank import INITIAL_RANK, PageRank
@@ -143,8 +144,8 @@ class RunResult:
     metrics: MetricsRegistry = field(
         default_factory=MetricsRegistry, repr=False, compare=False
     )
-    #: the run's tracer+metrics bundle, when the engine produced one
-    observation: Optional[RunObservation] = field(
+    #: the run's journal, frozen when ``Engine.run`` returned
+    observation: Optional[FrozenJournalObservation] = field(
         default=None, repr=False, compare=False
     )
 
@@ -404,8 +405,9 @@ class Engine(abc.ABC):
 
         The run's tracer records run → phase spans here (engines add
         superstep and cluster-op spans below); everything lands in one
-        :class:`~repro.obs.RunObservation` shared by the cluster and the
-        result, journalable afterwards via ``result.observation``.
+        :class:`~repro.obs.RunObservation` shared with the cluster. On
+        return the observation is frozen into ``result.observation``:
+        the canonical journal text, rendered exactly once.
         """
         if obs is None:
             obs = RunObservation()
@@ -418,7 +420,6 @@ class Engine(abc.ABC):
             dataset=dataset.name,
             cluster_size=cluster_spec.num_machines,
             metrics=obs.metrics,
-            observation=obs,
         )
         scale = iteration_scale(dataset, workload)
         tracer = obs.tracer
@@ -507,6 +508,9 @@ class Engine(abc.ABC):
                 "total_time": result.total_time,
                 "model": self.trace_model,
             }
+        # not in ``finally``: an escaping exception must propagate as is,
+        # never be replaced by a journal error about its open spans
+        result.observation = obs.freeze()
         return result
 
     # -- phases implemented per engine -------------------------------------

@@ -8,13 +8,11 @@ sizes) through the executor's three operating points —
 * ``jobsN_warm``  — ``--jobs N`` over the now-populated cache (a
   resumed or repeated grid; every cell is a hit),
 
-— and writes the measurements to ``BENCH_grid.json``. ``speedup`` is
-the executor's end-to-end win at ``--jobs N`` over the sequential
-baseline: the best of cold parallel fan-out and warm cache replay. The
-two components are reported separately (``speedup_parallel``,
-``speedup_warm_cache``) with ``host_cpus``, because a single-core host
-caps cold parallel speedup at ~1× — there the cache carries the win,
-while multi-core CI sees both.
+— and writes the measurements to ``BENCH_grid.json``. The executor's
+win at ``--jobs N`` over the sequential baseline is reported as two
+ratios, ``speedup_parallel`` (cold fan-out) and ``speedup_warm`` (cache
+replay), next to ``host_cpus``: a single-core host caps cold parallel
+speedup at ~1×, and there the cache carries the win.
 
 Runnable as ``repro bench-grid`` or ``python -m benchmarks.bench_grid``.
 """
@@ -36,7 +34,8 @@ __all__ = ["run_bench", "main", "BENCH_SCHEMA_VERSION"]
 
 #: bump when the BENCH_grid.json record layout changes
 #: v2: schema_version + speedup_warm + grid cost block + history append
-BENCH_SCHEMA_VERSION = 2
+#: v3: drops the duplicate ``speedup`` and ``speedup_warm_cache`` keys
+BENCH_SCHEMA_VERSION = 3
 
 #: the fixed benchmark grid: Figure 6's PageRank lineup, two sizes
 BENCH_DATASETS = ("twitter", "uk0705", "wrn")
@@ -129,12 +128,6 @@ def run_bench(
         "modes": modes,
         "speedup_parallel": base / cold if cold else 0.0,
         "speedup_warm": base / warm if warm else 0.0,
-        # legacy alias of speedup_warm (schema v1 name), kept so older
-        # readers of BENCH_grid.json keep working
-        "speedup_warm_cache": base / warm if warm else 0.0,
-        # the executor's end-to-end win at --jobs N vs --jobs 1: cold
-        # fan-out where cores exist, cache replay on a repeated grid
-        "speedup": base / min(cold, warm) if min(cold, warm) else 0.0,
         "cache_hit_rate": modes["jobsN_warm"]["cache_hit_rate"],
         # perf provenance for the cold mode: before memoization the
         # planner hashed each dataset's edge bytes once per cell (78
@@ -159,8 +152,7 @@ def run_bench(
                                 separators=(",", ":")) + "\n")
     print(
         f"speedup: parallel {record['speedup_parallel']:.2f}x · "
-        f"warm-cache {record['speedup_warm_cache']:.2f}x · "
-        f"best {record['speedup']:.2f}x -> {output}"
+        f"warm-cache {record['speedup_warm']:.2f}x -> {output}"
         + (f" (+ history {history})" if history else "")
     )
     return record

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..datasets.registry import Dataset
+from ..obs.journal import canonical_json
 from .plan import CellTask
 from .serialize import PAYLOAD_VERSION
 
@@ -47,10 +48,6 @@ _RESULT_PACKAGES = (
     "chaos", "cluster", "core", "datasets", "engines", "graph", "obs",
     "partitioning", "workloads",
 )
-
-
-def _canonical(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @lru_cache(maxsize=1)
@@ -83,7 +80,7 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     O(edges) SHA-256 runs once per dataset, not once per grid cell.
     """
     digest = hashlib.sha256()
-    digest.update(_canonical({
+    digest.update(canonical_json({
         "name": dataset.name,
         "size": dataset.size,
         "num_vertices": dataset.graph.num_vertices,
@@ -106,7 +103,7 @@ def cell_key(
     """The cell's content-addressed cache key."""
     if code_version is None:
         code_version = code_fingerprint()
-    return hashlib.sha256(_canonical({
+    return hashlib.sha256(canonical_json({
         "payload_version": PAYLOAD_VERSION,
         "system": task.system,
         "workload": task.workload,
@@ -174,7 +171,7 @@ class ResultCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(_canonical(payload), encoding="ascii")
+        tmp.write_text(canonical_json(payload), encoding="ascii")
         os.replace(tmp, path)
         if self.max_cells is not None:
             self._lru[key] = None

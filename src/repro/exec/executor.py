@@ -305,10 +305,10 @@ class _GridRun:
     def _aggregate_costs(self, ordered: List[RunResult]) -> None:
         """Fold every cell's cost record into the scheduler's metrics.
 
-        Each run journal ends with a ``cost`` event (live and cached
-        cells alike — the frozen journal replays it), so the grid's
-        bill lands in ``_scheduler.jsonl`` as ``cost.*`` counters next
-        to the cache-hit/retry story.
+        Each run journal ends with a ``cost`` event (live, pooled, and
+        cached cells alike), read from the frozen journal's last line,
+        so the grid's bill lands in ``_scheduler.jsonl`` as ``cost.*``
+        counters next to the cache-hit/retry story.
         """
         from ..obs.cost import CostReport, aggregate_costs
 
@@ -316,7 +316,7 @@ class _GridRun:
         for result in ordered:
             if result.observation is None:
                 continue
-            event = result.observation.journal().cost()
+            event = result.observation.cost()
             if event is not None:
                 reports.append(CostReport.from_event(event))
         if not reports:

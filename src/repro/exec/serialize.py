@@ -8,10 +8,12 @@ a cached cell's answer is bit-identical to a fresh run's) and the run's
 canonical journal text (so ``--trace`` on a warm cache still writes
 byte-identical per-cell journals).
 
-Deserialized results carry a :class:`FrozenJournalObservation` instead
-of a live tracer: it replays the recorded journal on demand, which is
-all any consumer (``repro trace``, ``--trace`` exports) ever asks of a
-finished run's observation.
+The journal text is never rendered here. ``Engine.run`` froze it once
+when the run returned (:class:`~repro.obs.FrozenJournalObservation`);
+:func:`result_to_payload` copies that text into the payload and
+:func:`payload_to_result` wraps it in the same frozen type again, so a
+live, pooled, cached, or served result looks the same to every
+consumer.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from ..analysis.logs import record_to_result, result_to_record
 from ..engines.base import RunResult
-from ..obs import Journal
+from ..obs import FrozenJournalObservation
 
 __all__ = [
     "FrozenJournalObservation",
@@ -34,31 +36,6 @@ __all__ = [
 #: bump when the payload layout changes incompatibly (part of cache keys)
 #: v2: journals carry the cost record + memory_byte_seconds metric
 PAYLOAD_VERSION = 2
-
-
-class FrozenJournalObservation:
-    """A finished run's observation, reconstituted from journal text.
-
-    Quacks like :class:`~repro.obs.RunObservation` for consumers of
-    finished runs: :meth:`journal` returns the event stream (whose
-    canonical dump is byte-identical to the original — JSON float
-    round-tripping is exact) and :attr:`meta` exposes the run metadata.
-    """
-
-    def __init__(self, journal_text: str) -> None:
-        self._text = journal_text
-
-    def journal(self) -> Journal:
-        """The recorded event stream."""
-        return Journal.loads(self._text)
-
-    @property
-    def meta(self) -> dict:
-        """The run's metadata event."""
-        return dict(self.journal().meta)
-
-    def __repr__(self) -> str:
-        return f"FrozenJournalObservation({len(self._text)} bytes)"
 
 
 def _encode_answer(answer: Optional[np.ndarray]) -> Optional[dict]:
@@ -82,14 +59,12 @@ def _decode_answer(encoded: Optional[dict]) -> Optional[np.ndarray]:
 
 def result_to_payload(result: RunResult) -> dict:
     """Serialize a finished run for the cache and the worker wire."""
-    journal_text = None
-    if result.observation is not None:
-        journal_text = result.observation.journal().dumps()
+    observation = result.observation
     return {
         "version": PAYLOAD_VERSION,
         "record": result_to_record(result),
         "answer": _encode_answer(result.answer),
-        "journal": journal_text,
+        "journal": None if observation is None else observation.text,
     }
 
 
@@ -99,5 +74,5 @@ def payload_to_result(payload: dict) -> RunResult:
     result.answer = _decode_answer(payload.get("answer"))
     journal_text = payload.get("journal")
     if journal_text is not None:
-        result.observation = FrozenJournalObservation(journal_text)  # type: ignore[assignment]
+        result.observation = FrozenJournalObservation(journal_text)
     return result

@@ -34,7 +34,7 @@ from .metrics import (
     MetricsRegistry,
     fold_sum,
 )
-from .observation import RunObservation
+from .observation import FrozenJournalObservation, RunObservation
 from .report import (
     PerfDiff,
     PerfSource,
@@ -66,6 +66,7 @@ __all__ = [
     "MetricsRegistry",
     "ExtrasView",
     "RunObservation",
+    "FrozenJournalObservation",
     "Journal",
     "JournalError",
     "build_journal",

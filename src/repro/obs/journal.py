@@ -40,7 +40,10 @@ from .cost import cost_event_from_events
 from .metrics import Histogram, MetricsRegistry
 from .spans import Tracer
 
-__all__ = ["JournalError", "Journal", "build_journal"]
+__all__ = [
+    "JournalError", "Journal", "build_journal", "canonical_json",
+    "write_atomic",
+]
 
 #: bump when the event schema changes incompatibly
 JOURNAL_VERSION = 1
@@ -50,9 +53,18 @@ class JournalError(ValueError):
     """A journal file is missing, malformed, or not a journal."""
 
 
-def _dumps(event: dict) -> str:
-    """Canonical JSON: sorted keys, no whitespace — determinism's half."""
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+#: Canonical JSON — sorted keys, no whitespace: determinism's half. One
+#: encoder for every journal line and cache entry; its output is what
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` returns,
+#: without building a new encoder per call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def write_atomic(target: Path, text: str) -> None:
+    """Write ``text`` via a temp file renamed into place."""
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    tmp.write_text(text, encoding="ascii")
+    os.replace(tmp, target)
 
 
 class Journal:
@@ -106,7 +118,7 @@ class Journal:
 
     def dumps(self) -> str:
         """The canonical JSONL text (what :meth:`write` puts on disk)."""
-        return "\n".join(_dumps(event) for event in self.events) + "\n"
+        return "\n".join(map(canonical_json, self.events)) + "\n"
 
     def write(self, path: Union[str, Path]) -> int:
         """Write the canonical JSONL form; returns lines written.
@@ -115,10 +127,7 @@ class Journal:
         directory): a reader — or a concurrent grid writing per-cell
         journals — never observes a torn journal.
         """
-        target = Path(path)
-        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        tmp.write_text(self.dumps(), encoding="ascii")
-        os.replace(tmp, target)
+        write_atomic(Path(path), self.dumps())
         return len(self.events)
 
     # -- accessors --------------------------------------------------------
