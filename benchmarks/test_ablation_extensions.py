@@ -9,7 +9,8 @@ Table 1 fault tolerance, §5.12 weak scaling).
 from common import once, write_output
 
 from repro.analysis import render_table
-from repro.cluster import ClusterSpec, FaultPlan
+from repro.chaos import ChaosPlan, MachineCrash
+from repro.cluster import ClusterSpec
 from repro.core import weak_efficiency, weak_scaling_experiment
 from repro.datasets import load_dataset
 from repro.engines import make_engine, workload_for
@@ -157,7 +158,7 @@ def fault_study():
     rows = []
     for key in ("HD", "BV", "G", "V"):
         clean = run(key, "pagerank", twitter, machines=16)
-        plan = FaultPlan(fail_times=(clean.total_time * 0.5,))
+        plan = ChaosPlan(events=(MachineCrash(time=clean.total_time * 0.5),))
         faulty = run(key, "pagerank", twitter, machines=16, fault_plan=plan)
         rows.append({
             "System": key,

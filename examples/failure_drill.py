@@ -12,7 +12,8 @@ Run:  python examples/failure_drill.py
 
 from repro import load_dataset
 from repro.analysis import render_table
-from repro.cluster import ClusterSpec, FaultPlan
+from repro.chaos import ChaosPlan, MachineCrash
+from repro.cluster import ClusterSpec
 from repro.engines import make_engine, workload_for
 
 SYSTEMS = ("HD", "G", "BV", "GL-S-R-I", "V")
@@ -32,7 +33,7 @@ def main() -> None:
     for key in SYSTEMS:
         engine = make_engine(key)
         clean = run(key, dataset)
-        plan = FaultPlan(fail_times=(clean.total_time * 0.5,))
+        plan = ChaosPlan(events=(MachineCrash(time=clean.total_time * 0.5),))
         faulty = run(key, dataset, fault_plan=plan)
         rows.append({
             "System": engine.display_name,
@@ -53,13 +54,13 @@ def main() -> None:
 
     # The checkpoint-frequency trade-off for a BSP system.
     clean = run("BV", dataset)
-    fail_late = (clean.total_time * 0.85,)
+    fail_late = (MachineCrash(time=clean.total_time * 0.85),)
     rows = []
     for interval in (2, 5, 10, 20, 40):
-        plan = FaultPlan(fail_times=fail_late, checkpoint_interval=interval)
+        plan = ChaosPlan(events=fail_late, checkpoint_interval=interval)
         faulty = run("BV", dataset, fault_plan=plan)
         no_fail = run("BV", dataset,
-                      fault_plan=FaultPlan(checkpoint_interval=interval))
+                      fault_plan=ChaosPlan(checkpoint_interval=interval))
         rows.append({
             "Checkpoint every": f"{interval} supersteps",
             "Steady overhead s": round(no_fail.total_time - clean.total_time, 1),

@@ -11,7 +11,8 @@ spans plus ``recovery_seconds`` / ``supersteps_replayed`` /
 answers — chaos only ever costs time, never correctness.
 
 Layering: ``events``/``plan``/``runtime`` are leaf modules (imported by
-``repro.cluster``); ``recovery`` and ``experiment`` sit above
+``repro.cluster``); ``recovery``, ``experiment`` (the one perturbation
+harness: fault and rescale grids) and ``bench`` sit above
 ``repro.engines`` / ``repro.exec`` and load lazily to keep the import
 graph acyclic.
 """

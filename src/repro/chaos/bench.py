@@ -26,11 +26,10 @@ import argparse
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..obs.hostclock import host_now
-from ..obs.metrics import fold_sum
-from .experiment import ElasticReport, elasticity_experiment
+from .experiment import elasticity_experiment
 
 __all__ = ["run_bench", "main", "BENCH_SCHEMA_VERSION"]
 
@@ -41,18 +40,6 @@ BENCH_SCHEMA_VERSION = 1
 #: checkpointing data point (the paper's Table 1 coverage)
 BENCH_SYSTEMS = ("BV", "G", "HD", "V")
 BENCH_DATASET_SIZE = "tiny"
-
-
-def _mean_by(report: ElasticReport, key, value) -> Dict[str, float]:
-    """Mean of ``value(cell)`` over completed cells, grouped by ``key``."""
-    groups: Dict[str, List[float]] = {}
-    for cell in report.cells:
-        if cell.completed:
-            groups.setdefault(key(cell), []).append(value(cell))
-    return {
-        name: fold_sum(values) / len(values)
-        for name, values in sorted(groups.items())
-    }
 
 
 def run_bench(
@@ -98,12 +85,12 @@ def run_bench(
         "host_seconds": host_seconds,
         "host_cpus": os.cpu_count(),
         # everything below is simulated and deterministic across hosts
-        "rescale_seconds_by_mechanism": _mean_by(
-            report, lambda c: c.mechanism, lambda c: c.rescale_seconds
+        "rescale_seconds_by_mechanism": report.mean_by(
+            lambda c: c.mechanism, lambda c: c.rescale_seconds
         ),
         "dollars_per_rescale": report.dollars_by_mechanism(),
-        "mean_overhead_seconds": _mean_by(
-            report, lambda c: c.direction, lambda c: c.overhead_seconds
+        "mean_overhead_seconds": report.mean_by(
+            lambda c: c.direction, lambda c: c.overhead_seconds
         ),
         "tolerance": tolerance,
     }
@@ -122,7 +109,8 @@ def run_bench(
         f"completed ({gate}) in {host_seconds:.2f}s host -> {output}"
         + (f" (+ history {history})" if history else "")
     )
-    for mechanism, seconds in record["rescale_seconds_by_mechanism"].items():
+    by_mechanism = sorted(record["rescale_seconds_by_mechanism"].items())
+    for mechanism, seconds in by_mechanism:
         dollars = record["dollars_per_rescale"].get(mechanism)
         bill = f", ${dollars:.2f}/rescale" if dollars is not None else ""
         print(f"  {mechanism}: {seconds:.1f}s per rescale{bill}")

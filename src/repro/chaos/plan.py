@@ -8,9 +8,6 @@ events have fired, which stragglers are active) lives in
 :class:`~repro.cluster.cluster.Cluster`; reusing one plan (or one
 ``ClusterSpec``) across many runs therefore injects the same faults in
 every run.
-
-``repro.cluster.faults.FaultPlan`` is the backward-compatible subclass
-that still accepts plain ``fail_times`` floats.
 """
 
 from __future__ import annotations

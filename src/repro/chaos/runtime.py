@@ -6,8 +6,7 @@ A :class:`ChaosRuntime` is built by every
 fault injection — which events have fired, which stragglers and
 bandwidth cuts are active, how many supersteps they have left — so a
 plan or ``ClusterSpec`` reused across grid cells re-arms every fault on
-each run (the old ``FaultPlan.pop_due`` drained the plan itself; see
-tests/test_faults.py::test_spec_reused_across_runs_rearms_faults).
+each run (see tests/test_faults.py::TestPlanReuse).
 
 Machine choices an event leaves open resolve deterministically from
 ``sha256(seed, event_index)`` — no RNG state, no ordering sensitivity:

@@ -39,9 +39,9 @@ from typing import List, Optional
 
 from .analysis import render_grid, render_table, write_log
 from .analysis.report import grid_report
-from .chaos.experiment import DEFAULT_FAULTS, DEFAULT_SYSTEMS, FAULT_KINDS
-from .elastic import DEFAULT_MAGNITUDES, DEFAULT_TIMINGS, DIRECTIONS
-from .elastic import DEFAULT_SYSTEMS as ELASTIC_SYSTEMS
+from .chaos.experiment import (DEFAULT_FAULTS, DEFAULT_MAGNITUDES,
+                               DEFAULT_SYSTEMS, DEFAULT_TIMINGS, DIRECTIONS,
+                               ELASTIC_SYSTEMS, FAULT_KINDS)
 from .cluster import CLUSTER_SIZES
 from .core import cost_experiment
 from .core.weak_scaling import weak_efficiency, weak_scaling_experiment
@@ -63,6 +63,60 @@ def _add_exec_options(p: argparse.ArgumentParser) -> None:
                    help="disable the result cache (always re-execute)")
     p.add_argument("--resume", action="store_true",
                    help="resume an interrupted run from its cache")
+
+
+def _add_perturbation_options(
+    p: argparse.ArgumentParser,
+    systems,
+    systems_help: str,
+    family_options,
+    seed_help: str,
+    trace_help: str,
+) -> None:
+    """The flags ``repro chaos`` and ``repro elastic`` share.
+
+    ``family_options(p)`` adds the plan family's own flags after
+    ``--size``.
+    """
+    p.add_argument("--systems", nargs="+", default=list(systems),
+                   choices=sorted(ENGINE_KEYS), metavar="SYS",
+                   help=f"{systems_help} (default: {' '.join(systems)})")
+    p.add_argument("--workload", default="pagerank",
+                   choices=WORKLOAD_NAMES + EXTENSION_WORKLOADS)
+    p.add_argument("--dataset", default="twitter", choices=DATASET_NAMES)
+    p.add_argument("-m", "--machines", type=int, default=16)
+    p.add_argument("--size", default="small")
+    family_options(p)
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    p.add_argument("--checkpoint-interval", type=int, default=10, metavar="K",
+                   help="supersteps between checkpoints for checkpointing "
+                        "systems (default 10)")
+    p.add_argument("--trace", metavar="DIR", help=trace_help)
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="print one progress line per finished cell")
+    _add_exec_options(p)
+
+
+def _add_fault_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--faults", nargs="+", default=list(DEFAULT_FAULTS),
+                   choices=FAULT_KINDS, metavar="KIND",
+                   help=f"fault kinds to inject (default: {' '.join(DEFAULT_FAULTS)}; "
+                        f"all: {' '.join(FAULT_KINDS)})")
+    p.add_argument("--intensities", nargs="+", type=int, default=[1, 2, 3],
+                   metavar="N", help="faults per run (default: 1 2 3)")
+
+
+def _add_rescale_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--directions", nargs="+", default=list(DIRECTIONS),
+                   choices=DIRECTIONS, metavar="DIR",
+                   help="rescale directions (default: out in)")
+    p.add_argument("--timings", nargs="+", type=float,
+                   default=list(DEFAULT_TIMINGS), metavar="FRAC",
+                   help="when to rescale, as a fraction of the reference "
+                        "run's supersteps (default: 0.3 0.7)")
+    p.add_argument("--magnitudes", nargs="+", type=int,
+                   default=list(DEFAULT_MAGNITUDES), metavar="N",
+                   help="machines added/removed per rescale (default: 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,66 +200,24 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fault injection: the MTTR-vs-fault-intensity grid per system",
     )
-    p.add_argument("--systems", nargs="+", default=list(DEFAULT_SYSTEMS),
-                   choices=sorted(ENGINE_KEYS), metavar="SYS",
-                   help=f"systems under chaos (default: {' '.join(DEFAULT_SYSTEMS)})")
-    p.add_argument("--workload", default="pagerank",
-                   choices=WORKLOAD_NAMES + EXTENSION_WORKLOADS)
-    p.add_argument("--dataset", default="twitter", choices=DATASET_NAMES)
-    p.add_argument("-m", "--machines", type=int, default=16)
-    p.add_argument("--size", default="small")
-    p.add_argument("--faults", nargs="+", default=list(DEFAULT_FAULTS),
-                   choices=FAULT_KINDS, metavar="KIND",
-                   help=f"fault kinds to inject (default: {' '.join(DEFAULT_FAULTS)}; "
-                        f"all: {' '.join(FAULT_KINDS)})")
-    p.add_argument("--intensities", nargs="+", type=int, default=[1, 2, 3],
-                   metavar="N", help="faults per run (default: 1 2 3)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="chaos seed: fault-to-machine assignment (default 0)")
-    p.add_argument("--checkpoint-interval", type=int, default=10, metavar="K",
-                   help="supersteps between checkpoints for checkpointing "
-                        "systems (default 10)")
-    p.add_argument("--trace", metavar="DIR",
-                   help="write one journal per faulted cell (and per "
-                        "fault-free reference) into this directory")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="print one progress line per finished cell")
-    _add_exec_options(p)
+    _add_perturbation_options(
+        p, DEFAULT_SYSTEMS, "systems under chaos", _add_fault_options,
+        seed_help="chaos seed: fault-to-machine assignment (default 0)",
+        trace_help="write one journal per faulted cell (and per "
+                   "fault-free reference) into this directory",
+    )
 
     p = sub.add_parser(
         "elastic",
         help="elastic rescaling: what each recovery mechanism pays to "
              "grow or shrink a cluster mid-run",
     )
-    p.add_argument("--systems", nargs="+", default=list(ELASTIC_SYSTEMS),
-                   choices=sorted(ENGINE_KEYS), metavar="SYS",
-                   help=f"systems to rescale (default: {' '.join(ELASTIC_SYSTEMS)})")
-    p.add_argument("--workload", default="pagerank",
-                   choices=WORKLOAD_NAMES + EXTENSION_WORKLOADS)
-    p.add_argument("--dataset", default="twitter", choices=DATASET_NAMES)
-    p.add_argument("-m", "--machines", type=int, default=16)
-    p.add_argument("--size", default="small")
-    p.add_argument("--directions", nargs="+", default=list(DIRECTIONS),
-                   choices=DIRECTIONS, metavar="DIR",
-                   help="rescale directions (default: out in)")
-    p.add_argument("--timings", nargs="+", type=float,
-                   default=list(DEFAULT_TIMINGS), metavar="FRAC",
-                   help="when to rescale, as a fraction of the reference "
-                        "run's supersteps (default: 0.3 0.7)")
-    p.add_argument("--magnitudes", nargs="+", type=int,
-                   default=list(DEFAULT_MAGNITUDES), metavar="N",
-                   help="machines added/removed per rescale (default: 4)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="chaos seed threaded into the rescale plan (default 0)")
-    p.add_argument("--checkpoint-interval", type=int, default=10, metavar="K",
-                   help="supersteps between checkpoints for checkpointing "
-                        "systems (default 10)")
-    p.add_argument("--trace", metavar="DIR",
-                   help="write one journal per rescaled cell (and per "
-                        "clean reference) into this directory")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="print one progress line per finished cell")
-    _add_exec_options(p)
+    _add_perturbation_options(
+        p, ELASTIC_SYSTEMS, "systems to rescale", _add_rescale_options,
+        seed_help="chaos seed threaded into the rescale plan (default 0)",
+        trace_help="write one journal per rescaled cell (and per "
+                   "clean reference) into this directory",
+    )
 
     p = sub.add_parser(
         "report",
@@ -508,7 +520,7 @@ def _cmd_bench_grid(args) -> int:
 
 
 def _cmd_bench_elastic(args) -> int:
-    from .elastic.bench import run_bench
+    from .chaos.bench import run_bench
 
     record = run_bench(jobs=args.jobs, output=args.output,
                        history=args.history)
@@ -552,18 +564,16 @@ def _cmd_weak(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from .chaos.experiment import recovery_cost_experiment
+def _perturbation_grid(args) -> dict:
+    """The experiment arguments ``repro chaos`` and ``repro elastic`` share."""
     from .exec import print_progress
 
-    report = recovery_cost_experiment(
+    return dict(
         systems=tuple(args.systems),
         workload=args.workload,
         dataset=args.dataset,
         cluster_size=args.machines,
         dataset_size=args.size,
-        faults=tuple(args.faults),
-        intensities=tuple(args.intensities),
         seed=args.seed,
         checkpoint_interval=args.checkpoint_interval,
         jobs=args.jobs,
@@ -572,154 +582,129 @@ def _cmd_chaos(args) -> int:
         progress=print_progress if args.verbose else None,
     )
 
+
+def _perturbation_outcome(args, report, *, heading, row, column, columns,
+                          summary, tag, label, runs, clean, reference,
+                          cells) -> int:
+    """Print a perturbation grid, write its ``--trace`` journals, and gate.
+
+    Cells sharing ``(system, row(cell))`` form one table row, where
+    ``row`` gives the row's label column and value; ``column(cell)``
+    names the cell's column among ``columns``. ``tag`` and ``label``
+    name a cell in journal filenames and in the mismatch list. The
+    words name the perturbed ``runs``, the ``clean`` reference, the
+    ``reference`` the gate compares against, and the family's ``cells``.
+    Exits 1 if any completed perturbed run's answers diverge.
+    """
     grouped: dict = {}
     for cell in report.cells:
-        grouped.setdefault((cell.system, cell.fault), {})[cell.intensity] = cell
+        grouped.setdefault((cell.system, row(cell)), {})[column(cell)] = cell
     rows = []
-    for (system, fault), cells in grouped.items():
-        row = {
+    for (system, (name, value)), by_column in grouped.items():
+        table_row = {
             "system": system,
-            "mechanism": next(iter(cells.values())).mechanism,
-            "fault": fault,
+            "mechanism": next(iter(by_column.values())).mechanism,
+            name: value,
         }
-        for intensity in args.intensities:
-            cell = cells.get(intensity)
-            row[f"x{intensity}"] = cell.cell_text() if cell else "-"
-        rows.append(row)
+        for header in columns:
+            cell = by_column.get(header)
+            table_row[header] = cell.cell_text() if cell else "-"
+        rows.append(table_row)
     print(render_table(
         rows,
-        title=(f"MTTR (+end-to-end overhead) seconds — {args.workload}/"
+        title=(f"{heading} — {args.workload}/"
                f"{args.dataset}@{args.machines} machines, seed {args.seed}, "
                f"checkpoint interval {args.checkpoint_interval}"),
     ))
-    for system, reference in report.clean.items():
-        if not reference.ok:
-            print(f"note: fault-free {system} reference failed "
-                  f"({reference.cell()}); its chaos cells were skipped")
+    for line in summary:
+        print(line)
+    for system, result in report.clean.items():
+        if not result.ok:
+            print(f"note: {clean} {system} reference failed "
+                  f"({result.cell()}); its {cells} cells were skipped")
 
     if args.trace:
         from pathlib import Path
 
         trace_dir = Path(args.trace)
         trace_dir.mkdir(parents=True, exist_ok=True)
+        journals = [(result, "clean") for result in report.clean.values()]
+        journals += [(cell.perturbed, tag(cell)) for cell in report.cells]
         written = 0
-        for reference in report.clean.values():
-            if reference.observation is None:
+        for result, result_tag in journals:
+            if result.observation is None:
                 continue
-            reference.observation.write(
-                trace_dir / _trace_filename(reference, tag="clean"))
-            written += 1
-        for cell in report.cells:
-            if cell.faulted.observation is None:
-                continue
-            cell.faulted.observation.write(trace_dir / _trace_filename(
-                cell.faulted, tag=f"{cell.fault}x{cell.intensity}"))
+            result.observation.write(
+                trace_dir / _trace_filename(result, tag=result_tag))
             written += 1
         print(f"{written} journals written to {trace_dir}/")
 
     mismatches = report.mismatches()
     if mismatches:
-        print("\nANSWER MISMATCH — faulted runs must return answers "
-              "bit-equal to the fault-free reference:")
+        print(f"\nANSWER MISMATCH — {runs} runs must return answers "
+              f"bit-equal to the {reference} reference:")
         for cell in mismatches:
-            print(f"  {cell.system} {cell.fault} x{cell.intensity}")
+            print(f"  {label(cell)}")
         return 1
     completed = sum(1 for c in report.cells if c.completed)
-    print(f"\nall {completed} completed faulted runs returned bit-exact "
-          f"answers (vs their fault-free references)")
+    print(f"\nall {completed} completed {runs} runs returned bit-exact "
+          f"answers (vs their {reference} references)")
     return 0
 
 
+def _cmd_chaos(args) -> int:
+    from .chaos.experiment import recovery_cost_experiment
+
+    report = recovery_cost_experiment(
+        faults=tuple(args.faults),
+        intensities=tuple(args.intensities),
+        **_perturbation_grid(args),
+    )
+    return _perturbation_outcome(
+        args, report,
+        heading="MTTR (+end-to-end overhead) seconds",
+        row=lambda c: ("fault", c.fault),
+        column=lambda c: f"x{c.intensity}",
+        columns=[f"x{intensity}" for intensity in args.intensities],
+        summary=(),
+        tag=lambda c: f"{c.fault}x{c.intensity}",
+        label=lambda c: f"{c.system} {c.fault} x{c.intensity}",
+        runs="faulted", clean="fault-free", reference="fault-free",
+        cells="chaos",
+    )
+
+
 def _cmd_elastic(args) -> int:
-    from .elastic import elasticity_experiment
-    from .exec import print_progress
+    from .chaos.experiment import elasticity_experiment
 
     report = elasticity_experiment(
-        systems=tuple(args.systems),
-        workload=args.workload,
-        dataset=args.dataset,
-        cluster_size=args.machines,
-        dataset_size=args.size,
         directions=tuple(args.directions),
         timings=tuple(args.timings),
         magnitudes=tuple(args.magnitudes),
-        seed=args.seed,
-        checkpoint_interval=args.checkpoint_interval,
-        jobs=args.jobs,
-        cache_dir=_cli_cache(args),
-        resume=args.resume,
-        progress=print_progress if args.verbose else None,
+        **_perturbation_grid(args),
     )
-
-    grouped: dict = {}
-    for cell in report.cells:
-        key = (cell.system, cell.direction, cell.magnitude)
-        grouped.setdefault(key, {})[cell.timing] = cell
-    rows = []
-    for (system, direction, magnitude), cells in grouped.items():
-        row = {
-            "system": system,
-            "mechanism": next(iter(cells.values())).mechanism,
-            "rescale": f"{direction} x{magnitude}",
-        }
-        for timing in args.timings:
-            cell = cells.get(timing)
-            row[f"t={timing:g}"] = cell.cell_text() if cell else "-"
-        rows.append(row)
-    print(render_table(
-        rows,
-        title=(f"rescale seconds (+end-to-end overhead) — {args.workload}/"
-               f"{args.dataset}@{args.machines} machines, seed {args.seed}, "
-               f"checkpoint interval {args.checkpoint_interval}"),
-    ))
     tolerance = report.tolerance_by_mechanism()
     dollars = report.dollars_by_mechanism()
+    summary = []
     for mechanism in sorted(tolerance):
         tolerated, total = tolerance[mechanism]
         line = f"  {mechanism}: {tolerated}/{total} rescales tolerated"
         if mechanism in dollars:
             line += f", ${dollars[mechanism]:.2f} per rescale"
-        print(line)
-    for system, reference in report.clean.items():
-        if not reference.ok:
-            print(f"note: clean {system} reference failed "
-                  f"({reference.cell()}); its rescale cells were skipped")
-
-    if args.trace:
-        from pathlib import Path
-
-        trace_dir = Path(args.trace)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        written = 0
-        for reference in report.clean.values():
-            if reference.observation is None:
-                continue
-            reference.observation.write(
-                trace_dir / _trace_filename(reference, tag="clean"))
-            written += 1
-        for cell in report.cells:
-            if cell.rescaled.observation is None:
-                continue
-            cell.rescaled.observation.write(
-                trace_dir / _trace_filename(
-                    cell.rescaled,
-                    tag=f"{cell.direction}{cell.magnitude}s{cell.at_superstep}",
-                ))
-            written += 1
-        print(f"{written} journals written to {trace_dir}/")
-
-    mismatches = report.mismatches()
-    if mismatches:
-        print("\nANSWER MISMATCH — rescaled runs must return answers "
-              "bit-equal to the fixed-size reference:")
-        for cell in mismatches:
-            print(f"  {cell.system} {cell.direction} x{cell.magnitude} "
-                  f"@superstep {cell.at_superstep}")
-        return 1
-    completed = sum(1 for c in report.cells if c.completed)
-    print(f"\nall {completed} completed rescaled runs returned bit-exact "
-          f"answers (vs their fixed-size references)")
-    return 0
+        summary.append(line)
+    return _perturbation_outcome(
+        args, report,
+        heading="rescale seconds (+end-to-end overhead)",
+        row=lambda c: ("rescale", f"{c.direction} x{c.magnitude}"),
+        column=lambda c: f"t={c.timing:g}",
+        columns=[f"t={timing:g}" for timing in args.timings],
+        summary=summary,
+        tag=lambda c: f"{c.direction}{c.magnitude}s{c.at_superstep}",
+        label=lambda c: (f"{c.system} {c.direction} x{c.magnitude} "
+                         f"@superstep {c.at_superstep}"),
+        runs="rescaled", clean="clean", reference="fixed-size",
+        cells="rescale",
+    )
 
 
 def _cmd_findings(args) -> int:

@@ -1,7 +1,6 @@
 """Simulated shared-nothing cluster: specs, memory, network, HDFS, tracking."""
 
 from .cluster import Cluster
-from .faults import FaultPlan
 from .failures import (
     FailureKind,
     MPIOverflowError,
@@ -32,7 +31,6 @@ __all__ = [
     "ResourceTracker",
     "SimClock",
     "FailureKind",
-    "FaultPlan",
     "SimulatedFailure",
     "SimulatedOOM",
     "SimulatedTimeout",

@@ -80,8 +80,8 @@ class ClusterSpec:
     num_machines: int
     machine: MachineSpec = R3_XLARGE
     timeout_seconds: float = 24 * 3600.0   # the paper's TO budget
-    #: scheduled fault events — a :class:`~repro.chaos.ChaosPlan` or its
-    #: legacy ``FaultPlan`` subclass (None = the paper's failure-free runs)
+    #: scheduled fault events — a :class:`~repro.chaos.ChaosPlan`
+    #: (None = the paper's failure-free runs)
     fault_plan: Optional["ChaosPlan"] = None
 
     def __post_init__(self) -> None:

@@ -18,7 +18,6 @@ import numpy as np
 from ..cluster import ClusterSpec, FailureKind
 from ..datasets import load_dataset
 from ..engines import GRID_SYSTEMS, make_engine, workload_for
-from ..obs.metrics import fold_sum
 from .cost import cost_experiment
 
 __all__ = ["Finding", "verify_all_findings", "FINDINGS", "EXTENSION_FINDINGS"]
@@ -305,11 +304,6 @@ def _chaos_recovery_tradeoff() -> Finding:
     return finding
 
 
-def _mean(values: List[float]) -> float:
-    """Left-fold mean (see :func:`~repro.obs.fold_sum`); 0.0 when empty."""
-    return fold_sum(values) / len(values) if values else 0.0
-
-
 def _elastic_rescale_tolerance() -> Finding:
     finding = Finding(
         key="elastic-rescale-tolerance",
@@ -318,9 +312,9 @@ def _elastic_rescale_tolerance() -> Finding:
                "re-execution is cheapest, checkpoint systems pay a replay, "
                "and restart-from-zero grows with completed progress; "
                "scale-in always costs more end-to-end than scale-out"),
-        section="extension of Table 1 (repro.elastic)",
+        section="extension of Table 1 (repro.chaos)",
     )
-    from ..elastic import elasticity_experiment
+    from ..chaos.experiment import elasticity_experiment
 
     report = elasticity_experiment(systems=("BV", "G", "HD", "V"))
     cells = report.cells
@@ -328,10 +322,14 @@ def _elastic_rescale_tolerance() -> Finding:
     scale_in = [c for c in cells if c.direction == "in"]
     exact = bool(cells) and all(c.tolerated for c in cells)
 
+    by_mechanism = report.mean_by(lambda c: c.mechanism,
+                                  lambda c: c.rescale_seconds)
     rescale_bill = {
-        mech: _mean([c.rescale_seconds for c in cells if c.mechanism == mech])
+        mech: by_mechanism.get(mech, 0.0)
         for mech in ("reexecution", "checkpoint", "none")
     }
+    overhead = report.mean_by(lambda c: c.direction,
+                              lambda c: c.overhead_seconds)
     # restart-from-zero repeats everything completed so far, so a late
     # rescale must bill more recovery time than an early one
     restart = sorted(
@@ -353,8 +351,8 @@ def _elastic_rescale_tolerance() -> Finding:
             k: round(v, 2) for k, v in report.dollars_by_mechanism().items()
         },
         "mean_overhead_seconds": {
-            "out": round(_mean([c.overhead_seconds for c in out]), 1),
-            "in": round(_mean([c.overhead_seconds for c in scale_in]), 1),
+            "out": round(overhead.get("out", 0.0), 1),
+            "in": round(overhead.get("in", 0.0), 1),
         },
         "rescaled_answers_exact": exact,
     }
@@ -364,8 +362,7 @@ def _elastic_rescale_tolerance() -> Finding:
         and rescale_bill["reexecution"] < rescale_bill["checkpoint"]
         and rescale_bill["checkpoint"] < rescale_bill["none"]
         and restart_monotone
-        and _mean([c.overhead_seconds for c in scale_in])
-        > _mean([c.overhead_seconds for c in out])
+        and overhead.get("in", 0.0) > overhead.get("out", 0.0)
     )
     return finding
 

@@ -9,7 +9,7 @@ interpreter) propagates to the scheduler, where the retry policy deals
 with it.
 
 ``_REPRO_EXEC_FAULT`` is the retry path's failure drill (the process-
-level counterpart of :mod:`repro.cluster.faults`): set it to
+level counterpart of :mod:`repro.chaos`): set it to
 ``SYSTEM:N`` and every cell of that system crashes its first ``N``
 attempts, deterministically, in the worker — which is how the tests
 exercise backoff and retry exhaustion without a flaky dependency.

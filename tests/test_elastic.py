@@ -1,4 +1,4 @@
-"""repro.elastic: mid-run rescaling, priced per Table 1 mechanism.
+"""Elastic rescaling: mid-run rescales, priced per Table 1 mechanism.
 
 Covers the two rescale events and their plans, hand-checked rescale
 accounting for one system per recovery mechanism (checkpoint replay,
@@ -18,9 +18,9 @@ from repro.chaos.events import ScaleIn, ScaleOut
 from repro.cluster import ClusterSpec
 from repro.cluster.tracker import ResourceTracker
 from repro.datasets import load_dataset
-from repro.elastic import (
+from repro.chaos.experiment import (
     DIRECTIONS,
-    ElasticReport,
+    ChaosReport as ElasticReport,
     elasticity_experiment,
     rescale_plan,
 )
@@ -242,7 +242,7 @@ def test_extension_finding_elastic_rescale_tolerance():
 
 
 def test_bench_elastic_record_is_gated_and_deterministic(tmp_path):
-    from repro.elastic.bench import run_bench
+    from repro.chaos.bench import run_bench
 
     output = tmp_path / "BENCH_elastic.json"
     history = tmp_path / "history.jsonl"

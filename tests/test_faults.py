@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.cluster import ClusterSpec, FaultPlan
+from repro.chaos import ChaosPlan, ChaosRuntime, MachineCrash
+from repro.cluster import ClusterSpec
 from repro.datasets import load_dataset
 from repro.engines import make_engine, workload_for
+
+
+def crash_plan(*times, checkpoint_interval=10):
+    """One worker crash at each of ``times`` (simulated seconds)."""
+    return ChaosPlan(events=tuple(MachineCrash(time=t) for t in times),
+                     checkpoint_interval=checkpoint_interval)
 
 
 def run(key, workload_name, dataset, machines=16, fault_plan=None):
@@ -19,52 +26,34 @@ def twitter():
     return load_dataset("twitter", "small")
 
 
-class TestFaultPlan:
-    def test_pop_due_consumes(self):
-        plan = FaultPlan(fail_times=(5.0, 10.0))
-        assert plan.pop_due(7.0) == [5.0]
-        assert plan.pending == (10.0,)
-        assert plan.pop_due(7.0) == []
-
-    def test_reset_rearms(self):
-        plan = FaultPlan(fail_times=(5.0,))
-        plan.pop_due(100.0)
-        plan.reset()
-        assert plan.pending == (5.0,)
-
+class TestCrashPlan:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            FaultPlan(fail_times=(-1.0,))
+            crash_plan(-1.0)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
-            FaultPlan(checkpoint_interval=0)
+            crash_plan(checkpoint_interval=0)
 
     def test_sorted_delivery(self):
-        plan = FaultPlan(fail_times=(9.0, 3.0, 6.0))
-        assert plan.pop_due(10.0) == [3.0, 6.0, 9.0]
+        runtime = ChaosRuntime(crash_plan(9.0, 3.0, 6.0), num_workers=4)
+        assert [e.time for _, e in runtime.pop_due(10.0)] == [3.0, 6.0, 9.0]
 
 
 class TestPlanReuse:
     """Regression: a plan is a spec, not a cursor. Before the chaos
-    rework, runs drained FaultPlan._pending in place, so the second
-    cell sharing a spec saw no faults at all."""
+    rework, runs drained the plan's pending failure times in place, so
+    the second cell sharing a spec saw no faults at all."""
 
     def test_same_plan_twice_injects_both_times(self, twitter):
         clean = run("BV", "pagerank", twitter)
-        plan = FaultPlan(fail_times=(clean.total_time * 0.5,))
+        plan = crash_plan(clean.total_time * 0.5)
         first = run("BV", "pagerank", twitter, fault_plan=plan)
         second = run("BV", "pagerank", twitter, fault_plan=plan)
         assert first.extras["recoveries"] == 1
         assert second.extras["recoveries"] == 1
         assert second.total_time == first.total_time
         assert second.total_time > clean.total_time
-
-    def test_runs_leave_the_legacy_cursor_armed(self, twitter):
-        plan = FaultPlan(fail_times=(1.0,))
-        run("BV", "pagerank", twitter, fault_plan=plan)
-        # the hand-driving API still sees every scheduled time
-        assert plan.pending == (1.0,)
 
 
 class TestRecoverySemantics:
@@ -75,7 +64,7 @@ class TestRecoverySemantics:
 
     def test_checkpointing_engine_recovers(self, twitter):
         clean = run("BV", "pagerank", twitter)
-        plan = FaultPlan(fail_times=(clean.total_time * 0.5,))
+        plan = crash_plan(clean.total_time * 0.5)
         faulty = run("BV", "pagerank", twitter, fault_plan=plan)
         assert faulty.ok
         assert faulty.extras["recoveries"] == 1
@@ -84,7 +73,7 @@ class TestRecoverySemantics:
 
     def test_checkpoint_overhead_without_failures(self, twitter):
         clean = run("G", "pagerank", twitter)
-        plan = FaultPlan(fail_times=(), checkpoint_interval=5)
+        plan = crash_plan(checkpoint_interval=5)
         with_ckpt = run("G", "pagerank", twitter, fault_plan=plan)
         assert with_ckpt.ok
         assert with_ckpt.extras["checkpoints"] == 30 // 5
@@ -94,11 +83,11 @@ class TestRecoverySemantics:
         clean = run("BV", "pagerank", twitter)
         fail_at = (clean.total_time * 0.8,)
         sparse = run("BV", "pagerank", twitter,
-                     fault_plan=FaultPlan(fail_times=fail_at,
-                                          checkpoint_interval=40))
+                     fault_plan=crash_plan(*fail_at,
+                                           checkpoint_interval=40))
         dense = run("BV", "pagerank", twitter,
-                    fault_plan=FaultPlan(fail_times=fail_at,
-                                         checkpoint_interval=2))
+                    fault_plan=crash_plan(*fail_at,
+                                          checkpoint_interval=2))
         # dense checkpointing loses less progress on failure
         sparse_recovery = sparse.total_time - clean.total_time
         dense_recovery = dense.total_time - clean.total_time
@@ -107,7 +96,7 @@ class TestRecoverySemantics:
     def test_reexecution_cheapest(self, twitter):
         """Hadoop re-runs one machine's tasks: tiny blast radius."""
         clean = run("HD", "pagerank", twitter)
-        plan = FaultPlan(fail_times=(clean.total_time * 0.5,))
+        plan = crash_plan(clean.total_time * 0.5)
         faulty = run("HD", "pagerank", twitter, fault_plan=plan)
         assert faulty.ok
         assert faulty.extras["recoveries"] == 1
@@ -117,7 +106,7 @@ class TestRecoverySemantics:
 
     def test_vertica_restarts_from_zero(self, twitter):
         clean = run("V", "pagerank", twitter)
-        plan = FaultPlan(fail_times=(clean.total_time * 0.6,))
+        plan = crash_plan(clean.total_time * 0.6)
         faulty = run("V", "pagerank", twitter, fault_plan=plan)
         assert faulty.ok
         # no fault tolerance: the aborted work is paid twice
@@ -128,14 +117,14 @@ class TestRecoverySemantics:
         overheads = {}
         for key in ("HD", "BV", "V"):
             clean = run(key, "pagerank", twitter)
-            plan = FaultPlan(fail_times=(clean.total_time * 0.5,))
+            plan = crash_plan(clean.total_time * 0.5)
             faulty = run(key, "pagerank", twitter, fault_plan=plan)
             overheads[key] = faulty.total_time / clean.total_time
         assert overheads["HD"] < overheads["BV"] < overheads["V"]
 
     def test_failure_during_load_is_harmless(self, twitter):
         """Events before the superstep loop fire at the first round."""
-        plan = FaultPlan(fail_times=(0.5,))
+        plan = crash_plan(0.5)
         result = run("BV", "pagerank", twitter, fault_plan=plan)
         assert result.ok
         assert result.extras["recoveries"] == 1
@@ -144,6 +133,6 @@ class TestRecoverySemantics:
         clean = run("BV", "pagerank", twitter)
         times = tuple(clean.total_time * f for f in (0.3, 0.5, 0.7))
         faulty = run("BV", "pagerank", twitter,
-                     fault_plan=FaultPlan(fail_times=times))
+                     fault_plan=crash_plan(*times))
         assert faulty.ok
         assert faulty.extras["recoveries"] == 3

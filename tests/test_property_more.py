@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import ChaosPlan, ChaosRuntime, MachineCrash
 from repro.cluster import ClusterSpec, MemoryAccountant, NetworkModel, R3_XLARGE
-from repro.cluster.faults import FaultPlan
 from repro.graph import (
     Graph,
     chunk_lines,
@@ -108,13 +108,15 @@ class TestNetworkProperties:
         assert large <= small
 
 
-class TestFaultPlanProperties:
+class TestChaosRuntimeProperties:
     @given(st.lists(st.floats(min_value=0, max_value=1e6), max_size=12),
            st.floats(min_value=0, max_value=2e6))
     @settings(max_examples=60, deadline=None)
     def test_pop_partitions_events(self, times, now):
-        plan = FaultPlan(fail_times=tuple(times))
-        due = plan.pop_due(now)
+        plan = ChaosPlan(events=tuple(MachineCrash(time=t) for t in times))
+        runtime = ChaosRuntime(plan, num_workers=4)
+        due = [event.time for _, event in runtime.pop_due(now)]
+        pending = [event.time for event in runtime.pending]
         assert all(t <= now for t in due)
-        assert all(t > now for t in plan.pending)
-        assert sorted(due + list(plan.pending)) == sorted(times)
+        assert all(t > now for t in pending)
+        assert sorted(due + pending) == sorted(times)

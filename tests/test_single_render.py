@@ -4,8 +4,8 @@
 worker wire, the grid's cost roll-up, and the serve scheduler all read
 that frozen text. These tests count the renders on every path, pin the
 frozen accessors to the parsed journal, check the one canonical encoder
-against ``json.dumps``, and pin the left-fold means the elastic reports
-print.
+against ``json.dumps``, and pin the left-fold grouped mean that the
+perturbation report, the elastic bench and the findings print.
 """
 
 import gc
@@ -17,12 +17,10 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos.experiment import ChaosReport
 from repro.cluster import ClusterSpec
-from repro.core.findings import _mean
 from repro.core.runner import ExperimentSpec, run_cell
 from repro.datasets.registry import load_dataset
-from repro.elastic.bench import _mean_by
-from repro.elastic.experiment import ElasticReport
 from repro.engines import make_engine, workload_for
 from repro.exec import execute_grid, plan_grid
 from repro.exec.workers import run_cell_task
@@ -216,27 +214,44 @@ def test_canonical_encoder_is_byte_equal_to_json_dumps(obj):
 _CANCELLING = [1e16, 1.0, -1e16]   # left fold: 0.0; compensated sum: 1.0
 
 
+def report_of(cells):
+    report = ChaosReport(workload="pagerank", dataset="twitter",
+                         cluster_size=16, seed=0)
+    report.cells = cells
+    return report
+
+
+# the findings, the elastic bench and dollars_by_mechanism all average
+# through the one grouped mean, ChaosReport.mean_by
+
+
 def test_findings_mean_folds_left():
-    assert _mean(_CANCELLING) == 0.0
-    assert _mean([]) == 0.0
-    assert _mean([1.0, 1e16, -1e16]) == 0.0
+    cells = [types.SimpleNamespace(completed=True, group="out", value=v)
+             for v in _CANCELLING]
+    cells += [types.SimpleNamespace(completed=True, group="in", value=v)
+              for v in (1.0, 1e16, -1e16)]
+    means = report_of(cells).mean_by(lambda c: c.group, lambda c: c.value)
+    assert means == {"out": 0.0, "in": 0.0}
+    assert list(means) == ["out", "in"]   # groups keep first-seen order
+    assert report_of([]).mean_by(lambda c: c.group, lambda c: c.value) == {}
 
 
 def test_elastic_bench_mean_by_folds_left():
     cells = [types.SimpleNamespace(completed=True, group="out", value=v)
              for v in _CANCELLING]
     cells.append(types.SimpleNamespace(completed=False, group="out", value=9.0))
-    report = types.SimpleNamespace(cells=cells)
-    means = _mean_by(report, lambda c: c.group, lambda c: c.value)
+    cells.append(types.SimpleNamespace(completed=False, group="in", value=9.0))
+    means = report_of(cells).mean_by(lambda c: c.group, lambda c: c.value)
     assert means == {"out": 0.0}
 
 
 def test_dollars_by_mechanism_folds_left():
-    report = ElasticReport(workload="pagerank", dataset="twitter",
-                           cluster_size=16, seed=0)
-    report.cells = [
-        types.SimpleNamespace(completed=True, rescales=1,
-                              mechanism="checkpoint", dollars_per_rescale=v)
-        for v in _CANCELLING
-    ]
-    assert report.dollars_by_mechanism() == {"checkpoint": 0.0}
+    cells = [types.SimpleNamespace(completed=True, rescales=1,
+                                   mechanism="checkpoint",
+                                   dollars_per_rescale=v)
+             for v in _CANCELLING]
+    # a run that consumed no rescale has no per-rescale price
+    cells.append(types.SimpleNamespace(completed=True, rescales=0,
+                                       mechanism="none",
+                                       dollars_per_rescale=9.0))
+    assert report_of(cells).dollars_by_mechanism() == {"checkpoint": 0.0}
