@@ -15,9 +15,10 @@ driver that runs such matrices the way the paper's EC2 harness had to:
 * :mod:`~repro.exec.progress` is the one progress path the CLI, the
   runner, and the tests share.
 
-This package is also the repo's single concurrency door: RPL009 bans
-``threading`` / ``multiprocessing`` / ``concurrent.futures`` everywhere
-else in the source tree, mirroring RPL001's one-wall-clock-door rule.
+This package and :mod:`repro.serve` are the repo's concurrency doors:
+RPL009 bans ``threading`` / ``multiprocessing`` / ``concurrent.futures``
+everywhere else in the source tree, mirroring RPL001's one-wall-clock-
+door rule, and bans lock primitives inside the doors too.
 """
 
 from .cache import ResultCache, cell_key, code_fingerprint, dataset_fingerprint

@@ -2,7 +2,7 @@
 
 Exit codes follow linter convention: 0 clean, 1 findings, 2 bad usage.
 The shallow pass (RPL001-RPL010) always runs; ``--deep`` additionally
-builds the whole-program model and runs RPL011-RPL024. ``--select`` /
+builds the whole-program model and runs RPL011-RPL020. ``--select`` /
 ``--ignore`` filter both passes — an exact code matches only itself,
 anything shorter matches ruff-style by prefix —
 ``--baseline`` suppresses previously recorded findings,
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Domain-aware static analysis for the simulation's model "
             "contracts (shallow rules RPL001-RPL010; --deep adds the "
-            "whole-program rules RPL011-RPL024)."
+            "whole-program rules RPL011-RPL020)."
         ),
     )
     parser.add_argument(
@@ -68,13 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--deep",
         action="store_true",
         help=(
-            "also run the whole-program pass (RPL011-RPL024): call-graph "
+            "also run the whole-program pass (RPL011-RPL020): call-graph "
             "model conformance, determinism taint, span coverage, chaos "
             "safety, pool payloads, redundant digests, superstep hot-loop "
             "hygiene, cache-key soundness, cross-process state sharing, "
-            "bounded-retry hygiene, and the concurrency rules (lockset "
-            "field discipline, blocking-under-lock/lock-order, condition "
-            "hygiene, thread confinement)"
+            "and bounded-retry hygiene"
         ),
     )
     parser.add_argument(

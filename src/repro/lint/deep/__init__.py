@@ -25,16 +25,12 @@ conservative call graph, and checks the contracts that only exist
   expected to cross a process boundary;
 - RPL020 bounded retry — every ``while`` loop that sleeps through the
   host-clock door carries a reachable bound (attempt counter or
-  deadline check);
-- RPL021 guarded-field discipline — a shared serve/exec field locked
-  on one thread root must hold the same lock on every root (Eraser's
-  lockset intersection);
-- RPL022 blocking-under-lock — no I/O, sleep, join, or pool wait while
-  a lock is held, and the lock-acquisition graph stays acyclic;
-- RPL023 condition hygiene — ``cond.wait()`` only inside a
-  while-predicate loop, wait/notify only with the lock held;
-- RPL024 thread confinement — mutable state crossing thread roots with
-  no common lock anywhere (RPL019's rule, generalized to threads).
+  deadline check).
+
+The serving stack needs no lockset analysis: the daemon's event loop
+owns all of its state and its one executor thread shares none, and the
+shallow RPL009 keeps lock primitives out of ``repro/exec`` and
+``repro/serve``.
 
 Usage::
 
@@ -64,10 +60,6 @@ from .rpl017_superstep_hygiene import SuperstepHygieneRule
 from .rpl018_cache_key import CacheKeySoundnessRule
 from .rpl019_worker_sharing import WorkerSharingRule
 from .rpl020_bounded_retry import BoundedRetryRule
-from .rpl021_guarded_fields import GuardedFieldRule
-from .rpl022_blocking_under_lock import BlockingUnderLockRule
-from .rpl023_condition_hygiene import ConditionHygieneRule
-from .rpl024_thread_confinement import ThreadConfinementRule
 
 __all__ = [
     "DeepRule",
@@ -90,10 +82,6 @@ DEEP_RULES = (
     CacheKeySoundnessRule(),
     WorkerSharingRule(),
     BoundedRetryRule(),
-    GuardedFieldRule(),
-    BlockingUnderLockRule(),
-    ConditionHygieneRule(),
-    ThreadConfinementRule(),
 )
 
 DEEP_RULES_BY_CODE = {rule.code: rule for rule in DEEP_RULES}

@@ -5,10 +5,9 @@ threads (RPL009's legal concurrency doors), and process boundaries make
 module-level mutable state a trap: under ``spawn`` a worker never sees
 the parent's writes, under ``fork`` it sees a frozen snapshot, and the
 parent never sees the worker's writes back. Code that *looks* like it
-communicates through a module dict silently doesn't. The serving layer
-adds a second hazard of the same shape: daemon handler threads and its
-scheduler thread must share state through the daemon instance (under
-its condition lock), never through module globals.
+communicates through a module dict silently doesn't. The serving
+layer's executor thread is held to the same shape: it reaches only the
+arguments it was started with, never module globals.
 
 The rule builds the worker cone — everything reachable from functions
 shipped to the pool (``pool.submit(fn, ...)``) or exported by a

@@ -24,6 +24,25 @@ deadline``) — and
 that guards a ``break``, ``return``, or ``raise``. Data-dependent
 exits alone (``if batch["complete"]: return``) do not count: they are
 the condition being waited for, not a bound on the wait.
+
+Positive (flagged)::
+
+    while True:
+        batch = link.results(job_id)
+        if batch["complete"]:       # the awaited event, not a bound
+            return batch
+        host_sleep(0.05)
+
+Negative (clean)::
+
+    deadline = host_now() + timeout
+    while True:
+        if host_now() >= deadline:  # progress against a limit
+            raise TimeoutError(job_id)
+        batch = link.results(job_id)
+        if batch["complete"]:
+            return batch
+        host_sleep(0.05)
 """
 
 from __future__ import annotations

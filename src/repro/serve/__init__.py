@@ -17,8 +17,9 @@ The package splits along the protocol/policy/mechanism seams:
   queueing, priorities, admission control;
 * :mod:`~repro.serve.scheduler` — :class:`JobRunner`: the bridge into
   ``execute_specs`` and the shared cache;
-* :mod:`~repro.serve.daemon` — :class:`ServeDaemon`: sockets, the
-  single scheduler thread, ``_server.jsonl``;
+* :mod:`~repro.serve.daemon` — :class:`ServeDaemon`: one ``selectors``
+  event loop that owns the sockets, queue, registry and stats, one
+  share-nothing executor thread, ``_server.jsonl``;
 * :mod:`~repro.serve.client` — :class:`ServeClient`: backoff on
   rejection, resumable result streams, grid reconstruction;
 * :mod:`~repro.serve.stats` — latency percentiles, hit-rate, and the

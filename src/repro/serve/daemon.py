@@ -1,14 +1,18 @@
-"""The benchmark-as-a-service daemon: one socket, one warm cache, many clients.
+"""The benchmark-as-a-service daemon: one event loop, one executor thread.
 
 ``repro serve`` starts a long-lived process that accepts experiment
 submissions over a local stream socket (a unix path, or ``host:port``
-on loopback for environments without ``AF_UNIX``). Connections are
-handled by a thread per client, but *all* execution funnels through a
-single scheduler thread holding one :class:`~repro.serve.queue.FairQueue`
-and one :class:`~repro.serve.scheduler.JobRunner` — so the shared cache
-is raced by nobody, the service order is exactly the queue's
-deterministic policy, and a served grid is bit-equal to the one-shot
-``repro grid`` a client would have run alone.
+on loopback for environments without ``AF_UNIX``). One ``selectors``
+loop owns everything that changes: the listening and client sockets,
+the :class:`~repro.serve.queue.FairQueue`, the job registry and the
+:class:`~repro.serve.stats.ServerStats`. Cells run on exactly one
+executor thread, ``serve-scheduler``, through
+:meth:`~repro.serve.scheduler.JobRunner.run_job`. That thread gets an
+immutable :class:`WorkOrder` and answers only by posting messages to a
+queue and writing one byte to a wake socket the loop selects on. No
+state is shared, so nothing is locked. The service order is exactly the
+queue's deterministic policy, and a served grid is bit-equal to the
+one-shot ``repro grid`` a client would have run alone.
 
 Lifecycle of a submission::
 
@@ -18,29 +22,38 @@ Lifecycle of a submission::
         └── cancel / deadline / shed ──▶ cancelled ─┘──▶ failed
 
 Cancellation is cooperative all the way: a queued job flips in place,
-a *running* job gets ``cancel_requested`` set and stops at its next
-cell boundary (the scheduler polls the flag — and the job's deadline —
-from the executor's progress hook), keeping its completed payload
-prefix streamable. Deadlines are host-seconds budgets from submission;
-an expired job is cancelled before start or at the next boundary.
+a *running* job gets ``cancel_requested`` set and its work order's
+cancel event fired, and stops at its next cell boundary (the executor
+checks the event — and the order's deadline — from the progress hook),
+keeping its completed payload prefix streamable. Deadlines are
+host-seconds budgets from submission: a queued job is cancelled when
+its deadline passes, a running one at its next cell boundary.
+
+A ``wait`` on a live job is parked in the loop and answered when the
+job reaches a terminal state or the wait times out; the loop's
+``select`` sleeps until the nearest such deadline, so no thread blocks
+on a client.
 
 Two ways down. ``shutdown`` (or :meth:`ServeDaemon.stop`) drains
-nothing: queued jobs stay queued until served or the process exits.
-``drain`` stops admissions (submissions answer ``draining``), lets the
-running job and the whole queue finish, then shuts the daemon down
-cleanly. Either way the daemon writes its own journal —
-``_server.jsonl`` with meta ``kind="server"``, per-job spans,
-queue-wait/service/latency histograms, and the sheds / deadline-expiry
-/ cache-eviction counters — before returning, so every serving session
-leaves the same evidence trail a grid run does.
+nothing: the running job stops at its next cell boundary and queued
+jobs fail with a clean error. ``drain`` stops admissions (submissions
+answer ``draining``), lets the running job and the whole queue finish,
+then shuts the daemon down cleanly. Either way the daemon writes its
+own journal — ``_server.jsonl`` with meta ``kind="server"``, per-job
+spans, queue-wait/service/latency histograms, and the sheds /
+deadline-expiry / cache-eviction counters — before returning, so every
+serving session leaves the same evidence trail a grid run does.
 """
 
 from __future__ import annotations
 
-import socketserver
+import queue
+import selectors
+import socket
 import threading
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Set, Tuple, Union
 
 from ..obs import Tracer
 from ..obs.hostclock import host_now
@@ -49,27 +62,34 @@ from .protocol import (
     JOB_FAILED,
     JOB_QUEUED,
     JOB_RUNNING,
+    MAX_LINE_BYTES,
     OPS,
     PROTOCOL_VERSION,
     Job,
     JobRequest,
     ProtocolError,
+    decode_frame,
+    dumps_message,
     error_response,
     ok_response,
-    recv_message,
-    send_message,
 )
 from .queue import FairQueue
-from .scheduler import JobRunner
+from .scheduler import JobOutcome, JobRunner
 from .stats import ServerStats, server_observation
 
-__all__ = ["ServeDaemon", "parse_address", "DEFAULT_SOCKET"]
+__all__ = ["ServeDaemon", "WorkOrder", "parse_address", "DEFAULT_SOCKET"]
 
 #: the CLI's default rendezvous point, relative to the working directory
 DEFAULT_SOCKET = ".repro-serve.sock"
 
-#: how long the scheduler dozes between wake-up checks when idle
-_IDLE_WAIT = 0.2
+#: how a deadline cancellation's error message starts (queued or running)
+DEADLINE_EXCEEDED = "deadline-exceeded"
+
+#: bytes taken from a readable client socket per loop turn
+_RECV_BYTES = 1 << 16
+
+#: host seconds a closing daemon spends flushing each client's last answer
+_FLUSH_TIMEOUT = 1.0
 
 
 def parse_address(text: str) -> Tuple[str, object]:
@@ -88,43 +108,103 @@ def parse_address(text: str) -> Tuple[str, object]:
         return ("unix", text)
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One connected client: a request/response loop until EOF."""
+# -- the executor thread ----------------------------------------------------
 
-    def handle(self) -> None:
-        daemon: "ServeDaemon" = self.server.serve_daemon  # type: ignore[attr-defined]
-        while True:
-            try:
-                message = recv_message(self.rfile)
-            except ProtocolError as exc:
-                # the stream may be desynchronized: answer once, hang up
-                send_message(self.wfile, error_response("protocol", str(exc)))
-                return
-            if message is None:
-                return
-            try:
-                response = daemon.dispatch(message)
-            except ProtocolError as exc:
-                response = error_response("protocol", str(exc))
-            try:
-                send_message(self.wfile, response)
-            except (BrokenPipeError, ConnectionResetError):
-                return
-            if message.get("op") == "shutdown" and response.get("ok"):
-                return
+@dataclass(frozen=True)
+class WorkOrder:
+    """All the executor thread learns about one job."""
+
+    job_id: str
+    request: JobRequest
+    #: absolute host time the job must finish by (0 = no deadline)
+    deadline_host: float
+    #: set by the loop to stop the job at its next cell boundary
+    cancel: threading.Event
 
 
-class _TcpServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+def stop_reason(order: WorkOrder, completed: int) -> Optional[Tuple[str, str]]:
+    """Cell-boundary check: must the order stop here? Cancel wins."""
+    progress = f"after {completed} of {order.request.cells} cells"
+    if order.cancel.is_set():
+        return (JOB_CANCELLED, f"cancelled {progress}")
+    if 0.0 < order.deadline_host <= host_now():
+        return (JOB_CANCELLED, f"{DEADLINE_EXCEEDED} {progress}")
+    return None
 
 
-if hasattr(socketserver, "UnixStreamServer"):
-    class _UnixServer(socketserver.ThreadingMixIn,
-                      socketserver.UnixStreamServer):
-        daemon_threads = True
-else:  # pragma: no cover - platforms without AF_UNIX
-    _UnixServer = None  # type: ignore[assignment,misc]
+def _run_order(runner: JobRunner, order: WorkOrder, post) -> JobOutcome:
+    completed = 0
+
+    def on_cell(_order: WorkOrder, payload: dict, from_cache: bool) -> None:
+        nonlocal completed
+        completed += 1
+        post(("cell", order.job_id, payload, from_cache))
+
+    return runner.run_job(order, on_cell,
+                          should_stop=lambda _order: stop_reason(order, completed))
+
+
+#: the verdict on a job whose run raised instead of returning an outcome
+_CRASHED = JobOutcome(state=JOB_FAILED, error="executor crashed")
+
+
+def _execute_orders(runner: JobRunner, orders: "queue.Queue",
+                    outbox: "queue.Queue", wake: socket.socket) -> None:
+    """The ``serve-scheduler`` thread: run each order, post what happens.
+
+    It sees only its arguments: work orders arrive on ``orders`` (``None``
+    ends the thread), and every payload and verdict leaves through
+    ``outbox`` followed by one byte on ``wake``.
+    """
+
+    def post(message: tuple) -> None:
+        outbox.put(message)
+        _ring(wake)
+
+    while True:
+        order = orders.get()
+        if order is None:
+            return
+        outcome = None
+        try:
+            outcome = _run_order(runner, order, post)
+        finally:
+            evictions = runner.cache.evictions if runner.cache is not None else 0
+            post(("done", order.job_id, outcome or _CRASHED, evictions))
+            if outcome is None:
+                # the daemon cannot serve without this thread: stop it
+                # cleanly while the traceback goes to stderr
+                post(("stop",))
+
+
+def _ring(wake: socket.socket) -> None:
+    """Wake the loop; a full wake buffer already guarantees a wake-up."""
+    try:
+        wake.send(b"\0")
+    except OSError:
+        pass
+
+
+# -- the event loop -----------------------------------------------------------
+
+class _Parked(NamedTuple):
+    """A ``wait`` the loop answers once its job ends or its time is up."""
+
+    job_id: str
+    deadline: float
+
+
+class _Connection:
+    """One client socket and its unparsed input and unsent output."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.events = selectors.EVENT_READ
+        self.parked: Optional[_Parked] = None
+        #: hang up once ``outbuf`` is flushed
+        self.closing = False
 
 
 class ServeDaemon:
@@ -150,197 +230,334 @@ class ServeDaemon:
         self.queue = FairQueue(max_cells=max_queue_cells)
         #: host-seconds budget stamped on jobs that carry none of their own
         self.default_deadline = default_deadline
-        #: one lock for queue + registry + stats; scheduler waits on it
-        self.cond = threading.Condition()
         self.jobs: Dict[str, Job] = {}
         self._seq = 0
         self._stopping = False
         self._draining = False
-        self._scheduler: Optional[threading.Thread] = None
-        self._server_thread: Optional[threading.Thread] = None
+        #: the order on the executor thread, and its job's ``job`` span
+        self._running: Optional[WorkOrder] = None
+        self._span = None
+        self._conns: Set[_Connection] = set()
+        self._orders: "queue.Queue" = queue.Queue()
+        self._outbox: "queue.Queue" = queue.Queue()
+        self._wake_r, self._wake_w = socket.socketpair()
+        for end in (self._wake_r, self._wake_w):
+            end.setblocking(False)
+        self._thread: Optional[threading.Thread] = None
+        self._executor: Optional[threading.Thread] = None
+        self._closed = threading.Event()
 
         kind, target = parse_address(address)
         if kind == "unix":
-            if _UnixServer is None:  # pragma: no cover
+            if not hasattr(socket, "AF_UNIX"):  # pragma: no cover
                 raise OSError("AF_UNIX is unavailable; use host:port")
             path = Path(target)
             if path.exists():
                 path.unlink()
-            self.server = _UnixServer(str(target), _Handler)
+            self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            self._listener.bind(str(target))
+            self._listener.listen(128)
             self.address = str(target)
             self._socket_path: Optional[Path] = path
         else:
-            self.server = _TcpServer(tuple(target), _Handler)
-            host, port = self.server.server_address[:2]
+            self._listener = socket.create_server(tuple(target), backlog=128)
+            host, port = self._listener.getsockname()[:2]
             self.address = f"{host}:{port}"
             self._socket_path = None
-        self.server.serve_daemon = self  # type: ignore[attr-defined]
+        self._listener.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ServeDaemon":
-        """Run the socket loop and scheduler in background threads."""
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="serve-scheduler", daemon=True
+        """Run the event loop on a background thread."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="serve-loop", daemon=True
         )
-        self._scheduler.start()
-        self._server_thread = threading.Thread(
-            target=self.server.serve_forever, name="serve-socket", daemon=True
-        )
-        self._server_thread.start()
+        self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        """Run until a ``shutdown`` op arrives (the ``repro serve`` path)."""
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="serve-scheduler", daemon=True
+        """Run the loop here until shutdown or drain (the ``repro serve`` path)."""
+        self._executor = threading.Thread(
+            target=_execute_orders, name="serve-scheduler", daemon=True,
+            args=(self.runner, self._orders, self._outbox, self._wake_w),
         )
-        self._scheduler.start()
+        self._executor.start()
         try:
-            self.server.serve_forever()
+            while not self._exiting():
+                self._turn()
         finally:
             self._finish()
 
     def stop(self) -> None:
-        """Stop accepting, wind down the running job, write the journal.
+        """Stop serving, wind down the running job, write the journal.
 
         The in-flight job (if any) is cancelled cooperatively at its
         next cell boundary; still-queued jobs are failed with a clean
         error payload. Use the ``drain`` op to finish the backlog
-        instead.
+        instead. Safe to call from any thread, and more than once.
         """
-        self.server.shutdown()
-        self._finish()
+        if self._thread is None and self._executor is None:
+            self._finish()  # never served: no loop owns the state
+            return
+        self._outbox.put(("stop",))
+        _ring(self._wake_w)
+        self._closed.wait()
+        if self._thread is not None:
+            self._thread.join()
+
+    def _exiting(self) -> bool:
+        if self._running is not None:
+            return False
+        return self._stopping or (self._draining and len(self.queue) == 0)
+
+    def _begin_stop(self) -> None:
+        self._stopping = True
+        if self._running is not None:
+            self.jobs[self._running.job_id].cancel_requested = True
+            self._running.cancel.set()
 
     def _finish(self) -> None:
-        with self.cond:
-            self._stopping = True
-            # an in-flight job stops cooperatively at its next cell
-            # boundary instead of holding the shutdown hostage
-            for job in self.jobs.values():
-                if job.state == JOB_RUNNING:
-                    job.cancel_requested = True
-            self.cond.notify_all()
-        if self._scheduler is not None:
-            self._scheduler.join()
-        with self.cond:
-            # the scheduler is gone: whatever never reached a terminal
-            # state gets a clean error payload instead of limbo
-            for job in self.jobs.values():
-                if not job.done:
-                    self.queue.cancel(job.id)
-                    job.state = JOB_FAILED
-                    job.error = "daemon stopped before the job was served"
-                    job.finished_host = host_now()
-                    self.stats.record_job(job)
-            self.cond.notify_all()
-        self.server.server_close()
+        if self._closed.is_set():
+            return
+        self._begin_stop()
+        self._orders.put(None)
+        if self._executor is not None:
+            self._executor.join()
+        self._apply_outbox()  # the executor's last payloads and verdict
+        for job in self.jobs.values():
+            if not job.done:
+                # whatever never reached a terminal state gets a clean
+                # error payload instead of limbo
+                self.queue.cancel(job.id)
+                job.state = JOB_FAILED
+                job.error = "daemon stopped before the job was served"
+                self._settle(job)
+        for conn in list(self._conns):
+            if conn.outbuf:
+                try:
+                    conn.sock.settimeout(_FLUSH_TIMEOUT)
+                    conn.sock.sendall(conn.outbuf)
+                except OSError:
+                    pass
+            self._close(conn)
+        self._selector.close()
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
         if self._socket_path is not None and self._socket_path.exists():
             self._socket_path.unlink()
         if self.journal_path is not None:
             self.write_journal(self.journal_path)
+        self._closed.set()
 
     def write_journal(self, path: Union[str, Path]) -> Path:
         """Write ``_server.jsonl`` for this serving session.
 
-        Snapshot-then-release: the observation is assembled from the
-        live stats under the lock, the file write happens outside it
-        (RPL021/RPL022) — a slow disk never stalls handler threads.
+        It reads the loop's stats, so call it while the daemon is idle
+        or after it stopped (the daemon itself writes it on the way out).
         """
-        with self.cond:
-            obs = server_observation(
-                self.stats, self.address, tracer=self.tracer
-            )
+        obs = server_observation(self.stats, self.address, tracer=self.tracer)
         path = Path(path)
         obs.journal().write(path)
         return path
 
-    # -- the scheduler thread ----------------------------------------------
+    # -- one loop turn --------------------------------------------------------
 
-    def _scheduler_loop(self) -> None:
+    def _turn(self) -> None:
+        for key, _ in self._selector.select(self._timeout()):
+            if key.fileobj is self._listener:
+                self._accept()
+            elif key.fileobj is self._wake_r:
+                try:
+                    self._wake_r.recv(4096)
+                except OSError:
+                    pass
+            else:
+                conn = key.data
+                if conn in self._conns:
+                    self._on_ready(conn, key.events)
+        self._apply_outbox()
+        now = host_now()
+        self._expire(now)
+        self._start_next(now)
+
+    def _timeout(self) -> Optional[float]:
+        """Seconds until the nearest parked-wait or queued-job deadline."""
+        deadlines = [c.parked.deadline for c in self._conns if c.parked]
+        deadlines += [j.deadline_host for j in self.queue.order()
+                      if j.deadline_host > 0.0]
+        if not deadlines:
+            return None
+        return max(0.0, min(deadlines) - host_now())
+
+    def _apply_outbox(self) -> None:
+        """Fold the executor's messages (and ``stop()``) into loop state."""
         while True:
-            with self.cond:
-                while not self._stopping and len(self.queue) == 0:
-                    if self._draining:
-                        # admissions are closed and the backlog is
-                        # served: take the whole daemon down cleanly
-                        threading.Thread(
-                            target=self.server.shutdown, daemon=True
-                        ).start()
-                        return
-                    self.cond.wait(timeout=_IDLE_WAIT)
-                if self._stopping:
-                    return
-                job = self.queue.take()
-                if job is None:
-                    continue
-                if job.expired(host_now()):
-                    # never started: cancel in place of serving
-                    job.state = JOB_CANCELLED
-                    job.error = "deadline-exceeded before start"
-                    job.finished_host = host_now()
-                    self.stats.deadline_expired += 1
-                    self.stats.record_job(job)
-                    self.cond.notify_all()
-                    continue
-                job.state = JOB_RUNNING
-                job.started_host = host_now()
-            request = job.request
-            with self.tracer.span(
-                "job", cat="serve", job=job.id, client=request.client,
-                cells=request.cells, priority=request.priority,
-            ):
-                outcome = self.runner.run_job(
-                    job, on_cell=self._on_cell, should_stop=self._should_stop
-                )
-            # the cache is only ever driven from this thread, so its
-            # eviction counter is safe to read lock-free here; the
-            # stats mirror is published under the lock below
-            evictions = (
-                self.runner.cache.evictions
-                if self.runner.cache is not None else 0
-            )
-            with self.cond:
+            try:
+                message = self._outbox.get_nowait()
+            except queue.Empty:
+                return
+            if message[0] == "cell":
+                _, job_id, payload, from_cache = message
+                job = self.jobs[job_id]
+                job.payloads.append(payload)
+                if from_cache:
+                    job.cache_hits += 1
+                else:
+                    job.executed += 1
+            elif message[0] == "done":
+                _, job_id, outcome, evictions = message
+                job = self.jobs[job_id]
                 job.state = outcome.state
                 job.error = outcome.error
                 job.cost_dollars = outcome.cost_dollars
-                job.finished_host = host_now()
                 self.stats.evictions = evictions
-                self.stats.record_job(job)
-                self.cond.notify_all()
-
-    def _on_cell(self, job: Job, payload: dict, from_cache: bool) -> None:
-        """Publish one rendered payload and wake result-stream waiters."""
-        with self.cond:
-            job.payloads.append(payload)
-            if from_cache:
-                job.cache_hits += 1
+                self.tracer.end(self._span)
+                self._running = self._span = None
+                self._settle(job)
             else:
-                job.executed += 1
-            self.cond.notify_all()
+                self._begin_stop()
 
-    def _should_stop(self, job: Job) -> Optional[Tuple[str, str]]:
-        """Cell-boundary poll: does the running job have to stop here?"""
-        with self.cond:
-            if job.cancel_requested:
-                return (
-                    JOB_CANCELLED,
-                    f"cancelled after {len(job.payloads)} of "
-                    f"{job.request.cells} cells",
-                )
-            if job.expired(host_now()):
-                self.stats.deadline_expired += 1
-                return (
-                    JOB_CANCELLED,
-                    f"deadline-exceeded after {len(job.payloads)} of "
-                    f"{job.request.cells} cells",
-                )
-        return None
+    def _expire(self, now: float) -> None:
+        """Cancel queued jobs past their deadline; time out parked waits."""
+        for job in self.queue.order():
+            if job.expired(now):
+                self.queue.cancel(job.id)
+                job.error = f"{DEADLINE_EXCEEDED} before start"
+                self._settle(job)
+        for conn in list(self._conns):
+            if conn.parked is not None and conn.parked.deadline <= now:
+                job = self.jobs[conn.parked.job_id]
+                conn.parked = None
+                self._send(conn, error_response(
+                    "timeout", f"job {job.id} still {job.state}",
+                    **job.status_dict(),
+                ))
+                self._serve_frames(conn)
+
+    def _start_next(self, now: float) -> None:
+        """Hand the next queued job to the executor when it is idle."""
+        if self._running is not None or self._stopping:
+            return
+        job = self.queue.take()
+        if job is None:
+            return
+        job.state = JOB_RUNNING
+        job.started_host = now
+        request = job.request
+        self._span = self.tracer.start(
+            "job", cat="serve", job=job.id, client=request.client,
+            cells=request.cells, priority=request.priority,
+        )
+        self._running = WorkOrder(job.id, request, job.deadline_host,
+                                  threading.Event())
+        self._orders.put(self._running)
+
+    def _settle(self, job: Job) -> None:
+        """Book a job that just reached a terminal state; answer its waits."""
+        job.finished_host = host_now()
+        if job.error is not None and job.error.startswith(DEADLINE_EXCEEDED):
+            self.stats.deadline_expired += 1
+        self.stats.record_job(job)
+        for conn in list(self._conns):
+            if conn.parked is not None and conn.parked.job_id == job.id:
+                conn.parked = None
+                self._send(conn, ok_response(**job.status_dict()))
+                self._serve_frames(conn)
+
+    # -- sockets --------------------------------------------------------------
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # BlockingIOError: nobody else is waiting
+                return
+            sock.setblocking(False)
+            conn = _Connection(sock)
+            self._conns.add(conn)
+            self._selector.register(sock, conn.events, conn)
+
+    def _on_ready(self, conn: _Connection, events: int) -> None:
+        if events & selectors.EVENT_WRITE:
+            self._flush(conn)
+        if not events & selectors.EVENT_READ or conn not in self._conns:
+            return
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:
+            # the client hung up: a parked wait goes with it, its job runs on
+            self._close(conn)
+            return
+        conn.inbuf += data
+        self._serve_frames(conn)
+
+    def _serve_frames(self, conn: _Connection) -> None:
+        """Answer every complete frame, in order, until a wait parks."""
+        while conn in self._conns and conn.parked is None and not conn.closing:
+            end = conn.inbuf.find(b"\n")
+            if end < 0 and len(conn.inbuf) <= MAX_LINE_BYTES:
+                return  # the rest of the frame is still on its way
+            line = bytes(conn.inbuf[:end + 1] if end >= 0 else conn.inbuf)
+            del conn.inbuf[:len(line)]
+            try:
+                message = decode_frame(line)
+            except ProtocolError as exc:
+                # the stream may be desynchronized: answer once, hang up
+                conn.closing = True
+                self._send(conn, error_response("protocol", str(exc)))
+                return
+            try:
+                response = self.dispatch(message)
+            except ProtocolError as exc:
+                response = error_response("protocol", str(exc))
+            if isinstance(response, _Parked):
+                conn.parked = response
+            else:
+                self._send(conn, response)
+
+    def _send(self, conn: _Connection, response: dict) -> None:
+        conn.outbuf += dumps_message(response)
+        self._flush(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        if conn.outbuf:
+            try:
+                sent = conn.sock.send(conn.outbuf)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                self._close(conn)
+                return
+            del conn.outbuf[:sent]
+        if conn.closing and not conn.outbuf:
+            self._close(conn)
+            return
+        events = selectors.EVENT_WRITE if conn.outbuf else 0
+        if not conn.closing:
+            events |= selectors.EVENT_READ
+        if events != conn.events:
+            conn.events = events
+            self._selector.modify(conn.sock, events, conn)
+
+    def _close(self, conn: _Connection) -> None:
+        if conn not in self._conns:
+            return
+        self._conns.discard(conn)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
 
     # -- protocol dispatch --------------------------------------------------
 
-    def dispatch(self, message: dict) -> dict:
-        """Answer one request frame (called from handler threads)."""
+    def dispatch(self, message: dict) -> Union[dict, _Parked]:
+        """Answer one request frame; a ``wait`` on a live job parks."""
         op = message.get("op")
         if op not in OPS:
             return error_response("unknown-op", f"unknown op {op!r}")
@@ -358,132 +575,110 @@ class ServeDaemon:
 
     def _op_submit(self, message: dict) -> dict:
         request = JobRequest.from_dict(message.get("job"))
-        with self.cond:
-            if self._stopping:
-                return error_response("shutting-down", "daemon is stopping")
-            if self._draining:
-                return error_response("draining", "daemon is draining")
-            self._seq += 1
-            job = Job(
-                id=f"j-{self._seq:06d}", request=request, seq=self._seq,
-                submitted_host=host_now(),
+        if self._stopping:
+            return error_response("shutting-down", "daemon is stopping")
+        if self._draining:
+            return error_response("draining", "daemon is draining")
+        self._seq += 1
+        job = Job(
+            id=f"j-{self._seq:06d}", request=request, seq=self._seq,
+            submitted_host=host_now(),
+        )
+        deadline = request.deadline or self.default_deadline
+        if deadline > 0:
+            job.deadline_host = job.submitted_host + deadline
+        retry_after = self.queue.offer(job)
+        if retry_after is not None:
+            # before bouncing a higher-priority job, displace queued
+            # lower-class work (the shed victims get a clean error)
+            shed = self.queue.shed_for(job)
+            for victim in shed:
+                victim.error = "shed: displaced by higher-priority submission"
+                self.stats.shed += 1
+                self._settle(victim)
+            if shed:
+                retry_after = self.queue.offer(job)
+        if retry_after is not None:
+            self._seq -= 1  # rejected submissions do not consume ids
+            self.stats.record_rejection(request.client)
+            return error_response(
+                "queue-full",
+                f"queue holds {self.queue.backlog_cells()} of "
+                f"{self.queue.max_cells} cells",
+                retry_after=retry_after,
             )
-            deadline = request.deadline or self.default_deadline
-            if deadline > 0:
-                job.deadline_host = job.submitted_host + deadline
-            retry_after = self.queue.offer(job)
-            if retry_after is not None:
-                # before bouncing a higher-priority job, displace queued
-                # lower-class work (the shed victims get a clean error)
-                shed = self.queue.shed_for(job)
-                for victim in shed:
-                    victim.error = (
-                        "shed: displaced by higher-priority submission"
-                    )
-                    victim.finished_host = host_now()
-                    self.stats.shed += 1
-                    self.stats.record_job(victim)
-                if shed:
-                    retry_after = self.queue.offer(job)
-            if retry_after is not None:
-                self._seq -= 1  # rejected submissions do not consume ids
-                self.stats.record_rejection(request.client)
-                return error_response(
-                    "queue-full",
-                    f"queue holds {self.queue.backlog_cells()} of "
-                    f"{self.queue.max_cells} cells",
-                    retry_after=retry_after,
-                )
-            self.jobs[job.id] = job
-            position = self.queue.position(job.id)
-            self.cond.notify_all()
-        return ok_response(job=job.id, position=position, cells=request.cells)
+        self.jobs[job.id] = job
+        return ok_response(job=job.id, position=self.queue.position(job.id),
+                           cells=request.cells)
 
     def _op_status(self, message: dict) -> dict:
-        with self.cond:
-            job = self._job_for(message)
-            position = (self.queue.position(job.id)
-                        if job.state == JOB_QUEUED else None)
-            return ok_response(**job.status_dict(position=position))
+        job = self._job_for(message)
+        position = (self.queue.position(job.id)
+                    if job.state == JOB_QUEUED else None)
+        return ok_response(**job.status_dict(position=position))
 
     def _op_results(self, message: dict) -> dict:
         after = message.get("after", 0)
         if not isinstance(after, int) or isinstance(after, bool) or after < 0:
             raise ProtocolError(f"bad results cursor {after!r}")
-        with self.cond:
-            job = self._job_for(message)
-            payloads = list(job.payloads[after:])
-            next_cursor = after + len(payloads)
-            return ok_response(
-                job=job.id, state=job.state, payloads=payloads,
-                next=next_cursor,
-                complete=job.done and next_cursor >= len(job.payloads),
-                error_message=job.error,
-            )
+        job = self._job_for(message)
+        payloads = job.payloads[after:]
+        next_cursor = after + len(payloads)
+        return ok_response(
+            job=job.id, state=job.state, payloads=payloads,
+            next=next_cursor,
+            complete=job.done and next_cursor >= len(job.payloads),
+            error_message=job.error,
+        )
 
-    def _op_wait(self, message: dict) -> dict:
+    def _op_wait(self, message: dict) -> Union[dict, _Parked]:
         timeout = message.get("timeout", 300.0)
         if not isinstance(timeout, (int, float)) or timeout <= 0:
             raise ProtocolError(f"bad wait timeout {timeout!r}")
-        deadline = host_now() + float(timeout)
-        with self.cond:
-            job = self._job_for(message)
-            while not job.done:
-                remaining = deadline - host_now()
-                if remaining <= 0:
-                    return error_response(
-                        "timeout", f"job {job.id} still {job.state}",
-                        **job.status_dict(),
-                    )
-                self.cond.wait(timeout=min(remaining, _IDLE_WAIT))
+        job = self._job_for(message)
+        if job.done:
             return ok_response(**job.status_dict())
+        return _Parked(job.id, host_now() + float(timeout))
 
     def _op_cancel(self, message: dict) -> dict:
-        with self.cond:
-            job = self._job_for(message)
-            if job.done:
-                return error_response(
-                    "not-cancellable", f"job {job.id} already {job.state}"
-                )
-            if job.state == JOB_RUNNING:
-                # cooperative: the scheduler sees the flag at the next
-                # cell boundary and lands the job in ``cancelled``
-                job.cancel_requested = True
-                self.cond.notify_all()
-                return ok_response(cancelling=True, **job.status_dict())
-            self.queue.cancel(job.id)
-            job.finished_host = host_now()
-            self.stats.record_job(job)
-            self.cond.notify_all()
-            return ok_response(**job.status_dict())
+        job = self._job_for(message)
+        if job.done:
+            return error_response(
+                "not-cancellable", f"job {job.id} already {job.state}"
+            )
+        if job.state == JOB_RUNNING:
+            # cooperative: the executor sees the event at the next cell
+            # boundary and the job lands in ``cancelled``
+            job.cancel_requested = True
+            if self._running is not None:
+                self._running.cancel.set()
+            return ok_response(cancelling=True, **job.status_dict())
+        self.queue.cancel(job.id)
+        self._settle(job)
+        return ok_response(**job.status_dict())
 
     def _op_stats(self, message: dict) -> dict:
-        # stats.evictions mirrors the scheduler-owned cache counter,
-        # refreshed at every job boundary — it may lag a job in flight
-        with self.cond:
-            return ok_response(
-                stats=self.stats.snapshot(),
-                queue={
-                    "depth": len(self.queue),
-                    "backlog_cells": self.queue.backlog_cells(),
-                    "max_cells": self.queue.max_cells,
-                },
-                draining=self._draining,
-                uptime=host_now() - self.start_host,
-            )
+        # stats.evictions mirrors the executor's cache counter, posted
+        # at every job boundary — it may lag a job in flight
+        return ok_response(
+            stats=self.stats.snapshot(),
+            queue={
+                "depth": len(self.queue),
+                "backlog_cells": self.queue.backlog_cells(),
+                "max_cells": self.queue.max_cells,
+            },
+            draining=self._draining,
+            uptime=host_now() - self.start_host,
+        )
 
     def _op_drain(self, message: dict) -> dict:
-        # graceful: close admissions now; the scheduler serves the
-        # remaining backlog and then shuts the daemon down itself
-        with self.cond:
-            self._draining = True
-            queued = len(self.queue)
-            self.cond.notify_all()
-        return ok_response(draining=True, queued=queued)
+        # graceful: close admissions now; the loop serves the remaining
+        # backlog and then shuts the daemon down itself
+        self._draining = True
+        return ok_response(draining=True, queued=len(self.queue))
 
     def _op_shutdown(self, message: dict) -> dict:
-        # stop the accept loop from a helper thread: shutdown() blocks
-        # until serve_forever() returns, and this handler must still
-        # write its response on the dying connection first
-        threading.Thread(target=self.server.shutdown, daemon=True).start()
+        # the answer is flushed on the way out, after the running job
+        # has stopped at its cell boundary
+        self._begin_stop()
         return ok_response(stopping=True)

@@ -41,6 +41,7 @@ __all__ = [
     "JobRequest",
     "dumps_message",
     "send_message",
+    "decode_frame",
     "recv_message",
     "ok_response",
     "error_response",
@@ -209,11 +210,14 @@ def send_message(stream: IO[bytes], message: dict) -> None:
     stream.flush()
 
 
-def recv_message(stream: IO[bytes]) -> Optional[dict]:
-    """Read one frame; ``None`` on a clean EOF, errors on garbage."""
-    line = stream.readline(MAX_LINE_BYTES + 1)
-    if not line:
-        return None
+def decode_frame(line: bytes) -> dict:
+    """Parse one frame's bytes (its newline optional) into a request dict.
+
+    The one decoder for both readers: the client's blocking stream and
+    the daemon's per-connection buffer. A line longer than
+    :data:`MAX_LINE_BYTES` is refused before it is parsed, so a peer
+    that never sends a newline cannot grow a buffer past the bound.
+    """
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(f"frame exceeds {MAX_LINE_BYTES} bytes")
     try:
@@ -223,6 +227,14 @@ def recv_message(stream: IO[bytes]) -> Optional[dict]:
     if not isinstance(message, dict):
         raise ProtocolError("frames are JSON objects")
     return message
+
+
+def recv_message(stream: IO[bytes]) -> Optional[dict]:
+    """Read one frame; ``None`` on a clean EOF, errors on garbage."""
+    line = stream.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        return None
+    return decode_frame(line)
 
 
 def ok_response(**fields: object) -> dict:

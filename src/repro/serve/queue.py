@@ -28,8 +28,8 @@ who runs next and who gets in at all:
   work displaces background work instead of bouncing off a queue the
   background work filled.
 
-The queue is plain single-threaded state: the daemon holds its one lock
-around every call, which keeps the policy deterministic and directly
+The queue is plain single-threaded state: only the daemon's event loop
+calls it, which keeps the policy deterministic and directly
 unit-testable without threads.
 """
 

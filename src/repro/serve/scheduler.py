@@ -2,10 +2,12 @@
 
 This is the ``run()`` half of the submit/run split (seisflows'
 ``Cluster.submit()`` hands work to a workload manager that executes it;
-here the daemon's protocol layer is the submitter and this module the
-manager). Every job routes through :func:`repro.exec.execute_specs`
-with one shared :class:`~repro.exec.cache.ResultCache`, which is what
-makes the daemon worth sharing:
+here the daemon's event loop is the submitter and this module the
+manager). :class:`JobRunner` runs on the daemon's one executor thread,
+``serve-scheduler``, and routes every job through
+:func:`repro.exec.execute_specs` with one shared
+:class:`~repro.exec.cache.ResultCache`, which is what makes the daemon
+worth sharing:
 
 * the **warm dataset pool** — datasets are process-memoized by
   ``load_dataset``, so the first job to touch (name, size) pays
@@ -32,19 +34,18 @@ from ..exec.executor import execute_specs
 from ..exec.progress import SOURCE_CACHE, CellEvent
 from ..exec.retry import ExecutorError
 from ..exec.serialize import result_to_payload
-from .protocol import JOB_DONE, JOB_FAILED, Job
+from .protocol import JOB_DONE, JOB_FAILED
 
 __all__ = ["JobInterrupted", "JobOutcome", "JobRunner"]
 
 
 @dataclass(frozen=True)
 class JobOutcome:
-    """A finished job's terminal verdict, owned by the runner's thread.
+    """A finished job's terminal verdict, as the executor thread posts it.
 
-    ``run_job`` returns one of these instead of mutating the shared
-    :class:`Job` record: the daemon applies it under its condition lock
-    (RPL021), so handler threads never observe a half-written terminal
-    state — a job is running, then atomically done/failed/cancelled.
+    ``run_job`` returns one of these instead of touching the daemon's
+    :class:`~repro.serve.protocol.Job` record; the event loop applies
+    it in one step, so a job is running, then done/failed/cancelled.
     """
 
     state: str
@@ -59,7 +60,7 @@ class JobInterrupted(Exception):
     executor's retry machinery, so raising here unwinds cleanly out of
     :func:`execute_specs` — the cooperative path that makes running
     jobs cancellable (``serve-ctl cancel``, deadline expiry) without
-    killing the scheduler thread.
+    killing the executor thread.
     """
 
     def __init__(self, state: str, error: str) -> None:
@@ -92,24 +93,24 @@ class JobRunner:
             count += 1
         return count
 
-    def run_job(self, job: Job, on_cell, should_stop=None) -> JobOutcome:
+    def run_job(self, job, on_cell, should_stop=None) -> JobOutcome:
         """Execute one job's grid, streaming payloads in plan order.
 
-        The runner thread never touches the shared ``job`` record:
-        every rendered payload is handed to the mandatory ``on_cell``
-        callback as ``on_cell(job, payload, from_cache)`` — the daemon
-        publishes it (and wakes result-stream waiters) under its lock.
-        ``should_stop`` is polled at the same cell boundary: returning
-        a ``(state, error)`` pair interrupts the grid cooperatively
-        with the completed payload prefix intact — how a running job
-        honours ``cancel`` and deadline expiry. The terminal verdict
+        ``job`` is anything with a ``request`` (the daemon passes its
+        immutable work order) and is only handed back to the callbacks:
+        every rendered payload goes to the mandatory ``on_cell``
+        callback as ``on_cell(job, payload, from_cache)``, which is how
+        the daemon publishes it. ``should_stop`` is polled at the same
+        cell boundary: returning a ``(state, error)`` pair interrupts
+        the grid cooperatively with the completed payload prefix
+        intact — how a running job honours ``cancel`` and deadline
+        expiry. The terminal verdict
         comes back as a :class:`JobOutcome`; an executor-level failure
         (retry exhaustion, broken cache) fails the job rather than
         killing the daemon.
         """
 
         def progress(event: CellEvent) -> None:
-            # render outside any lock — serialization is the slow part
             payload = result_to_payload(event.result)
             on_cell(job, payload, event.source == SOURCE_CACHE)
             if should_stop is not None:

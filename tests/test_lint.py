@@ -471,11 +471,53 @@ def test_rpl009_allowlists_the_executor_package():
 
 def test_rpl009_allowlists_the_serving_package():
     found = lint_source(
-        "import threading\nimport socketserver\n",
+        "import queue\nimport selectors\nimport threading\n"
+        "done = threading.Event()\n",
         path="src/repro/serve/daemon.py",
         rules=select_rules(["RPL009"]),
     )
     assert found == []
+
+
+def test_rpl009_flags_shared_state_primitives_inside_the_doors():
+    found = lint_source(
+        textwrap.dedent(
+            """
+            import socketserver
+            import threading
+            from multiprocessing import Lock
+            from threading import Condition as Cond
+
+            guard = threading.RLock()
+            gate = threading.Semaphore(2)
+            """
+        ),
+        path="src/repro/exec/executor.py",
+        rules=select_rules(["RPL009"]),
+    )
+    assert codes(found) == ["RPL009"] * 5
+    assert sorted(v.message.split("'")[1] for v in found) == [
+        "Condition", "Lock", "RLock", "Semaphore", "socketserver"]
+    assert "queues and events" in found[0].message
+
+
+def test_rpl009_mutation_condition_back_in_the_daemon(tmp_path):
+    # the pre-event-loop daemon guarded its queue with one Condition;
+    # putting it back into a copy of the real daemon must be flagged
+    source = os.path.join(SRC_REPRO, "serve", "daemon.py")
+    with open(source, encoding="utf-8") as fh:
+        text = fh.read()
+    anchor = "        self.jobs: Dict[str, Job] = {}\n"
+    assert anchor in text
+    mutated = tmp_path / "repro" / "serve" / "daemon.py"
+    mutated.parent.mkdir(parents=True)
+    mutated.write_text(text.replace(
+        anchor, anchor + "        self.cond = threading.Condition()\n"))
+    rules = select_rules(["RPL009"])
+    assert lint_file(source, rules=rules) == []
+    found = lint_file(str(mutated), rules=rules)
+    assert codes(found) == ["RPL009"]
+    assert "'Condition'" in found[0].message
 
 
 def test_rpl009_ignores_relative_and_unrelated_imports():
@@ -825,9 +867,9 @@ def test_cli_explain_shallow_rule(capsys):
 def test_cli_explain_deep_rule_without_deep_flag(capsys):
     # deep rules are explainable without --deep; the docstring carries
     # the positive/negative example pair
-    assert lint_main(["--explain", "rpl021"]) == 0
+    assert lint_main(["--explain", "rpl020"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("RPL021 — guarded-field-discipline")
+    assert out.startswith("RPL020 — bounded-retry")
     assert "Positive (flagged)::" in out
     assert "Negative (clean)::" in out
 
@@ -836,4 +878,4 @@ def test_cli_explain_unknown_code_exits_2(capsys):
     assert lint_main(["--explain", "RPL999"]) == 2
     err = capsys.readouterr().err
     assert "unknown rule code" in err
-    assert "RPL021" in err  # the known-codes list includes deep rules
+    assert "RPL020" in err  # the known-codes list includes deep rules

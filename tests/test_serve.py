@@ -10,6 +10,7 @@ from the shared warm cache instead of recomputed.
 """
 
 import json
+import socket
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ from repro.exec.executor import execute_specs
 from repro.exec.serialize import result_to_payload
 from repro.obs import Journal, render_summary
 from repro.obs import report as perf
+from repro.obs.hostclock import host_now
 from repro.serve import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -27,6 +29,7 @@ from repro.serve import (
     JOB_RUNNING,
     FairQueue,
     Job,
+    JobOutcome,
     JobRequest,
     JobRunner,
     ProtocolError,
@@ -40,6 +43,9 @@ from repro.serve import (
     percentile,
     server_observation,
 )
+from repro.serve import protocol
+from repro.serve import daemon as daemon_module
+from repro.serve.daemon import WorkOrder, stop_reason
 from repro.serve.protocol import dumps_message, recv_message
 
 
@@ -418,7 +424,7 @@ def cold():
     """An unstarted daemon: the policy layer without any threads."""
     server = ServeDaemon(address="127.0.0.1:0", cache=None, max_queue_cells=8)
     yield server
-    server.server.server_close()
+    server.stop()
 
 
 def submit_message(**kwargs):
@@ -453,23 +459,29 @@ def test_submit_stamps_deadlines_from_request_or_daemon_default(cold):
         own = lax.jobs[lax._op_submit(submit_message(deadline=5.0))["job"]]
         assert own.deadline_host - own.submitted_host == pytest.approx(5.0)
     finally:
-        lax.server.server_close()
+        lax.stop()
 
 
 def test_should_stop_honours_cancel_then_deadline(cold):
-    running = job(1)
-    running.state = JOB_RUNNING
-    assert cold._should_stop(running) is None
+    live = WorkOrder("j-000001", request(), 0.0, threading.Event())
+    assert stop_reason(live, 0) is None
 
-    running.cancel_requested = True
-    state, error = cold._should_stop(running)
+    # a cancelled order whose deadline has also passed reports the cancel
+    cancelled = WorkOrder("j-000002", request(), 1e-9, threading.Event())
+    cancelled.cancel.set()
+    state, error = stop_reason(cancelled, 0)
     assert state == JOB_CANCELLED and "cancelled after 0 of 1" in error
 
-    expired = job(2)
-    expired.state = JOB_RUNNING
-    expired.deadline_host = 1e-9  # long past on any host clock
-    state, error = cold._should_stop(expired)
+    expired = WorkOrder("j-000003", request(), 1e-9, threading.Event())
+    state, error = stop_reason(expired, 0)
     assert state == JOB_CANCELLED and "deadline-exceeded" in error
+
+    # the loop counts the expiry once, when it applies the verdict
+    job_id = cold._op_submit(submit_message())["job"]
+    cold._start_next(host_now())
+    cold._outbox.put(("done", job_id, JobOutcome(state, error), 0))
+    cold._apply_outbox()
+    assert cold.jobs[job_id].state == JOB_CANCELLED
     assert cold.stats.deadline_expired == 1
 
 
@@ -504,8 +516,7 @@ def test_job_runner_stops_at_the_next_cell_boundary():
 
 
 def test_job_runner_returns_an_outcome_without_mutating_the_job():
-    # RPL021 regression: run_job used to assign state/error/cost onto
-    # the shared Job from the scheduler thread with no lock held; now
+    # run_job never assigns state/error/cost onto the Job it is given:
     # every mutation goes through on_cell or the returned JobOutcome
     runner = JobRunner(cache=None)
     served = job(1)
@@ -625,12 +636,11 @@ def test_drain_serves_the_backlog_then_exits_cleanly(tmp_path):
             for system in ("G", "BV")
         ]
         assert link.drain()["draining"] is True
-    # the scheduler finishes the backlog, then takes the daemon down
+    # the loop finishes the backlog, then takes the daemon down
     # itself -- no stop() involved
-    server._scheduler.join(timeout=120)
-    assert not server._scheduler.is_alive()
-    server._server_thread.join(timeout=60)
-    assert not server._server_thread.is_alive()
+    server._thread.join(timeout=120)
+    assert not server._thread.is_alive()
+    assert not server._executor.is_alive()
     assert [server.jobs[i].state for i in ids] == [JOB_DONE, JOB_DONE]
     server.stop()  # releases the socket and writes the journal
     assert Journal.read(journal_path).meta["jobs"] == 2
@@ -654,7 +664,7 @@ def test_stop_with_an_inflight_job_never_hangs_or_leaks(tmp_path):
     stopper.start()
     stopper.join(timeout=120)
     assert not stopper.is_alive()
-    assert not server._scheduler.is_alive()
+    assert not server._executor.is_alive()
     job = server.jobs[job_id]
     assert job.done
     assert job.state in (JOB_DONE, JOB_CANCELLED, JOB_FAILED)
@@ -664,30 +674,131 @@ def test_stop_with_an_inflight_job_never_hangs_or_leaks(tmp_path):
 
 
 def test_queue_full_exhaustion_raises_typed_error_and_streams_time_out(tmp_path):
-    # socket thread only: with no scheduler the queue never drains, so
-    # admission control rejects forever and streams never complete
+    # the executor is held inside the first job, so the queue never
+    # drains: admission control rejects forever and streams never complete
     server = ServeDaemon(
         address="127.0.0.1:0", cache=None, max_queue_cells=1,
     )
-    socket_thread = threading.Thread(
-        target=server.server.serve_forever, daemon=True)
-    socket_thread.start()
+    release = threading.Event()
+
+    def held(order, on_cell, should_stop=None):
+        release.wait(60)
+        return JobOutcome(JOB_CANCELLED, "released")
+
+    server.runner.run_job = held
+    server.start()
     try:
         with ServeClient(server.address, client="pushy") as link:
             spec = dict(systems=("G",), workloads=("pagerank",),
                         datasets=("twitter",), cluster_sizes=(16,),
                         dataset_size="tiny")
-            first = link.submit(link.request(**spec))
+            link.submit(link.request(**spec))  # held by the executor
+            queued = link.submit(link.request(**spec))  # fills the queue
             with pytest.raises(QueueFullError) as info:
                 link.submit(link.request(**spec), retries=2, backoff_cap=0.01)
             assert info.value.code == "queue-full"
             assert info.value.rejections == 3  # retries + the final attempt
             with pytest.raises(ServeError) as timed_out:
-                link.fetch_payloads(first, timeout=0.2)
+                link.fetch_payloads(queued, timeout=0.2)
             assert timed_out.value.code == "timeout"
     finally:
-        server.server.shutdown()
-        server.server.server_close()
+        release.set()
+        server.stop()
+
+
+def raw_connection(address):
+    """A bare socket to the daemon, for frames no client would send."""
+    return socket.create_connection(parse_address(address)[1], timeout=30)
+
+
+def read_to_eof(sock):
+    chunks = []
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return b"".join(chunks)
+        chunks.append(data)
+
+
+def test_bad_frames_get_one_protocol_error_and_a_hang_up(daemon, monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 1024)
+    monkeypatch.setattr(daemon_module, "MAX_LINE_BYTES", 1024)
+    ping = dumps_message({"op": "ping"})
+    with ServeClient(daemon.address, client="bystander") as bystander:
+        # an unterminated line past the bound, then a frame that is not
+        # JSON; a well-formed ping follows each and is never answered
+        for frame in (b"x" * 4096, b"not json\n" + ping):
+            with raw_connection(daemon.address) as sock:
+                sock.sendall(frame)
+                answers = read_to_eof(sock).splitlines()
+            assert len(answers) == 1
+            assert json.loads(answers[0])["error"] == "protocol"
+        # the client connected all along is still served
+        assert bystander.ping()["ok"]
+        assert bystander.stats()["stats"]["jobs"] == 0
+
+
+def test_one_loop_thread_and_one_executor_thread_serve_every_client(tmp_path):
+    before = set(threading.enumerate())
+    server = ServeDaemon(address="127.0.0.1:0", cache=tmp_path / "cache").start()
+    links = [ServeClient(server.address, client=f"c{i}") for i in range(8)]
+    try:
+        for link in links:
+            assert link.ping()["ok"]
+        job_id = links[0].submit(links[0].request(
+            systems=("G", "BV"), workloads=("pagerank",),
+            datasets=("twitter",), cluster_sizes=(16,), dataset_size="tiny"))
+        added = set(threading.enumerate()) - before
+        assert sorted(t.name for t in added) == ["serve-loop",
+                                                 "serve-scheduler"]
+        assert links[1].wait(job_id, timeout=120)["state"] == JOB_DONE
+    finally:
+        for link in links:
+            link.close()
+        server.stop()
+
+
+def test_a_client_that_hangs_up_mid_wait_does_not_stop_its_job(daemon):
+    request_ = request(systems=("G", "BV"))
+    with raw_connection(daemon.address) as sock:
+        stream = sock.makefile("rwb")
+        stream.write(dumps_message({"op": "submit", "job": request_.to_dict()}))
+        stream.flush()
+        job_id = recv_message(stream)["job"]
+        stream.write(dumps_message({"op": "wait", "job": job_id,
+                                    "timeout": 60}))
+        stream.flush()
+        stream.close()
+    with ServeClient(daemon.address, client="watcher") as watcher:
+        status = watcher.wait(job_id, timeout=120)
+        assert status["state"] == JOB_DONE and status["completed"] == 2
+        assert watcher.ping()["ok"]
+        assert watcher.stats()["stats"]["jobs_done"] == 1
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_an_executor_crash_fails_the_job_and_stops_the_daemon(tmp_path):
+    journal_path = tmp_path / "_server.jsonl"
+    server = ServeDaemon(address="127.0.0.1:0", cache=None,
+                         journal_path=journal_path)
+
+    def broken(order, on_cell, should_stop=None):
+        raise RuntimeError("a bug below the runner")
+
+    server.runner.run_job = broken
+    server.start()
+    with ServeClient(server.address, client="alice") as link:
+        job_id = link.submit(link.request(
+            systems=("G",), workloads=("pagerank",), datasets=("twitter",),
+            cluster_sizes=(16,), dataset_size="tiny"))
+    # the daemon takes itself down instead of waiting on a dead thread
+    server._thread.join(timeout=60)
+    assert not server._thread.is_alive()
+    job = server.jobs[job_id]
+    assert job.state == JOB_FAILED and job.error == "executor crashed"
+    assert Journal.read(journal_path).meta["jobs"] == 1
+    server.stop()
 
 
 # -- loadgen ----------------------------------------------------------------
