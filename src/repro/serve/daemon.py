@@ -47,6 +47,7 @@ serving session leaves the same evidence trail a grid run does.
 
 from __future__ import annotations
 
+import math
 import queue
 import selectors
 import socket
@@ -90,6 +91,10 @@ _RECV_BYTES = 1 << 16
 
 #: host seconds a closing daemon spends flushing each client's last answer
 _FLUSH_TIMEOUT = 1.0
+
+#: the longest one ``select`` sleeps before re-checking its deadlines
+#: (epoll refuses timeouts past ~24.8 days, and a wait may ask for more)
+_MAX_SLEEP = 3600.0
 
 
 def parse_address(text: str) -> Tuple[str, object]:
@@ -220,8 +225,9 @@ class ServeDaemon:
         cache_budget: Optional[int] = None,
         default_deadline: float = 0.0,
     ) -> None:
-        if default_deadline < 0:
-            raise ValueError("default_deadline must be >= 0 host seconds")
+        if not (math.isfinite(default_deadline) and default_deadline >= 0):
+            raise ValueError("default_deadline must be finite and >= 0 "
+                             "host seconds")
         self.journal_path = Path(journal_path) if journal_path else None
         self.start_host = host_now()
         self.tracer = Tracer(lambda: host_now() - self.start_host)
@@ -246,6 +252,7 @@ class ServeDaemon:
         self._thread: Optional[threading.Thread] = None
         self._executor: Optional[threading.Thread] = None
         self._closed = threading.Event()
+        self._failure: Optional[BaseException] = None
 
         kind, target = parse_address(address)
         if kind == "unix":
@@ -274,10 +281,16 @@ class ServeDaemon:
     def start(self) -> "ServeDaemon":
         """Run the event loop on a background thread."""
         self._thread = threading.Thread(
-            target=self.serve_forever, name="serve-loop", daemon=True
+            target=self._serve_in_background, name="serve-loop", daemon=True
         )
         self._thread.start()
         return self
+
+    def _serve_in_background(self) -> None:
+        try:
+            self.serve_forever()
+        except BaseException as exc:  # re-raised by stop() in its caller
+            self._failure = exc
 
     def serve_forever(self) -> None:
         """Run the loop here until shutdown or drain (the ``repro serve`` path)."""
@@ -298,16 +311,22 @@ class ServeDaemon:
         The in-flight job (if any) is cancelled cooperatively at its
         next cell boundary; still-queued jobs are failed with a clean
         error payload. Use the ``drain`` op to finish the backlog
-        instead. Safe to call from any thread, and more than once.
+        instead. Safe to call from any thread, and more than once. An
+        error that ended the background loop (say, an unwritable journal
+        path) is raised here.
         """
         if self._thread is None and self._executor is None:
             self._finish()  # never served: no loop owns the state
             return
         self._outbox.put(("stop",))
         _ring(self._wake_w)
-        self._closed.wait()
-        if self._thread is not None:
-            self._thread.join()
+        if self._thread is None:
+            self._closed.wait()  # serve_forever's own thread finishes
+            return
+        self._thread.join()
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
 
     def _exiting(self) -> bool:
         if self._running is not None:
@@ -323,6 +342,12 @@ class ServeDaemon:
     def _finish(self) -> None:
         if self._closed.is_set():
             return
+        try:
+            self._wind_down()
+        finally:
+            self._closed.set()  # even if the journal write failed
+
+    def _wind_down(self) -> None:
         self._begin_stop()
         self._orders.put(None)
         if self._executor is not None:
@@ -351,7 +376,6 @@ class ServeDaemon:
             self._socket_path.unlink()
         if self.journal_path is not None:
             self.write_journal(self.journal_path)
-        self._closed.set()
 
     def write_journal(self, path: Union[str, Path]) -> Path:
         """Write ``_server.jsonl`` for this serving session.
@@ -391,7 +415,7 @@ class ServeDaemon:
                       if j.deadline_host > 0.0]
         if not deadlines:
             return None
-        return max(0.0, min(deadlines) - host_now())
+        return min(_MAX_SLEEP, max(0.0, min(deadlines) - host_now()))
 
     def _apply_outbox(self) -> None:
         """Fold the executor's messages (and ``stop()``) into loop state."""
@@ -633,7 +657,8 @@ class ServeDaemon:
 
     def _op_wait(self, message: dict) -> Union[dict, _Parked]:
         timeout = message.get("timeout", 300.0)
-        if not isinstance(timeout, (int, float)) or timeout <= 0:
+        if (not isinstance(timeout, (int, float))
+                or not (math.isfinite(timeout) and timeout > 0)):
             raise ProtocolError(f"bad wait timeout {timeout!r}")
         job = self._job_for(message)
         if job.done:
@@ -678,7 +703,7 @@ class ServeDaemon:
         return ok_response(draining=True, queued=len(self.queue))
 
     def _op_shutdown(self, message: dict) -> dict:
-        # the answer is flushed on the way out, after the running job
-        # has stopped at its cell boundary
+        # the answer goes out at once; the loop exits when the running
+        # job's verdict arrives from its next cell boundary
         self._begin_stop()
         return ok_response(stopping=True)

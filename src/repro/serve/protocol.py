@@ -24,6 +24,7 @@ re-attaches to the same job id and continues where it stopped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Tuple
 
@@ -142,9 +143,11 @@ class JobRequest:
         if not isinstance(self.priority, int):
             raise ProtocolError(f"priority must be an int, got {self.priority!r}")
         if (not isinstance(self.deadline, (int, float))
-                or isinstance(self.deadline, bool) or self.deadline < 0):
+                or isinstance(self.deadline, bool)
+                or not (math.isfinite(self.deadline) and self.deadline >= 0)):
             raise ProtocolError(
-                f"deadline must be >= 0 host seconds, got {self.deadline!r}"
+                "deadline must be finite and >= 0 host seconds, "
+                f"got {self.deadline!r}"
             )
         return self
 

@@ -801,6 +801,94 @@ def test_an_executor_crash_fails_the_job_and_stops_the_daemon(tmp_path):
     server.stop()
 
 
+def test_huge_or_non_finite_timeouts_neither_stop_nor_spin_the_loop(tmp_path):
+    # select() refuses timeouts past ~24.8 days and infinity, and NaN
+    # would make it spin: the loop caps its sleep and rejects both
+    with pytest.raises(ValueError):
+        ServeDaemon(address="127.0.0.1:0", cache=None,
+                    default_deadline=float("inf"))
+    for bad in (float("inf"), float("nan")):
+        payload = request().to_dict()
+        payload["deadline"] = bad
+        with pytest.raises(ProtocolError):
+            JobRequest.from_dict(payload)
+
+    server = ServeDaemon(address="127.0.0.1:0", cache=tmp_path / "cache",
+                         default_deadline=3e6)
+    release = threading.Event()
+    real_run_job = server.runner.run_job
+
+    def gated(order, on_cell, should_stop=None):
+        release.wait(60)
+        return real_run_job(order, on_cell, should_stop=should_stop)
+
+    server.runner.run_job = gated
+    server.start()
+    try:
+        with ServeClient(server.address, client="alice") as link:
+            spec = dict(systems=("G", "BV"), workloads=("pagerank",),
+                        datasets=("twitter",), dataset_size="tiny")
+            running = link.submit(link.request(cluster_sizes=(16,), **spec))
+            # queued behind the held job with a 3e6-second deadline
+            queued = link.submit(link.request(cluster_sizes=(32,), **spec))
+            with raw_connection(server.address) as sock:
+                stream = sock.makefile("rwb")
+                for timeout in (b"Infinity", b"NaN", b"-Infinity"):
+                    stream.write(b'{"op":"wait","job":"%s","timeout":%s}\n'
+                                 % (queued.encode(), timeout))
+                    stream.flush()
+                    assert recv_message(stream)["error"] == "protocol"
+                stream.write(dumps_message({"op": "wait", "job": queued,
+                                            "timeout": 1e9}))
+                stream.flush()
+                assert link.ping()["ok"]
+                assert link.stats()["queue"]["depth"] == 1
+                release.set()
+                # the parked wait is answered when its job ends
+                assert recv_message(stream)["state"] == JOB_DONE
+                stream.close()
+            assert link.status(running)["state"] == JOB_DONE
+            assert link.ping()["ok"]
+    finally:
+        release.set()
+        server.stop()
+
+
+def test_stop_returns_when_the_journal_cannot_be_written(tmp_path):
+    journal_path = tmp_path / "missing" / "_server.jsonl"
+    for foreground in (False, True):
+        server = ServeDaemon(address="127.0.0.1:0", cache=None,
+                             journal_path=journal_path)
+        failures = []
+
+        def run(call):
+            try:
+                call()
+            except OSError as exc:
+                failures.append(exc)
+
+        if foreground:  # the ``repro serve`` path
+            loop = threading.Thread(target=run, args=(server.serve_forever,),
+                                    daemon=True)
+            loop.start()
+        else:
+            server.start()
+        with ServeClient(server.address, client="alice") as link:
+            assert link.ping()["ok"]
+        stopper = threading.Thread(target=run, args=(server.stop,), daemon=True)
+        stopper.start()
+        stopper.join(timeout=60)
+        assert not stopper.is_alive()
+        if foreground:
+            loop.join(timeout=60)
+            assert not loop.is_alive()
+        # the write error reaches whoever ran the loop: stop() for a
+        # background loop, serve_forever() in the foreground
+        assert [type(exc) for exc in failures] == [FileNotFoundError]
+        server.stop()  # a second stop returns at once
+    assert not journal_path.exists()
+
+
 # -- loadgen ----------------------------------------------------------------
 
 
