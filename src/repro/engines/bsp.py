@@ -7,6 +7,12 @@ real superstep on the real graph, then let the engine charge simulated
 time/memory/network for it — and applies the iteration scale factor
 (see :func:`repro.engines.base.iteration_scale`) so each observed
 superstep stands in for the right number of paper-scale supersteps.
+
+Because the supersteps are the same for every engine, the loop reads
+them from a per-process trajectory memo
+(:func:`repro.engines.common.superstep_trajectory`): the first run of a
+workload configuration on a graph computes them, later runs replay
+them and compute only past the recorded prefix.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from ..datasets.registry import Dataset
 from ..graph.structures import Graph
 from ..workloads.base import SuperstepStats, Workload, WorkloadState
 from .base import RecoveryContext, RecoveryModel, RunResult
-from .common import observed_superstep
+from .common import observed_superstep, superstep_trajectory
 
 __all__ = ["BspExecutionMixin"]
 
@@ -64,14 +70,17 @@ class BspExecutionMixin(abc.ABC):
     ) -> WorkloadState:
         """Execute the workload with paper-scale superstep charging.
 
+        Supersteps come from :func:`superstep_trajectory`, so only
+        those past its recorded prefix are computed; charging is per
+        run. A caller-seeded ``state`` gets a private trajectory, and
+        the caller receives a private copy of the final state.
+
         Each observed superstep stands in for ``scale`` paper
         supersteps: engines multiply their per-superstep fixed costs by
         :attr:`scale_fixed` and their message-volume costs by
         :attr:`scale_messages`. The timeout can therefore fire mid-loop,
         exactly like the paper's 24-hour TO cells.
         """
-        if state is None:
-            state = workload.init_state(graph)
         self.scale_fixed = scale
         self.scale_messages = scale ** 0.5
         loop_start = cluster.now
@@ -89,50 +98,53 @@ class BspExecutionMixin(abc.ABC):
             )
         trace_model = getattr(self, "trace_model", "bsp")
         try:
-            first = True
-            while not state.done:
-                if state.iteration >= self.max_supersteps:
-                    raise RuntimeError(
-                        f"{workload.name} exceeded {self.max_supersteps} supersteps"
-                    )
-                superstep_start = cluster.now
-                shuffled_before = (
-                    cluster.metrics.counter("bytes_shuffled").value
-                    if chaos is not None else 0.0
-                )
-                stats = workload.superstep(graph, state)
-                with observed_superstep(cluster, stats, model=trace_model):
-                    try:
-                        self.charge_superstep(
-                            dataset, workload, cluster, stats, first
+            with superstep_trajectory(workload, graph, state) as trajectory:
+                step = 0
+                iteration, done = trajectory.start
+                while not done:
+                    if iteration >= self.max_supersteps:
+                        raise RuntimeError(
+                            f"{workload.name} exceeded {self.max_supersteps} supersteps"
                         )
-                    finally:
-                        # progress survives failures: Table 6 reports
-                        # per-iteration times for runs that later TO/OOMed.
-                        # Numerator is loop time only (the superstep spans'
-                        # interval); denominator is paper supersteps —
-                        # observed iterations x the diameter scale each
-                        # observed superstep stands in for.
-                        result.iterations = state.iteration
-                        if cluster.now > loop_start:
-                            result.per_iteration_time = (
-                                (cluster.now - loop_start)
-                                / (state.iteration * scale)
-                            )
-                first = False
-                if chaos is not None:
-                    assert ctx is not None and recovery is not None
-                    ctx.iteration = state.iteration
-                    ctx.superstep_start = superstep_start
-                    ctx.superstep_shuffled = (
+                    superstep_start = cluster.now
+                    shuffled_before = (
                         cluster.metrics.counter("bytes_shuffled").value
-                        - shuffled_before
+                        if chaos is not None else 0.0
                     )
-                    self._chaos_round(cluster, chaos, recovery, ctx)
+                    stats, iteration, done = trajectory.step(step)
+                    with observed_superstep(cluster, stats, model=trace_model):
+                        try:
+                            self.charge_superstep(
+                                dataset, workload, cluster, stats, step == 0
+                            )
+                        finally:
+                            # progress survives failures: Table 6 reports
+                            # per-iteration times for runs that later
+                            # TO/OOMed. Numerator is loop time only (the
+                            # superstep spans' interval); denominator is
+                            # paper supersteps — observed iterations x the
+                            # diameter scale each observed superstep
+                            # stands in for.
+                            result.iterations = iteration
+                            if cluster.now > loop_start:
+                                result.per_iteration_time = (
+                                    (cluster.now - loop_start)
+                                    / (iteration * scale)
+                                )
+                    step += 1
+                    if chaos is not None:
+                        assert ctx is not None and recovery is not None
+                        ctx.iteration = iteration
+                        ctx.superstep_start = superstep_start
+                        ctx.superstep_shuffled = (
+                            cluster.metrics.counter("bytes_shuffled").value
+                            - shuffled_before
+                        )
+                        self._chaos_round(cluster, chaos, recovery, ctx)
+                return trajectory.final_state()
         finally:
             self.scale_fixed = 1.0
             self.scale_messages = 1.0
-        return state
 
     # -- fault injection (Table 1's fault-tolerance column) -----------------
 

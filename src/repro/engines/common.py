@@ -9,19 +9,25 @@ the paper's own numbers (Table 6 per-iteration times, Table 8 memory,
 Table 9 single-thread times).
 
 Partitioning a dataset is deterministic and reused across many runs, so
-partitions are memoized per (dataset, scheme, machine count).
+partitions are memoized per (dataset, scheme, machine count). The same
+holds one layer up: every engine replays the *same* workload supersteps
+and differs only in what it charges for them, so each (workload
+configuration, graph) trajectory is computed once per process and
+replayed from :func:`superstep_trajectory` by every later run.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import lru_cache
-from typing import Iterator
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..cluster import Cluster
 from ..datasets.registry import load_dataset
+from ..graph.structures import Graph
 from ..obs import Span
-from ..workloads.base import SuperstepStats
+from ..workloads.base import SuperstepStats, Workload, WorkloadState
 from ..partitioning.edge_cut import VertexPartition, random_vertex_partition
 from ..partitioning.vertex_cut import (
     EdgePartition,
@@ -34,6 +40,8 @@ __all__ = [
     "CostConstants",
     "COSTS",
     "observed_superstep",
+    "SuperstepTrajectory",
+    "superstep_trajectory",
     "cached_vertex_partition",
     "cached_edge_partition",
     "cached_block_partition",
@@ -80,6 +88,86 @@ def observed_superstep(
         metrics.histogram("active_vertices").observe(float(stats.active_vertices))
         metrics.histogram("superstep_seconds").observe(cluster.now - start)
         metrics.histogram("superstep_memory_bytes").observe(peak)
+
+
+class SuperstepTrajectory:
+    """One workload's supersteps on one graph, computed at most once.
+
+    Holds every superstep computed so far — its stats, the iteration
+    count and the ``done`` flag after it — plus the live
+    :class:`WorkloadState` the next one extends. :meth:`step` replays a
+    recorded superstep or, one past the recorded prefix, computes it, so
+    a run that stops early (a TO cell) costs no more than the supersteps
+    it charged.
+    """
+
+    def __init__(
+        self, workload: Workload, graph: Graph, state: WorkloadState
+    ) -> None:
+        self.workload = workload
+        self.graph = graph
+        self.state = state
+        #: (iteration, done) before the first superstep
+        self.start: Tuple[int, bool] = (state.iteration, state.done)
+        self.steps: List[Tuple[SuperstepStats, int, bool]] = []
+        #: set when a superstep raised: the live state may be half-updated
+        self.broken = False
+
+    def step(self, index: int) -> Tuple[SuperstepStats, int, bool]:
+        """Superstep ``index``'s stats, and the iteration and ``done`` after it."""
+        if index == len(self.steps):
+            try:
+                stats = self.workload.superstep(self.graph, self.state)
+            except BaseException:
+                self.broken = True
+                raise
+            self.steps.append((stats, self.state.iteration, self.state.done))
+        return self.steps[index]
+
+    def final_state(self) -> WorkloadState:
+        """A private copy of the finished state, safe for the caller to mutate."""
+        state = self.state
+        return replace(
+            state,
+            values=state.values.copy(),
+            active=state.active.copy(),
+            history=list(state.history),
+            aux={name: array.copy() for name, array in state.aux.items()},
+        )
+
+
+#: (workload class, constructor parameters, graph) -> its trajectory
+_TRAJECTORIES: Dict[Hashable, SuperstepTrajectory] = {}
+
+
+@contextmanager
+def superstep_trajectory(
+    workload: Workload, graph: Graph, state: Optional[WorkloadState] = None
+) -> Iterator[SuperstepTrajectory]:
+    """The per-process trajectory of ``workload`` on ``graph``.
+
+    Keyed by the workload's class and constructor parameters and by the
+    graph's content, so every engine that runs the same configuration
+    on the same graph replays one trajectory. A caller-seeded ``state``
+    gets a private trajectory that is never shared. The trajectory is
+    checked out of the memo for the ``with`` block and put back after
+    it, so a run on another thread never extends it concurrently (it
+    builds its own); one whose superstep raised is dropped.
+    """
+    if state is not None:
+        yield SuperstepTrajectory(workload, graph, state)
+        return
+    key = (type(workload), tuple(sorted(vars(workload).items())), graph)
+    trajectory = _TRAJECTORIES.pop(key, None)
+    if trajectory is None:
+        trajectory = SuperstepTrajectory(
+            workload, graph, workload.init_state(graph)
+        )
+    try:
+        yield trajectory
+    finally:
+        if not trajectory.broken:
+            _TRAJECTORIES[key] = trajectory
 
 
 class CostConstants:

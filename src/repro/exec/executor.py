@@ -30,10 +30,11 @@ simulated-clock journals.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from queue import SimpleQueue
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..datasets.registry import Dataset, load_dataset
@@ -244,13 +245,20 @@ class _GridRun:
             return
 
     def run_pool(self, misses: List[Tuple[CellTask, Optional[str]]]) -> None:
-        """Fan portable cells out over a process pool, with retry."""
+        """Fan portable cells out over a process pool, with retry.
+
+        Each future announces itself on one queue when it finishes, so a
+        completion costs one ``get`` rather than a waiter on every
+        pending future.
+        """
         pool = ProcessPoolExecutor(max_workers=self.jobs)
         pending: Dict[Future, Tuple[CellTask, Optional[str], int, float]] = {}
+        finished: "SimpleQueue[Future]" = SimpleQueue()
 
         def submit(task: CellTask, key: Optional[str], attempt: int) -> None:
             future = pool.submit(run_cell_task, task.payload(attempt))
             pending[future] = (task, key, attempt, host_now())
+            future.add_done_callback(finished.put)
 
         def retry_or_raise(
             task: CellTask, key: Optional[str], attempt: int, exc: Exception
@@ -264,41 +272,35 @@ class _GridRun:
             for task, key in misses:
                 submit(task, key, 1)
             while pending:
-                completed, _ = wait(
-                    list(pending), return_when=FIRST_COMPLETED
-                )
-                pool_broke = False
-                for future in completed:
-                    task, key, attempt, submitted = pending.pop(future)
-                    try:
-                        payload = future.result()
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except BrokenProcessPool as exc:
-                        # The pool is dead: rebuild it, re-queue this cell
-                        # and everything still in flight (their results,
-                        # if any, died with the workers).
-                        pool.shutdown(wait=False)
-                        pool = ProcessPoolExecutor(max_workers=self.jobs)
-                        requeue = [(task, key, attempt)] + [
-                            (t, k, a) for (t, k, a, _) in pending.values()
-                        ]
-                        pending.clear()
-                        for t, k, a in requeue:
-                            retry_or_raise(t, k, a, exc)
-                        pool_broke = True
-                        break
-                    except Exception as exc:
-                        retry_or_raise(task, key, attempt, exc)
-                    else:
-                        if self.cache is not None and key is not None:
-                            self.cache.put(key, payload)
-                        self._finish(
-                            task, payload_to_result(payload), SOURCE_RUN,
-                            attempt, host_now() - submitted,
-                        )
-                if pool_broke:
-                    continue
+                future = finished.get()
+                if future not in pending:
+                    continue  # from a pool already replaced as broken
+                task, key, attempt, submitted = pending.pop(future)
+                try:
+                    payload = future.result()
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except BrokenProcessPool as exc:
+                    # The pool is dead: rebuild it, re-queue this cell and
+                    # everything still in flight (their results, if any,
+                    # died with the workers).
+                    pool.shutdown(wait=False)
+                    pool = ProcessPoolExecutor(max_workers=self.jobs)
+                    requeue = [(task, key, attempt)] + [
+                        (t, k, a) for (t, k, a, _) in pending.values()
+                    ]
+                    pending.clear()
+                    for t, k, a in requeue:
+                        retry_or_raise(t, k, a, exc)
+                except Exception as exc:
+                    retry_or_raise(task, key, attempt, exc)
+                else:
+                    if self.cache is not None and key is not None:
+                        self.cache.put(key, payload)
+                    self._finish(
+                        task, payload_to_result(payload), SOURCE_RUN,
+                        attempt, host_now() - submitted,
+                    )
         finally:
             pool.shutdown(wait=False)
 

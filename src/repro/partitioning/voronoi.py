@@ -99,8 +99,15 @@ class BlockPartition:
         cross = src_b != dst_b
         if not cross.any():
             return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
-        pairs = np.column_stack([src_b[cross], dst_b[cross]])
-        unique, counts = np.unique(pairs, axis=0, return_counts=True)
+        # One int64 code per (src, dst) block pair sorts in the same
+        # (src, dst) lexicographic order as a row-wise unique, without
+        # np.unique(axis=0)'s void-view sort.
+        num_blocks = self.num_blocks
+        codes = src_b[cross].astype(np.int64) * num_blocks + dst_b[cross]
+        unique_codes, counts = np.unique(codes, return_counts=True)
+        unique = np.column_stack(
+            [unique_codes // num_blocks, unique_codes % num_blocks]
+        ).astype(src_b.dtype, copy=False)
         return unique, counts
 
 

@@ -5,7 +5,9 @@ queue-wait / service-time / end-to-end latency samples (host seconds —
 serving performance is a property of the simulator, not the simulation),
 cache-hit and execution counters, admission rejections, and each
 client's simulated bill (the sum of its jobs' ``cost.dollars``, which
-*is* deterministic).
+*is* deterministic: each job's bill is kept and the bills are folded in
+admission order when the stats are read, so the total does not depend
+on the order jobs happened to finish in).
 
 The stats render two ways:
 
@@ -25,9 +27,10 @@ member of it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import RunObservation, Tracer
+from ..obs.metrics import fold_sum
 from .protocol import JOB_DONE, JOB_FAILED, Job
 
 __all__ = ["percentile", "ServerStats", "server_observation"]
@@ -67,18 +70,19 @@ class ServerStats:
         self.cells = 0
         self.cache_hits = 0
         self.executed = 0
-        self.dollars = 0.0
+        #: (admission seq, client, dollars) of every billed job
+        self.bills: List[Tuple[int, str, float]] = []
         self.queue_waits: List[float] = []
         self.services: List[float] = []
         self.latencies: List[float] = []
-        #: client → {"jobs", "cells", "dollars"}
+        #: client → {"jobs", "cells"}; "dollars" is added by snapshot()
         self.per_client: Dict[str, Dict[str, float]] = {}
 
     # -- recording ---------------------------------------------------------
 
     def _client(self, client: str) -> Dict[str, float]:
         return self.per_client.setdefault(
-            client, {"jobs": 0.0, "cells": 0.0, "dollars": 0.0}
+            client, {"jobs": 0.0, "cells": 0.0}
         )
 
     def record_job(self, job: Job) -> None:
@@ -93,14 +97,13 @@ class ServerStats:
         self.cells += job.request.cells
         self.cache_hits += job.cache_hits
         self.executed += job.executed
-        self.dollars += job.cost_dollars
+        self.bills.append((job.seq, job.request.client, job.cost_dollars))
         self.queue_waits.append(job.queue_wait)
         self.services.append(job.service_seconds)
         self.latencies.append(job.latency)
         account = self._client(job.request.client)
         account["jobs"] += 1
         account["cells"] += job.request.cells
-        account["dollars"] += job.cost_dollars
 
     def record_rejection(self, client: str) -> None:
         """Count one admission-control rejection."""
@@ -114,6 +117,18 @@ class ServerStats:
         """Jobs that reached a terminal state (any of the three)."""
         return self.jobs_done + self.jobs_failed + self.jobs_cancelled
 
+    def _bills_by_client(self) -> Dict[str, List[float]]:
+        """Each client's job bills, in admission order."""
+        bills: Dict[str, List[float]] = {}
+        for _, client, dollars in sorted(self.bills):
+            bills.setdefault(client, []).append(dollars)
+        return bills
+
+    @property
+    def dollars(self) -> float:
+        """The simulated bill of every served job, folded in admission order."""
+        return float(fold_sum(dollars for _, _, dollars in sorted(self.bills)))
+
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of served cells replayed from the shared cache."""
@@ -121,6 +136,7 @@ class ServerStats:
 
     def snapshot(self) -> dict:
         """The aggregate view: the ``stats`` response / bench record body."""
+        bills = self._bills_by_client()
         return {
             "jobs": self.jobs,
             "jobs_done": self.jobs_done,
@@ -143,7 +159,8 @@ class ServerStats:
             "p50_service": percentile(self.services, 50),
             "p99_service": percentile(self.services, 99),
             "per_client": {
-                client: dict(account)
+                client: {**account,
+                         "dollars": float(fold_sum(bills.get(client, ())))}
                 for client, account in sorted(self.per_client.items())
             },
         }

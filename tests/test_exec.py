@@ -9,6 +9,8 @@ are never retried.
 
 import dataclasses
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -26,7 +28,8 @@ from repro.exec import (
     plan_grid,
 )
 from repro.exec.serialize import PAYLOAD_VERSION
-from repro.exec.workers import FAULT_ENV
+from repro.exec import executor as executor_module
+from repro.exec.workers import FAULT_ENV, run_cell_task
 from repro.obs import Journal
 
 
@@ -263,6 +266,31 @@ def test_worker_crashes_are_retried_in_the_pool(monkeypatch):
     )
     assert execution.report.retries == 1
     # the re-attempt reproduces the run the crash interrupted, exactly
+    assert execution.grid.same_results(clean.grid)
+    assert journal_bytes(execution.grid) == journal_bytes(clean.grid)
+
+
+def _die_on_first_giraph_attempt(task):
+    """A worker that exits without a word on G@16's first attempt."""
+    if (task["system"], task["cluster_size"], task["attempt"]) == ("G", 16, 1):
+        os._exit(3)
+    return run_cell_task(task)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched worker entry point reaches the "
+                           "workers only through fork")
+def test_a_dead_worker_rebuilds_the_pool_and_requeues(monkeypatch):
+    spec = tiny_spec(sizes=(16, 32))
+    clean = execute_grid(spec, jobs=1)
+    monkeypatch.setattr(executor_module, "run_cell_task",
+                        _die_on_first_giraph_attempt)
+    execution = execute_grid(
+        spec, jobs=2, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
+    )
+    # the dead cell, plus whatever was in flight with it, went around again
+    assert execution.report.retries >= 1
+    assert execution.report.executed == 4
     assert execution.grid.same_results(clean.grid)
     assert journal_bytes(execution.grid) == journal_bytes(clean.grid)
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.datasets.registry import dataset_names
+from repro.engines.common import cached_block_partition
 from repro.graph import from_edges
 from repro.partitioning import (
     auto_method_for,
@@ -228,6 +230,24 @@ class TestVoronoi:
         assert (weights > 0).all()
         # block-graph endpoints are valid block ids
         assert pairs.max() < bp.num_blocks
+
+    @pytest.mark.parametrize("size", ["tiny", "small"])
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_block_graph_edges_match_row_unique(self, name, size):
+        # the 1-D pair-code kernel against np.unique(axis=0) on the pairs
+        bp = cached_block_partition(name, size, 16)
+        src_b = bp.block_of[bp.graph.edge_sources()]
+        dst_b = bp.block_of[bp.graph.edge_targets()]
+        cross = src_b != dst_b
+        want_pairs, want_counts = np.unique(
+            np.column_stack([src_b[cross], dst_b[cross]]),
+            axis=0, return_counts=True,
+        )
+        pairs, counts = bp.block_graph_edges()
+        assert pairs.dtype == want_pairs.dtype
+        assert counts.dtype == want_counts.dtype
+        assert np.array_equal(pairs, want_pairs)
+        assert np.array_equal(counts, want_counts)
 
     def test_aggregate_items(self, small_wrn):
         bp = voronoi_partition(small_wrn.graph, 16)

@@ -224,6 +224,25 @@ def test_server_stats_aggregates_and_bills_per_client():
     assert snapshot["per_client"]["bob"]["jobs"] == 0.0
 
 
+def test_bill_is_folded_in_admission_order_not_completion_order():
+    def billed(order):
+        stats = ServerStats()
+        for seq in order:
+            done = job(seq, client="alice" if seq < 4 else "bob")
+            done.state = JOB_DONE
+            done.cost_dollars = {1: 0.1, 2: 0.2, 3: 0.3, 4: 0.3, 5: 0.2,
+                                 6: 0.1}[seq]
+            stats.record_job(done)
+        snapshot = stats.snapshot()
+        return (snapshot["dollars"].hex(),
+                {client: account["dollars"].hex()
+                 for client, account in snapshot["per_client"].items()})
+
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    assert billed([1, 2, 3, 4, 5, 6]) == billed([6, 3, 5, 2, 4, 1])
+
+
 def test_cancelled_jobs_count_but_never_bill_or_sample():
     stats = ServerStats()
     gone = job(1)
