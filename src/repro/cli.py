@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="static analysis of the model contracts "
-             "(RPL001-RPL010; --deep adds RPL011-RPL020)",
+             "(RPL001-RPL010; --deep adds RPL011-RPL014, RPL018-RPL020)",
     )
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore",
                    help="comma-separated rule codes or prefixes to skip")
     p.add_argument("--deep", action="store_true",
-                   help="also run the whole-program pass (RPL011-RPL020)")
+                   help="also run the whole-program pass "
+                        "(RPL011-RPL014, RPL018-RPL020)")
     p.add_argument("--baseline", metavar="FILE",
                    help="suppress findings recorded in this baseline file")
     p.add_argument("--update-baseline", action="store_true",

@@ -132,8 +132,9 @@ def run_bench(
         # perf provenance for the cold mode: before memoization the
         # planner hashed each dataset's edge bytes once per cell (78
         # digests; 11.29s cold at jobs=4 on the 1-cpu record host);
-        # dataset_fingerprint is now lru_cached (RPL016) so the
-        # O(edges) digest runs once per dataset per process.
+        # dataset_fingerprint is now lru_cached, because a dataset's
+        # bytes never change within a process, so the O(edges) digest
+        # runs once per dataset per process.
         "notes": {
             "dataset_digest": (
                 "cell keys memoize dataset_fingerprint per process — "

@@ -75,9 +75,9 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     seed or a re-shaped synthetic graph busts every dependent cache
     entry, exactly like a new copy of a real dataset would.
 
-    Memoized per process (RPL016): datasets are immutable and the
-    registry returns the same object for the same (name, size), so the
-    O(edges) SHA-256 runs once per dataset, not once per grid cell.
+    Memoized per process: datasets are immutable and the registry
+    returns the same object for the same (name, size), so the O(edges)
+    SHA-256 runs once per dataset, not once per grid cell.
     """
     digest = hashlib.sha256()
     digest.update(canonical_json({

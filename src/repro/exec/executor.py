@@ -172,11 +172,10 @@ class _GridRun:
                 done=self.done, total=len(self.tasks),
             ))
 
-    def _count_retry(self, failed_attempt: int) -> None:
-        """Back off after a crashed attempt (or raise via the caller)."""
+    def _count_retry(self) -> None:
+        """Count one cell that goes around again."""
         self.retries += 1
         self.obs.metrics.counter("exec.retries").inc()
-        host_sleep(self.retry.delay(failed_attempt))
 
     def _exhausted(self, task: CellTask, attempt: int, exc: Exception) -> ExecutorError:
         return ExecutorError(
@@ -234,7 +233,8 @@ class _GridRun:
             except Exception as exc:  # worker-equivalent failure: retry
                 if attempt >= self.retry.max_attempts:
                     raise self._exhausted(task, attempt, exc) from exc
-                self._count_retry(attempt)
+                self._count_retry()
+                host_sleep(self.retry.delay(attempt))
                 attempt += 1
                 continue
             if self.cache is not None and key is not None:
@@ -256,17 +256,32 @@ class _GridRun:
         finished: "SimpleQueue[Future]" = SimpleQueue()
 
         def submit(task: CellTask, key: Optional[str], attempt: int) -> None:
-            future = pool.submit(run_cell_task, task.payload(attempt))
+            try:
+                future = pool.submit(run_cell_task, task.payload(attempt))
+            except BrokenProcessPool as exc:
+                # a worker died before every cell was submitted: fail
+                # this cell like the ones in flight, so the loop below
+                # rebuilds the pool once for all of them
+                future = Future()
+                future.set_exception(exc)
             pending[future] = (task, key, attempt, host_now())
             future.add_done_callback(finished.put)
 
         def retry_or_raise(
-            task: CellTask, key: Optional[str], attempt: int, exc: Exception
+            cells: List[Tuple[CellTask, Optional[str], int]], exc: Exception
         ) -> None:
-            if attempt >= self.retry.max_attempts:
-                raise self._exhausted(task, attempt, exc) from exc
-            self._count_retry(attempt)
-            submit(task, key, attempt + 1)
+            """Back off once for one failure, then resubmit every cell.
+
+            A broken pool fails every cell in flight at once; one
+            worker death is still one backoff, not one per cell.
+            """
+            for task, _, attempt in cells:
+                if attempt >= self.retry.max_attempts:
+                    raise self._exhausted(task, attempt, exc) from exc
+            host_sleep(self.retry.delay(max(a for _, _, a in cells)))
+            for task, key, attempt in cells:
+                self._count_retry()
+                submit(task, key, attempt + 1)
 
         try:
             for task, key in misses:
@@ -290,10 +305,9 @@ class _GridRun:
                         (t, k, a) for (t, k, a, _) in pending.values()
                     ]
                     pending.clear()
-                    for t, k, a in requeue:
-                        retry_or_raise(t, k, a, exc)
+                    retry_or_raise(requeue, exc)
                 except Exception as exc:
-                    retry_or_raise(task, key, attempt, exc)
+                    retry_or_raise([(task, key, attempt)], exc)
                 else:
                     if self.cache is not None and key is not None:
                         self.cache.put(key, payload)

@@ -71,11 +71,11 @@ def expand_selectors(
     Two forms, checked in order:
 
     * **exact** — a selector that *is* a known code selects only that
-      code: ``RPL016`` selects RPL016 alone, never anything it happens
+      code: ``RPL018`` selects RPL018 alone, never anything it happens
       to prefix;
     * **prefix** — anything else matches ruff-style by prefix:
-      ``RPL01`` selects every RPL01x rule (ten codes once the deep pass
-      reaches RPL019), ``RPL`` selects everything.
+      ``RPL01`` selects every RPL01x rule (RPL010-RPL014, RPL018 and
+      RPL019), ``RPL`` selects everything.
 
     Returns the sorted matching subset of ``codes``; raises KeyError for
     a selector that matches nothing (the CLI turns that into exit 2).

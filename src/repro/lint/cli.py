@@ -2,9 +2,9 @@
 
 Exit codes follow linter convention: 0 clean, 1 findings, 2 bad usage.
 The shallow pass (RPL001-RPL010) always runs; ``--deep`` additionally
-builds the whole-program model and runs RPL011-RPL020. ``--select`` /
-``--ignore`` filter both passes — an exact code matches only itself,
-anything shorter matches ruff-style by prefix —
+builds the whole-program model and runs RPL011-RPL014 and RPL018-RPL020.
+``--select`` / ``--ignore`` filter both passes — an exact code matches
+only itself, anything shorter matches ruff-style by prefix —
 ``--baseline`` suppresses previously recorded findings,
 ``--ast-cache`` shares parsed ASTs between the shallow and deep CI
 steps, and ``--explain RPLxxx`` prints one rule's rationale, the
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Domain-aware static analysis for the simulation's model "
             "contracts (shallow rules RPL001-RPL010; --deep adds the "
-            "whole-program rules RPL011-RPL020)."
+            "whole-program rules RPL011-RPL014 and RPL018-RPL020)."
         ),
     )
     parser.add_argument(
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         help=(
             "comma-separated rule codes or prefixes to run; an exact "
-            "code (RPL016) selects only itself, a prefix (RPL01) "
+            "code (RPL018) selects only itself, a prefix (RPL01) "
             "selects every code it starts (default: all active rules)"
         ),
     )
@@ -68,11 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--deep",
         action="store_true",
         help=(
-            "also run the whole-program pass (RPL011-RPL020): call-graph "
-            "model conformance, determinism taint, span coverage, chaos "
-            "safety, pool payloads, redundant digests, superstep hot-loop "
-            "hygiene, cache-key soundness, cross-process state sharing, "
-            "and bounded-retry hygiene"
+            "also run the whole-program pass (RPL011-RPL014, "
+            "RPL018-RPL020): call-graph model conformance, determinism "
+            "taint, span coverage, chaos safety, cache-key soundness, "
+            "cross-process state sharing, and bounded-retry hygiene"
         ),
     )
     parser.add_argument(

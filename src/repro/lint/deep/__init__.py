@@ -13,12 +13,6 @@ conservative call graph, and checks the contracts that only exist
   outside an obs span;
 - RPL014 chaos safety — no broad handler can absorb a reachable
   simulated fault before its recovery is priced;
-- RPL015 pool payload — no large result-determining object (dataset,
-  graph, spec) is pickled into process-pool tasks in ``exec``;
-- RPL016 redundant digest — no unmemoized bulk content digest is
-  recomputed inside a loop;
-- RPL017 superstep hygiene — no avoidable per-iteration allocation,
-  string building, or deep attribute chain in the superstep hot loop;
 - RPL018 cache-key soundness — every input that can change a RunResult
   flows into the result cache's key construction;
 - RPL019 worker sharing — no ``exec`` module-level mutable state is
@@ -26,6 +20,11 @@ conservative call graph, and checks the contracts that only exist
 - RPL020 bounded retry — every ``while`` loop that sleeps through the
   host-clock door carries a reachable bound (attempt counter or
   deadline check).
+
+RPL015–RPL017 were static guesses at host cost (pool payloads, loop
+digests, superstep hot-loop hygiene). They are retired, and their codes
+are not reused: host cost is measured per layer instead
+(``perfbench/run.py --trace 1``).
 
 The serving stack needs no lockset analysis: the daemon's event loop
 owns all of its state and its one executor thread shares none, and the
@@ -54,9 +53,6 @@ from .rpl011_model_conformance import ModelConformanceRule
 from .rpl012_determinism import DeterminismTaintRule
 from .rpl013_span_coverage import SpanCoverageRule
 from .rpl014_chaos_safety import ChaosSafetyRule
-from .rpl015_pool_payload import PoolPayloadRule
-from .rpl016_redundant_digest import RedundantDigestRule
-from .rpl017_superstep_hygiene import SuperstepHygieneRule
 from .rpl018_cache_key import CacheKeySoundnessRule
 from .rpl019_worker_sharing import WorkerSharingRule
 from .rpl020_bounded_retry import BoundedRetryRule
@@ -76,9 +72,6 @@ DEEP_RULES = (
     DeterminismTaintRule(),
     SpanCoverageRule(),
     ChaosSafetyRule(),
-    PoolPayloadRule(),
-    RedundantDigestRule(),
-    SuperstepHygieneRule(),
     CacheKeySoundnessRule(),
     WorkerSharingRule(),
     BoundedRetryRule(),

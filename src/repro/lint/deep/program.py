@@ -296,9 +296,6 @@ class Program:
                 return c, c.assigns[name]
         return None
 
-    def source_for(self, fn: FunctionInfo) -> SourceModule:
-        return fn.module.source
-
 
 def build_program(sources: Mapping[str, SourceModule]) -> Program:
     """Assemble a Program from parsed modules keyed by path."""

@@ -33,7 +33,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from ..rules.base import Violation
 from ..source import dotted_parts
 from .base import DeepRule
-from .hotpath import pool_dispatch
 from .program import FunctionInfo, ModuleInfo, Program
 from .reachability import Node, reachable
 
@@ -59,6 +58,38 @@ def _is_mutable_value(node: ast.expr) -> bool:
         parts = dotted_parts(node.func)
         return bool(parts) and parts[-1] in _MUTABLE_CONSTRUCTORS
     return False
+
+
+#: pool/executor methods that ship work (and its arguments) to workers
+_DISPATCH_METHODS = frozenset({
+    "submit", "map", "starmap", "apply", "apply_async", "imap",
+    "imap_unordered",
+})
+
+#: receiver-name fragments that mark a pool-like object
+_POOL_RECEIVERS = ("pool", "executor")
+
+
+def pool_dispatch(call: ast.Call) -> Optional[str]:
+    """The dispatch method name when ``call`` ships work to a pool.
+
+    Matches ``<recv>.submit(...)`` / ``.map(...)`` / ``.apply_async(...)``
+    etc. where some segment of the receiver chain names a pool or
+    executor (``pool.submit``, ``self.executor.map``). Name-based on
+    purpose: the linter never imports the code under analysis.
+    """
+    func = call.func
+    if not isinstance(func, ast.Attribute) or func.attr not in _DISPATCH_METHODS:
+        return None
+    parts = dotted_parts(func)
+    receiver = parts[:-1] if parts else []
+    if not receiver:
+        return None
+    for segment in receiver:
+        lowered = segment.lower()
+        if any(marker in lowered for marker in _POOL_RECEIVERS):
+            return func.attr
+    return None
 
 
 #: packages under scrutiny: every RPL009 concurrency door
@@ -101,7 +132,7 @@ def _worker_cone(program: Program) -> Set[str]:
             for name in sorted(module.functions):
                 if name in exported:
                     add(module.functions[name])
-        for node in ast.walk(module.source.tree):
+        for node in module.source.nodes:
             if not isinstance(node, ast.Call) or pool_dispatch(node) is None:
                 continue
             if not node.args or not isinstance(node.args[0], ast.Name):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..source import SourceModule, dotted_parts
 
@@ -76,16 +76,16 @@ def base_names(cls: ast.ClassDef) -> List[str]:
 
 
 def model_classes(
-    tree: ast.Module, roots: Tuple[str, ...] = ("Engine", "Workload")
+    nodes: Sequence[ast.AST], roots: Tuple[str, ...] = ("Engine", "Workload")
 ) -> Dict[str, str]:
-    """Map each model class name in the module to the root it derives from.
+    """Map each model class name among a module's nodes to its root.
 
     A class belongs to root ``R`` when its own name is ``R`` or ends with
     ``R`` (the repo's naming convention for cross-module subclasses), one
     of its base names is ``R`` or ends with ``R``, or one of its bases is
     another class in this module already classified under ``R``.
     """
-    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    classes = [n for n in nodes if isinstance(n, ast.ClassDef)]
     classified: Dict[str, str] = {}
 
     def matches(name: str, root: str) -> bool:

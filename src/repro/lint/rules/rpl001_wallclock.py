@@ -65,7 +65,7 @@ class WallClockRule(Rule):
     def check(self, module: SourceModule) -> Iterator[Violation]:
         if _is_allowlisted(module.path):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = module.imports.resolve(dotted_name(node.func))

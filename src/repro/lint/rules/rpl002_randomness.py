@@ -58,7 +58,7 @@ class RandomnessRule(Rule):
     )
 
     def check(self, module: SourceModule) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = module.imports.resolve(dotted_name(node.func))

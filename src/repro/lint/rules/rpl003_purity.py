@@ -51,7 +51,7 @@ class SuperstepPurityRule(Rule):
 
     def check(self, module: SourceModule) -> Iterator[Violation]:
         module_names = _module_level_names(module.tree)
-        for cls in ast.walk(module.tree):
+        for cls in module.nodes:
             if not isinstance(cls, ast.ClassDef):
                 continue
             for method in iter_methods(cls, _PURE_METHODS):

@@ -65,8 +65,8 @@ class MutableClassDefaultRule(Rule):
     )
 
     def check(self, module: SourceModule) -> Iterator[Violation]:
-        models = model_classes(module.tree)
-        for cls in ast.walk(module.tree):
+        models = model_classes(module.nodes)
+        for cls in module.nodes:
             if not isinstance(cls, ast.ClassDef) or cls.name not in models:
                 continue
             if _is_dataclass(cls):

@@ -73,7 +73,7 @@ class EngineMetadataRule(Rule):
     def check(self, module: SourceModule) -> Iterator[Violation]:
         classes: Dict[str, ast.ClassDef] = {
             node.name: node
-            for node in ast.walk(module.tree)
+            for node in module.nodes
             if isinstance(node, ast.ClassDef)
         }
         for cls in classes.values():

@@ -35,7 +35,7 @@ class CostAccountingRule(Rule):
     )
 
     def check(self, module: SourceModule) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Assign):
                 targets: List[ast.AST] = list(node.targets)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):

@@ -64,7 +64,7 @@ class SetIterationRule(Rule):
     )
 
     def check(self, module: SourceModule) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.For, ast.AsyncFor)):
                 continue
             described = _set_expression(node.iter)

@@ -91,7 +91,7 @@ class ConcurrencyRule(Rule):
 
     def check(self, module: SourceModule) -> Iterator[Violation]:
         if _is_allowlisted(module.path):
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 for name in _shared_state_names(node):
                     yield self.violation(
                         module,
@@ -101,7 +101,7 @@ class ConcurrencyRule(Rule):
                         f"queues and events, never through locked state",
                     )
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = _banned_root(alias.name)

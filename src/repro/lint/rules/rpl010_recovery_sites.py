@@ -87,7 +87,7 @@ class RecoverySiteRule(Rule):
         if _is_allowlisted(module.path):
             return
         guarded = _is_guarded(module.path)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             names = set(_named_types(node.type))

@@ -1,11 +1,11 @@
 """Parsed-source container and import resolution shared by every rule.
 
-A :class:`SourceModule` bundles one file's text, its AST, and the
-``# noqa`` suppression map so rules never re-tokenize. The
-:class:`ImportMap` resolves local names back to the fully qualified
-module path they were imported from (``np.random.rand`` →
-``numpy.random.rand``), which is what lets the wall-clock and
-randomness rules see through aliases.
+A :class:`SourceModule` bundles one file's text, its AST, that AST's
+nodes (walked once), and the ``# noqa`` suppression map, so rules never
+re-tokenize or re-walk a file. The :class:`ImportMap` resolves local
+names back to the fully qualified module path they were imported from
+(``np.random.rand`` → ``numpy.random.rand``), which is what lets the
+wall-clock and randomness rules see through aliases.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 __all__ = ["SourceModule", "ImportMap", "dotted_parts", "dotted_name", "target_chain"]
 
@@ -31,10 +31,10 @@ class ImportMap:
         self._bindings: Dict[str, str] = {}
 
     @classmethod
-    def from_tree(cls, tree: ast.AST) -> "ImportMap":
-        """Collect every import binding in the module, at any depth."""
+    def from_nodes(cls, nodes: Iterable[ast.AST]) -> "ImportMap":
+        """Collect every import binding among a module's nodes."""
         imports = cls()
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -109,6 +109,9 @@ class SourceModule:
     path: str
     text: str
     tree: ast.Module
+    #: every node of ``tree`` in ``ast.walk`` order, walked once so the
+    #: module-wide scans of every rule share it
+    nodes: List[ast.AST]
     imports: ImportMap
     #: line → suppressed codes; None means a bare ``# noqa`` (all codes)
     noqa: Dict[int, Optional[FrozenSet[str]]]
@@ -117,6 +120,7 @@ class SourceModule:
     def parse(cls, text: str, path: str = "<string>") -> "SourceModule":
         """Parse source text; raises SyntaxError on unparseable input."""
         tree = ast.parse(text, filename=path)
+        nodes = list(ast.walk(tree))
         noqa: Dict[int, Optional[FrozenSet[str]]] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             match = _NOQA_RE.search(line)
@@ -131,7 +135,8 @@ class SourceModule:
             path=path,
             text=text,
             tree=tree,
-            imports=ImportMap.from_tree(tree),
+            nodes=nodes,
+            imports=ImportMap.from_nodes(nodes),
             noqa=noqa,
         )
 

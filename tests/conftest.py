@@ -2,12 +2,36 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
 from repro.datasets import load_dataset
 from repro.graph import Graph, from_edges
+
+#: the package under test, spelled the way the lint tests spell it, so
+#: the paths of the shared parse match the paths they build
+SRC_REPRO = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+
+
+@pytest.fixture(scope="session")
+def src_repro_modules():
+    """Every file of src/repro parsed once per session, keyed by path.
+
+    The lint tests share this parse: one test lints all of it, and each
+    mutation test swaps one re-parsed file into a copy of the dict.
+    Nothing may mutate it.
+    """
+    from repro.lint import iter_python_files
+    from repro.lint.source import SourceModule
+
+    modules = {}
+    for path in iter_python_files([SRC_REPRO]):
+        with open(path, encoding="utf-8") as fh:
+            modules[path] = SourceModule.parse(fh.read(), path=path)
+    return modules
 
 
 @pytest.fixture(scope="session")

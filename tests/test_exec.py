@@ -11,6 +11,8 @@ import dataclasses
 import json
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -285,11 +287,49 @@ def test_a_dead_worker_rebuilds_the_pool_and_requeues(monkeypatch):
     clean = execute_grid(spec, jobs=1)
     monkeypatch.setattr(executor_module, "run_cell_task",
                         _die_on_first_giraph_attempt)
+    backoffs = []
+    monkeypatch.setattr(executor_module, "host_sleep", backoffs.append)
     execution = execute_grid(
-        spec, jobs=2, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
+        spec, jobs=2, retry=RetryPolicy(max_attempts=3, base_delay=0.25)
     )
-    # the dead cell, plus whatever was in flight with it, went around again
+    # the dead cell, plus whatever was in flight with it, went around
+    # again, each counted as a retry, after one backoff for the one death
     assert execution.report.retries >= 1
+    assert backoffs == [0.25]
+    assert execution.report.executed == 4
+    assert execution.grid.same_results(clean.grid)
+    assert journal_bytes(execution.grid) == journal_bytes(clean.grid)
+
+
+def test_a_pool_that_breaks_during_submission_is_rebuilt(monkeypatch):
+    # A worker that dies at once can break the pool while the scheduler
+    # is still submitting: ProcessPoolExecutor.submit then raises
+    # BrokenProcessPool itself. The first pool here does that on its
+    # second submit.
+    spec = tiny_spec(sizes=(16, 32))
+    clean = execute_grid(spec, jobs=1)
+    pools = []
+
+    class BreaksOnSecondSubmit(ProcessPoolExecutor):
+        submitted = 0
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.submitted += 1
+            if self is pools[0] and self.submitted == 2:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return super().submit(fn, *args, **kwargs)
+
+    def make_pool(max_workers):
+        pools.append(BreaksOnSecondSubmit(max_workers=max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", make_pool)
+    backoffs = []
+    monkeypatch.setattr(executor_module, "host_sleep", backoffs.append)
+    execution = execute_grid(
+        spec, jobs=2, retry=RetryPolicy(max_attempts=3, base_delay=0.25)
+    )
+    assert len(pools) == 2 and backoffs == [0.25]
     assert execution.report.executed == 4
     assert execution.grid.same_results(clean.grid)
     assert journal_bytes(execution.grid) == journal_bytes(clean.grid)

@@ -1,6 +1,7 @@
 """repro.lint: every RPL rule has a positive and a negative fixture,
-noqa suppression works, the CLI exits correctly, and — the contract the
-whole package exists for — src/repro itself is lint-clean."""
+noqa suppression works, and the CLI exits correctly. That src/repro
+itself is clean under every rule is checked once, with the deep pass,
+in test_lint_deep.py."""
 
 import json
 import os
@@ -14,7 +15,6 @@ from repro.lint import (
     RULES_BY_CODE,
     expand_selectors,
     lint_file,
-    lint_paths,
     lint_source,
     select_rules,
 )
@@ -41,9 +41,17 @@ def test_registry_covers_rpl001_through_rpl010():
         assert rule.name and rule.rationale
 
 
-def test_select_rules_rejects_unknown_code():
-    with pytest.raises(KeyError):
-        select_rules(["RPL999"])
+def test_select_rules_rejects_unknown_code(tmp_path, capsys):
+    for code in ("RPL999", "RPL016"):
+        with pytest.raises(KeyError):
+            select_rules([code])
+    # the retired deep codes are unknown to --select, with --deep or not
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    for code in ("RPL015", "RPL016", "RPL017"):
+        assert lint_main([str(clean), "--deep", "--select", code]) == 2
+        assert lint_main([str(clean), "--select", code]) == 2
+    assert "no rule code matches" in capsys.readouterr().err
 
 
 def test_expand_selectors_prefix_matching():
@@ -62,24 +70,28 @@ def test_expand_selectors_prefix_matching():
 def test_expand_selectors_exact_match_beats_prefix():
     # an exact code selects only itself even when it prefixes other
     # codes — the regression the docs promise now that RPL01 matches
-    # ten deep rules
-    available = ["RPL016", "RPL0160", "RPL0161"]
-    assert expand_selectors(["RPL016"], available) == ["RPL016"]
-    assert expand_selectors(["rpl016"], available) == ["RPL016"]
+    # several rules
+    available = ["RPL018", "RPL0180", "RPL0181"]
+    assert expand_selectors(["RPL018"], available) == ["RPL018"]
+    assert expand_selectors(["rpl018"], available) == ["RPL018"]
     # a non-exact selector still expands by prefix
     assert expand_selectors(["RPL01"], available) == [
-        "RPL016", "RPL0160", "RPL0161",
+        "RPL018", "RPL0180", "RPL0181",
     ]
 
 
 def test_expand_selectors_rpl01_matches_ten_deep_rules():
+    # ten codes until RPL015-RPL017 were retired; seven remain
     from repro.lint.deep import DEEP_RULES_BY_CODE
 
     available = list(RULES_BY_CODE) + list(DEEP_RULES_BY_CODE)
     expanded = expand_selectors(["RPL01"], available)
-    assert expanded == [f"RPL{i:03d}" for i in range(10, 20)]
-    assert len(expanded) == 10
-    assert expand_selectors(["RPL016"], available) == ["RPL016"]
+    assert expanded == [
+        "RPL010", "RPL011", "RPL012", "RPL013", "RPL014", "RPL018", "RPL019",
+    ]
+    assert expand_selectors(["RPL018"], available) == ["RPL018"]
+    with pytest.raises(KeyError):
+        expand_selectors(["RPL016"], available)
 
 
 # -- RPL001 wall-clock ------------------------------------------------------
@@ -501,21 +513,19 @@ def test_rpl009_flags_shared_state_primitives_inside_the_doors():
     assert "queues and events" in found[0].message
 
 
-def test_rpl009_mutation_condition_back_in_the_daemon(tmp_path):
+def test_rpl009_mutation_condition_back_in_the_daemon():
     # the pre-event-loop daemon guarded its queue with one Condition;
-    # putting it back into a copy of the real daemon must be flagged
+    # putting it back into the real daemon's text must be flagged
     source = os.path.join(SRC_REPRO, "serve", "daemon.py")
     with open(source, encoding="utf-8") as fh:
         text = fh.read()
     anchor = "        self.jobs: Dict[str, Job] = {}\n"
     assert anchor in text
-    mutated = tmp_path / "repro" / "serve" / "daemon.py"
-    mutated.parent.mkdir(parents=True)
-    mutated.write_text(text.replace(
-        anchor, anchor + "        self.cond = threading.Condition()\n"))
+    mutated = text.replace(
+        anchor, anchor + "        self.cond = threading.Condition()\n")
     rules = select_rules(["RPL009"])
-    assert lint_file(source, rules=rules) == []
-    found = lint_file(str(mutated), rules=rules)
+    assert lint_source(text, path=source, rules=rules) == []
+    found = lint_source(mutated, path=source, rules=rules)
     assert codes(found) == ["RPL009"]
     assert "'Condition'" in found[0].message
 
@@ -530,14 +540,6 @@ def test_rpl009_ignores_relative_and_unrelated_imports():
         select="RPL009",
     )
     assert found == []
-
-
-def test_rpl009_src_repro_has_only_sanctioned_concurrency_doors():
-    # the repo-level contract: every concurrency import in src/repro
-    # lives under repro/exec/ or repro/serve/ (lint_paths on the real
-    # tree proves it)
-    violations = lint_paths([SRC_REPRO], rules=select_rules(["RPL009"]))
-    assert violations == []
 
 
 # -- RPL010 recovery sites --------------------------------------------------
@@ -711,13 +713,6 @@ def test_null_byte_file_reported_as_rpl000(tmp_path):
     assert lint_main([str(bad)]) == 1
 
 
-# -- the meta-test: this repo honours its own contracts ---------------------
-
-def test_src_repro_is_lint_clean():
-    violations = lint_paths([SRC_REPRO])
-    assert violations == [], "\n".join(v.format() for v in violations)
-
-
 # -- CLI --------------------------------------------------------------------
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -838,23 +833,68 @@ def test_cli_ast_cache_roundtrip(tmp_path, capsys):
     assert lint_main([str(dirty), "--ast-cache", cache]) == 0
 
 
-def test_repro_cli_lint_subcommand(capsys):
+def test_repro_cli_lint_subcommand(tmp_path, capsys):
     from repro.cli import main as repro_main
 
-    assert repro_main(["lint", SRC_REPRO]) == 0
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text("import time\nt = time.time()\n")
+    assert repro_main(["lint", str(clean)]) == 0
     assert "clean" in capsys.readouterr().out
+    assert repro_main(["lint", str(dirty)]) == 1
+    assert "RPL001" in capsys.readouterr().out
 
 
-def test_repro_cli_lint_deep_subcommand(capsys):
+def _exec_package(root, workers):
+    """A one-module ``pkg.exec.workers`` package under ``root``."""
+    (root / "pkg" / "exec").mkdir(parents=True)
+    (root / "pkg" / "__init__.py").write_text("")
+    (root / "pkg" / "exec" / "__init__.py").write_text("")
+    (root / "pkg" / "exec" / "workers.py").write_text(
+        textwrap.dedent(workers))
+    return str(root)
+
+
+def test_repro_cli_lint_deep_subcommand(tmp_path, capsys):
     from repro.cli import main as repro_main
 
-    baseline = os.path.join(
+    committed = os.path.join(
         os.path.dirname(__file__), "..", "lint-baseline.json"
     )
-    assert repro_main([
-        "lint", SRC_REPRO, "--deep", "--baseline", baseline,
-    ]) == 0
+    # a per-process memo the worker fills and reads itself: clean
+    clean = _exec_package(tmp_path / "clean", """
+        __all__ = ["work"]
+
+        _MEMO = {}
+
+        def work(task):
+            return _MEMO.setdefault(task, task * 2)
+        """)
+    # the parent primes what the worker reads: only the deep pass
+    # (RPL019) sees it
+    dirty = _exec_package(tmp_path / "dirty", """
+        __all__ = ["work"]
+
+        _MEMO = {}
+
+        def work(task):
+            return _MEMO.get(task)
+
+        def prime(task, value):
+            _MEMO[task] = value
+        """)
+    assert repro_main(["lint", clean, "--deep", "--baseline", committed]) == 0
     assert "clean" in capsys.readouterr().out
+    assert repro_main(["lint", dirty]) == 0
+    capsys.readouterr()
+    assert repro_main(["lint", dirty, "--deep", "--baseline", committed]) == 1
+    assert "RPL019" in capsys.readouterr().out
+    # --update-baseline and --baseline reach the deep findings too
+    recorded = str(tmp_path / "baseline.json")
+    assert repro_main(["lint", dirty, "--deep", "--baseline", recorded,
+                       "--update-baseline"]) == 0
+    assert repro_main(["lint", dirty, "--deep", "--baseline", recorded]) == 0
 
 
 def test_cli_explain_shallow_rule(capsys):
@@ -875,7 +915,9 @@ def test_cli_explain_deep_rule_without_deep_flag(capsys):
 
 
 def test_cli_explain_unknown_code_exits_2(capsys):
-    assert lint_main(["--explain", "RPL999"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown rule code" in err
-    assert "RPL020" in err  # the known-codes list includes deep rules
+    for code in ("RPL999", "RPL015"):
+        assert lint_main(["--explain", code]) == 2
+        err = capsys.readouterr().err
+        assert "unknown rule code" in err
+        assert "RPL020" in err  # the known-codes list includes deep rules
+        assert "RPL015" not in err.split("known codes:")[1]

@@ -2,22 +2,28 @@
 tree (modules, MROs, call graph), each deep rule fires on a seeded
 mutation of the real engines, the pass is fast and byte-deterministic,
 and — the contract the subpackage exists for — src/repro itself is
-deep-clean."""
+clean under every rule.
+
+src/repro is parsed once per session (``src_repro_modules`` in
+conftest.py) and linted once in-process; mutation tests re-parse only
+the file they mutate."""
 
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 import textwrap
 import time
 
-from repro.lint import lint_paths
+import pytest
+
+from repro.lint import lint_module
 from repro.lint.deep import (
     DEEP_RULES,
     DEEP_RULES_BY_CODE,
     build_program,
+    deep_lint_modules,
     deep_lint_paths,
 )
 from repro.lint.deep.baseline import (
@@ -27,6 +33,7 @@ from repro.lint.deep.baseline import (
     write_baseline,
 )
 from repro.lint.deep.program import module_name_for
+from repro.lint.reporters import render_json
 from repro.lint.rules.base import Violation
 from repro.lint.source import SourceModule
 
@@ -45,10 +52,11 @@ def codes(violations):
 # -- registry ---------------------------------------------------------------
 
 def test_deep_registry_covers_rpl011_through_rpl020():
+    # RPL015-RPL017 are retired and their codes stay unused
     assert sorted(DEEP_RULES_BY_CODE) == [
-        f"RPL{i:03d}" for i in range(11, 21)
+        "RPL011", "RPL012", "RPL013", "RPL014", "RPL018", "RPL019", "RPL020",
     ]
-    assert len(DEEP_RULES) == 10
+    assert len(DEEP_RULES) == 7
     for rule in DEEP_RULES:
         assert rule.name and rule.rationale
 
@@ -186,6 +194,15 @@ def test_rpl011_flags_undeclared_and_disallowed_primitives(tmp_path):
 
             def _execute(self, cluster):
                 pass
+
+        class TidyEngine(Engine):
+            model_primitives = frozenset({"advance", "shuffle"})
+
+            def _load(self, cluster):
+                cluster.advance(1.0)
+
+            def _execute(self, cluster):
+                cluster.shuffle(10.0)
         """))
     found = deep_lint_paths([str(tmp_path)], rules=rules("RPL011"))
     messages = {v.message for v in found}
@@ -203,225 +220,11 @@ def test_rpl011_flags_undeclared_and_disallowed_primitives(tmp_path):
         "GreedyEngine" in m and "shuffle" in m and "does not allow" in m
         for m in messages
     )
+    # TidyEngine: declares what it reaches, within its (bsp) model
+    assert not any("TidyEngine" in m for m in messages)
 
 
-# -- RPL015-RPL020 on fixture packages: one positive + one negative each ----
-
-def test_rpl015_flags_large_pool_arguments(tmp_path):
-    _program_from(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/exec/__init__.py": "",
-        "pkg/exec/runner.py": """
-            def run_one(dataset, t):
-                return t
-
-            def fan_out(pool, dataset, tasks):
-                for t in tasks:
-                    pool.submit(run_one, dataset, t)
-
-            def fan_out_by_name(pool, tasks):
-                for t in tasks:
-                    pool.submit(run_one, t.payload())
-            """,
-    })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL015"))
-    assert codes(found) == ["RPL015"]
-    assert "'dataset' names a large object" in found[0].message
-    # the by-name dispatch two lines down stays clean
-    assert "payload" not in found[0].message
-
-
-def test_rpl015_sees_through_partial_and_lambda(tmp_path):
-    _program_from(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/exec/__init__.py": "",
-        "pkg/exec/wrap.py": """
-            from functools import partial
-
-            def fan_out(pool, graph, tasks):
-                for t in tasks:
-                    pool.submit(partial(run_one, graph), t)
-
-            def fan_out_closure(pool, spec):
-                pool.map(lambda t: run_one(spec, t), range(4))
-
-            def run_one(g, t):
-                return t
-            """,
-    })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL015"))
-    assert codes(found) == ["RPL015", "RPL015"]
-    assert any("'graph'" in v.message for v in found)
-    assert any("'spec'" in v.message for v in found)
-
-
-def test_rpl015_ignores_pools_outside_exec(tmp_path):
-    _program_from(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/tools.py": """
-            def fan_out(pool, dataset, tasks):
-                for t in tasks:
-                    pool.submit(t, dataset)
-            """,
-    })
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL015")) == []
-
-
-def test_rpl016_flags_unmemoized_digest_in_loop(tmp_path):
-    _program_from(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/digests.py": """
-            import hashlib
-
-            def fingerprint(blob):
-                d = hashlib.sha256()
-                d.update(blob.tobytes())
-                return d.hexdigest()
-
-            def plan(blobs):
-                keys = []
-                for b in blobs:
-                    keys.append(fingerprint(b))
-                return keys
-
-            def one_key(blob):
-                return fingerprint(blob)
-            """,
-    })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL016"))
-    assert codes(found) == ["RPL016"]
-    assert "fingerprint" in found[0].message
-    assert "lru_cache" in found[0].message
-
-
-def test_rpl016_memoized_digest_is_clean(tmp_path):
-    _program_from(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/digests.py": """
-            import hashlib
-            from functools import lru_cache
-
-            @lru_cache(maxsize=None)
-            def fingerprint(blob):
-                d = hashlib.sha256()
-                d.update(blob.tobytes())
-                return d.hexdigest()
-
-            def plan(blobs):
-                return [fingerprint(b) for b in blobs]
-
-            def stream(paths):
-                d = hashlib.sha256()
-                for p in paths:
-                    d.update(p.read_bytes())
-                return d.hexdigest()
-            """,
-    })
-    # memoized call sites and the streaming idiom (constructor outside
-    # the loop, incremental update inside) are both sanctioned
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL016")) == []
-
-
-def test_rpl016_flags_direct_bulk_hash_in_loop(tmp_path):
-    _program_from(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/inline.py": """
-            import hashlib
-
-            def retry_keys(blob, attempts):
-                out = []
-                for attempt in range(attempts):
-                    out.append(hashlib.sha256(blob.tobytes()).hexdigest())
-                return out
-
-            def per_item_keys(blobs):
-                # hashing the loop variable is per-item work, not waste
-                out = []
-                for b in blobs:
-                    out.append(hashlib.sha256(b.tobytes()).hexdigest())
-                return out
-            """,
-    })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL016"))
-    assert codes(found) == ["RPL016"]
-    assert found[0].line == 7
-    assert "hoist or memoize" in found[0].message
-
-
-_RPL017_BASE = {
-    "pkg/__init__.py": "",
-    "pkg/base.py": """
-        class Engine:
-            def run(self):
-                return self.run_superstep_loop()
-        """,
-}
-
-
-def test_rpl017_flags_hot_loop_waste(tmp_path):
-    files = dict(_RPL017_BASE)
-    files["pkg/toy.py"] = """
-        from .base import Engine
-
-        class ToyEngine(Engine):
-            def run_superstep_loop(self):
-                log = ""
-                while self.step():
-                    opts = {"mode": "sync"}
-                    log += "tick"
-                    lat = self.cluster.network.latency
-                    model = getattr(self, "trace_model", "bsp")
-                return log, opts, lat, model
-        """
-    _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL017"))
-    assert codes(found) == ["RPL017"] * 4
-    messages = " ".join(v.message for v in found)
-    assert "string +=" in messages
-    assert "constant container" in messages
-    assert "self.cluster.network.latency" in messages
-    assert "getattr" in messages
-
-
-def test_rpl017_loop_dependent_work_is_clean(tmp_path):
-    files = dict(_RPL017_BASE)
-    files["pkg/toy.py"] = """
-        from .base import Engine
-
-        class ToyEngine(Engine):
-            def run_superstep_loop(self):
-                rows = []
-                for it in self.items():
-                    row = {"value": it.value}
-                    rows.append(row)
-                    name = it.stats.timing.total
-                    flag = getattr(it, "converged", False)
-                return rows, name, flag
-        """
-    _program_from(tmp_path, files)
-    # per-iteration values, loop-variable-rooted chains, and a fresh
-    # accumulator are all legitimate — nothing is hoistable
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL017")) == []
-
-
-def test_rpl017_ignores_loops_outside_the_superstep_cone(tmp_path):
-    files = dict(_RPL017_BASE)
-    files["pkg/toy.py"] = """
-        from .base import Engine
-
-        class ToyEngine(Engine):
-            def run_superstep_loop(self):
-                return 0
-
-        def report(lines):
-            out = ""
-            for line in lines:
-                out += "x"
-            return out
-        """
-    _program_from(tmp_path, files)
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL017")) == []
-
+# -- RPL018-RPL020 on fixture packages: one positive + one negative each ----
 
 _RPL018_COMMON = {
     "pkg/__init__.py": "",
@@ -675,18 +478,24 @@ def test_rpl020_follows_same_module_calls_only(tmp_path):
 
 # -- seeded mutations of the real tree: each rule fires ---------------------
 
-def _mutated_tree(tmp_path, relpath, mutate):
-    """Copy src/repro and apply ``mutate`` to one file's text."""
-    root = tmp_path / "repro"
-    shutil.copytree(SRC_REPRO, root)
-    target = root / relpath
-    target.write_text(mutate(target.read_text()))
-    return str(tmp_path)
+def _mutated_tree(modules, relpath, mutate):
+    """The shared parse with one real file swapped for its mutation.
+
+    Only the mutated file is re-parsed, under its original path, so the
+    deep pass sees the real tree with one seeded change.
+    """
+    path = os.path.join(SRC_REPRO, relpath)
+    text = modules[path].text
+    mutated = mutate(text)
+    assert mutated != text, f"mutation did not apply to {relpath}"
+    tree = dict(modules)
+    tree[path] = SourceModule.parse(mutated, path=path)
+    return tree
 
 
-def test_rpl011_mutation_forbidden_primitive(tmp_path):
+def test_rpl011_mutation_forbidden_primitive(src_repro_modules):
     tree = _mutated_tree(
-        tmp_path,
+        src_repro_modules,
         os.path.join("engines", "giraph.py"),
         lambda s: s.replace(
             "cluster.sample_memory()",
@@ -694,13 +503,13 @@ def test_rpl011_mutation_forbidden_primitive(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL011"))
+    found = deep_lint_modules(tree, rules=rules("RPL011"))
     assert codes(found) == ["RPL011"]
     assert "cluster.broadcast()" in found[0].message
     assert "GiraphEngine" in found[0].message
 
 
-def test_rpl012_mutation_unordered_iteration_leak(tmp_path):
+def test_rpl012_mutation_unordered_iteration_leak(src_repro_modules):
     def mutate(s):
         s = s.replace(
             "def _load(",
@@ -719,16 +528,16 @@ def test_rpl012_mutation_unordered_iteration_leak(tmp_path):
         )
 
     tree = _mutated_tree(
-        tmp_path, os.path.join("engines", "gelly.py"), mutate
+        src_repro_modules, os.path.join("engines", "gelly.py"), mutate
     )
-    found = deep_lint_paths([tree], rules=rules("RPL012"))
+    found = deep_lint_modules(tree, rules=rules("RPL012"))
     assert codes(found) == ["RPL012"]
     assert "set literal" in found[0].message
 
 
-def test_rpl013_mutation_unwrapped_tracker_record(tmp_path):
+def test_rpl013_mutation_unwrapped_tracker_record(src_repro_modules):
     tree = _mutated_tree(
-        tmp_path,
+        src_repro_modules,
         os.path.join("engines", "graphlab.py"),
         lambda s: s.replace(
             "cluster.sample_memory()",
@@ -737,17 +546,17 @@ def test_rpl013_mutation_unwrapped_tracker_record(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL013"))
+    found = deep_lint_modules(tree, rules=rules("RPL013"))
     assert codes(found) == ["RPL013"]
     assert "record_disk" in found[0].message
     assert "span" in found[0].message
 
 
-def test_rpl013_mutation_unspanned_memory_integral(tmp_path):
+def test_rpl013_mutation_unspanned_memory_integral(src_repro_modules):
     # the cost record bills GB-hours off record_memory_integral, so an
     # unspanned call is untraceable billed work — RPL013 must fire
     tree = _mutated_tree(
-        tmp_path,
+        src_repro_modules,
         os.path.join("engines", "graphlab.py"),
         lambda s: s.replace(
             "cluster.sample_memory()",
@@ -756,16 +565,16 @@ def test_rpl013_mutation_unspanned_memory_integral(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL013"))
+    found = deep_lint_modules(tree, rules=rules("RPL013"))
     assert codes(found) == ["RPL013"]
     assert "record_memory_integral" in found[0].message
 
 
-def test_rpl013_memory_integral_inside_span_is_clean(tmp_path):
+def test_rpl013_memory_integral_inside_span_is_clean(src_repro_modules):
     # the same charge wrapped in a span is the sanctioned shape (how
     # the Cluster primitives themselves accrue the integral): no finding
     tree = _mutated_tree(
-        tmp_path,
+        src_repro_modules,
         os.path.join("engines", "graphlab.py"),
         lambda s: s.replace(
             "cluster.sample_memory()",
@@ -775,10 +584,10 @@ def test_rpl013_memory_integral_inside_span_is_clean(tmp_path):
             1,
         ),
     )
-    assert deep_lint_paths([tree], rules=rules("RPL013")) == []
+    assert deep_lint_modules(tree, rules=rules("RPL013")) == []
 
 
-def test_rpl014_mutation_stray_broad_except(tmp_path):
+def test_rpl014_mutation_stray_broad_except(src_repro_modules):
     def mutate(s):
         match = re.search(r"( +)(cluster\.shuffle\([^\n]+\))", s)
         indent, call = match.group(1), match.group(2)
@@ -791,83 +600,29 @@ def test_rpl014_mutation_stray_broad_except(tmp_path):
         return s[: match.start()] + wrapped + s[match.end():]
 
     tree = _mutated_tree(
-        tmp_path, os.path.join("engines", "spark.py"), mutate
+        src_repro_modules, os.path.join("engines", "spark.py"), mutate
     )
-    found = deep_lint_paths([tree], rules=rules("RPL014"))
+    found = deep_lint_modules(tree, rules=rules("RPL014"))
     assert codes(found) == ["RPL014"]
     assert "broad except" in found[0].message
     assert "fault" in found[0].message
 
 
-def test_rpl015_mutation_dataset_pickled_into_pool_task(tmp_path):
+def test_rpl018_mutation_dropped_result_package(src_repro_modules):
     tree = _mutated_tree(
-        tmp_path,
-        os.path.join("exec", "executor.py"),
-        lambda s: s.replace(
-            "pool.submit(run_cell_task, task.payload(attempt))",
-            "pool.submit(run_cell_task, task.payload(attempt), "
-            "self.datasets[(task.dataset, task.size)])",
-            1,
-        ),
-    )
-    found = deep_lint_paths([tree], rules=rules("RPL015"))
-    assert codes(found) == ["RPL015"]
-    assert "datasets" in found[0].message
-    assert "pickles" in found[0].message
-
-
-def test_rpl016_mutation_unmemoized_dataset_fingerprint(tmp_path):
-    tree = _mutated_tree(
-        tmp_path,
-        os.path.join("exec", "cache.py"),
-        lambda s: s.replace(
-            "@lru_cache(maxsize=None)\ndef dataset_fingerprint",
-            "def dataset_fingerprint",
-            1,
-        ),
-    )
-    found = deep_lint_paths([tree], rules=rules("RPL016"))
-    assert codes(found) == ["RPL016", "RPL016"]
-    # the findings land on the planner's per-cell key loop and on the
-    # serve daemon's scheduler loop, which reaches the same digest
-    # through each job it executes
-    paths = sorted(v.path for v in found)
-    assert paths[0].endswith("executor.py")
-    assert paths[1].endswith(os.path.join("serve", "daemon.py"))
-    assert all("dataset_fingerprint" in v.message for v in found)
-
-
-def test_rpl017_mutation_getattr_back_in_superstep_loop(tmp_path):
-    tree = _mutated_tree(
-        tmp_path,
-        os.path.join("engines", "bsp.py"),
-        lambda s: s.replace(
-            "model=trace_model",
-            'model=getattr(self, "trace_model", "bsp")',
-            1,
-        ),
-    )
-    found = deep_lint_paths([tree], rules=rules("RPL017"))
-    assert codes(found) == ["RPL017"]
-    assert "trace_model" in found[0].message
-    assert found[0].path.endswith("bsp.py")
-
-
-def test_rpl018_mutation_dropped_result_package(tmp_path):
-    tree = _mutated_tree(
-        tmp_path,
+        src_repro_modules,
         os.path.join("exec", "cache.py"),
         lambda s: s.replace('"partitioning", "workloads",', '"partitioning",', 1),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL018"))
+    found = deep_lint_modules(tree, rules=rules("RPL018"))
     assert codes(found) == ["RPL018"]
     assert "'workloads'" in found[0].message
     assert "_RESULT_PACKAGES" in found[0].message
 
 
-def test_rpl018_mutation_dropped_chaos_key(tmp_path):
+def test_rpl018_mutation_dropped_chaos_key(src_repro_modules):
     tree = _mutated_tree(
-        tmp_path,
+        src_repro_modules,
         os.path.join("exec", "cache.py"),
         lambda s: s.replace(
             '        "chaos": None if task.chaos is None else task.chaos.to_dict(),\n',
@@ -875,13 +630,13 @@ def test_rpl018_mutation_dropped_chaos_key(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL018"))
+    found = deep_lint_modules(tree, rules=rules("RPL018"))
     assert codes(found) == ["RPL018"]
     assert "'chaos'" in found[0].message
     assert "stale" in found[0].message
 
 
-def test_rpl019_mutation_parent_primed_dataset_memo(tmp_path):
+def test_rpl019_mutation_parent_primed_dataset_memo(src_repro_modules):
     def mutate(s):
         s = s.replace(
             'dataset = load_dataset(task["dataset"], task["size"])',
@@ -896,35 +651,56 @@ def test_rpl019_mutation_parent_primed_dataset_memo(tmp_path):
             "    _WARM_DATASETS[(name, size)] = load_dataset(name, size)\n"
         )
 
-    tree = _mutated_tree(tmp_path, os.path.join("exec", "workers.py"), mutate)
-    found = deep_lint_paths([tree], rules=rules("RPL019"))
+    tree = _mutated_tree(
+        src_repro_modules, os.path.join("exec", "workers.py"), mutate
+    )
+    found = deep_lint_modules(tree, rules=rules("RPL019"))
     assert codes(found) == ["RPL019"]
     assert "'_WARM_DATASETS'" in found[0].message
     assert "worker processes never see" in found[0].message.lower()
 
 
-def test_rpl020_mutation_unbounding_the_submit_backoff(tmp_path):
+def test_rpl020_mutation_unbounding_the_submit_backoff(src_repro_modules):
     # strip the retry bound from the serve client's submit loop: the
     # queue-full backoff then sleeps forever against a saturated daemon
     tree = _mutated_tree(
-        tmp_path,
+        src_repro_modules,
         os.path.join("serve", "client.py"),
         lambda s: s.replace("if rejections >= retries:", "if False:", 1),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL020"))
+    found = deep_lint_modules(tree, rules=rules("RPL020"))
     assert codes(found) == ["RPL020"]
     assert found[0].path.endswith("client.py")
     assert "submit" in found[0].message
 
 
-# -- the meta-test: the tree honours its own deep contracts -----------------
+# -- the meta-test: the tree honours its own contracts ----------------------
 
-def test_src_repro_is_deep_clean_and_fast():
-    """src/repro is clean under every rule, RPL001-RPL020, in budget."""
+@pytest.fixture(scope="module")
+def src_repro_report(src_repro_modules):
+    """Findings of the shallow and deep passes over the shared parse.
+
+    The passes run once, and the findings come out in the order
+    ``repro lint --deep`` prints them. Returns them with the passes'
+    wall time.
+    """
     start = time.perf_counter()
-    violations = lint_paths([SRC_REPRO])
-    violations += deep_lint_paths([SRC_REPRO])
-    elapsed = time.perf_counter() - start
+    violations = []
+    for module in src_repro_modules.values():
+        violations.extend(lint_module(module))
+    violations.extend(deep_lint_modules(src_repro_modules))
+    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
+    return violations, time.perf_counter() - start
+
+
+def test_src_repro_is_deep_clean_and_fast(src_repro_report):
+    """src/repro is clean under every shallow and deep rule, in budget.
+
+    The shallow pass includes RPL009, so this also proves that every
+    concurrency import lives under repro/exec/ or repro/serve/ and that
+    neither names a lock primitive.
+    """
+    violations, elapsed = src_repro_report
     assert violations == [], "\n".join(v.format() for v in violations)
     assert elapsed < 15.0, f"full pass took {elapsed:.1f}s (budget: 15s)"
 
@@ -934,20 +710,38 @@ def test_committed_baseline_is_empty():
     assert load_baseline(path) == []
 
 
-def test_deep_report_is_byte_identical_across_hash_seeds(tmp_path):
-    outputs = []
-    for seed in ("1", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=REPO_SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "--deep",
-             "--format", "json", SRC_REPRO],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["count"] == 0
+def _other_hash_seed():
+    """A PYTHONHASHSEED that differs from this process's own.
+
+    Under a fixed seed (CI runs this test under PYTHONHASHSEED=0 too)
+    the two seeds differ by construction; under a random one they
+    differ but for a 2**-32 chance.
+    """
+    own = os.environ.get("PYTHONHASHSEED", "")
+    if own.isdigit():
+        return str((int(own) + 1) % 2**32)
+    return "4242"
+
+
+def test_deep_report_is_byte_identical_across_hash_seeds(
+    src_repro_modules, src_repro_report
+):
+    # the CLI under another hash seed prints, byte for byte, the report
+    # of the in-process pass: no set or dict order leaks into findings
+    env = dict(
+        os.environ, PYTHONHASHSEED=_other_hash_seed(), PYTHONPATH=REPO_SRC
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.lint", "--deep",
+         "--format", "json", SRC_REPRO],
+        capture_output=True,
+        env=env,
+    )
+    violations, _ = src_repro_report
+    expected = render_json(violations, files_checked=len(src_repro_modules))
+    assert proc.stdout.decode("utf-8") == expected + "\n"
+    assert proc.returncode == 0, proc.stderr.decode("utf-8")
+    assert json.loads(proc.stdout)["count"] == 0
 
 
 # -- baseline ---------------------------------------------------------------
