@@ -1,7 +1,8 @@
 """repro.lint: every RPL rule has a positive and a negative fixture,
-noqa suppression works, and the CLI exits correctly. That src/repro
-itself is clean under every rule is checked once, with the deep pass,
-in test_lint_deep.py."""
+noqa suppression works, the CLI exits correctly, and — the contract the
+whole package exists for — src/repro itself is lint-clean. The
+whole-tree checks lint the session's shared parse of src/repro; the
+deep pass over it is in test_lint_deep.py."""
 
 import json
 import os
@@ -15,6 +16,7 @@ from repro.lint import (
     RULES_BY_CODE,
     expand_selectors,
     lint_file,
+    lint_module,
     lint_source,
     select_rules,
 )
@@ -542,6 +544,17 @@ def test_rpl009_ignores_relative_and_unrelated_imports():
     assert found == []
 
 
+def test_rpl009_src_repro_has_only_sanctioned_concurrency_doors(
+        src_repro_modules):
+    # the repo-level contract: every concurrency import in src/repro
+    # lives under repro/exec/ or repro/serve/ (linting the real tree
+    # proves it)
+    rules = select_rules(["RPL009"])
+    violations = [v for module in src_repro_modules.values()
+                  for v in lint_module(module, rules=rules)]
+    assert violations == []
+
+
 # -- RPL010 recovery sites --------------------------------------------------
 
 def test_rpl010_flags_simulated_failure_catch_outside_recovery_sites():
@@ -711,6 +724,14 @@ def test_null_byte_file_reported_as_rpl000(tmp_path):
     found = lint_file(str(bad))
     assert codes(found) == [PARSE_ERROR_CODE]
     assert lint_main([str(bad)]) == 1
+
+
+# -- the meta-test: this repo honours its own contracts ---------------------
+
+def test_src_repro_is_lint_clean(src_repro_modules):
+    violations = [v for module in src_repro_modules.values()
+                  for v in lint_module(module)]
+    assert violations == [], "\n".join(v.format() for v in violations)
 
 
 # -- CLI --------------------------------------------------------------------
