@@ -5,24 +5,32 @@ second, and network-card byte counts before/after each run (§4.2), then
 analyses "20 GB of log files". Figures 10 and 13 are drawn straight
 from these series. :class:`ResourceTracker` is the simulated
 equivalent, charged once per fleet-wide event rather than once per
-machine:
+machine, and folded once per run rather than once per event:
 
-* one :meth:`~ResourceTracker.record_cpu` call per compute phase takes
-  every machine's load, derives each machine's user/system/iowait/idle
-  split and folds it, in machine order, into cluster-wide CPU seconds
-  and the peak per-machine user and iowait fractions;
+* one :meth:`~ResourceTracker.record_cpu` call per compute phase keeps
+  a copy of every machine's load; the first CPU query folds every
+  phase recorded since the last one in a single array pass, deriving
+  each machine's user/system/iowait/idle split and adding it, in phase
+  then machine order, into cluster-wide CPU seconds and the peak
+  per-machine user and iowait fractions;
 * one :meth:`~ResourceTracker.record_memory` call per snapshot keeps
-  the whole fleet's resident bytes as one row, from which the
+  the whole fleet's resident bytes as one int64 row, from which the
   per-machine peaks and (time, bytes) series are derived on query;
 * network, disk and memory-time counters are running sums.
 
-No per-machine sample object is ever built, so recording costs one
-call per phase however wide the cluster.
+No per-machine sample object is ever built and no Python loop runs per
+machine. The totals stay bit-equal to adding one machine at a time:
+elementwise IEEE operations are exact, and the sums go through
+:func:`~repro.obs.fold_rows`, a sequential scan.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
+
+from ..obs.metrics import fold_rows
 
 __all__ = ["SimClock", "ResourceTracker"]
 
@@ -52,18 +60,20 @@ class ResourceTracker:
     def __init__(self, num_machines: int) -> None:
         self.num_machines = num_machines
         self._initial_machines = num_machines
-        # Running CPU aggregates, folded in by record_cpu in phase and
-        # machine order — the order a scan over per-machine samples
-        # would add them in, so the floats match such a scan bit for bit.
-        self._cpu_user = 0.0
-        self._cpu_system = 0.0
-        self._cpu_iowait = 0.0
-        self._cpu_idle = 0.0
+        # Running CPU aggregates (user, system, iowait, idle seconds),
+        # folded in phase and machine order — the order a scan over
+        # per-machine samples would add them in, so the floats match
+        # such a scan bit for bit.
+        self._cpu_totals: Tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
         self._best_user_ratio = 0.0
         self._best_iowait_ratio = 0.0
-        # One (time, bytes per machine) row per memory snapshot; rows
-        # change length when the fleet is rescaled.
-        self._memory_rows: List[Tuple[float, Tuple[int, ...]]] = []
+        # Phases recorded since the last fold, flat: every machine's
+        # load, and (machines, step, system fraction, iowait) per phase.
+        self._pending_loads: List[float] = []
+        self._pending_phases: List[float] = []
+        # One (time, int64 bytes per machine) row per memory snapshot;
+        # rows change length when the fleet is rescaled.
+        self._memory_rows: List[Tuple[float, np.ndarray]] = []
         self.network_bytes_sent: float = 0.0
         self.network_bytes_received: float = 0.0
         self.disk_bytes_read: float = 0.0
@@ -84,38 +94,55 @@ class ResourceTracker:
         ``loads[m]`` is machine ``m``'s busy time; ``system_fraction``
         of it is framework overhead, every machine also waits ``iowait``
         seconds on disk, and the rest of the step is idle (never
-        negative). Machines fold into the running sums in order, so the
-        totals match adding one machine at a time bit for bit.
+        negative). The loads are copied, and folded into the running
+        sums by the next CPU query (:meth:`_fold_cpu`).
         """
-        user_total, system_total = self._cpu_user, self._cpu_system
-        iowait_total, idle_total = self._cpu_iowait, self._cpu_idle
-        best_user, best_iowait = self._best_user_ratio, self._best_iowait_ratio
-        keep = 1.0 - system_fraction
-        for busy in loads:
-            user = busy * keep
-            system = busy * system_fraction
-            idle = step - busy - iowait
-            if not idle > 0.0:  # max(0.0, idle): -0.0 and NaN become 0.0
-                idle = 0.0
-            user_total += user
-            system_total += system
-            iowait_total += iowait
-            idle_total += idle
-            denom = user + system + iowait + idle
-            if denom > 0:
-                ratio = user / denom
-                if ratio > best_user:
-                    best_user = ratio
-                ratio = iowait / denom
-                if ratio > best_iowait:
-                    best_iowait = ratio
-        self._cpu_user, self._cpu_system = user_total, system_total
-        self._cpu_iowait, self._cpu_idle = iowait_total, idle_total
-        self._best_user_ratio, self._best_iowait_ratio = best_user, best_iowait
+        self._pending_loads.extend(loads)
+        self._pending_phases += (len(loads), step, system_fraction, iowait)
+
+    def _fold_cpu(self) -> None:
+        """Fold every pending phase into the CPU aggregates in one pass.
+
+        The result is bit-equal to folding one machine at a time:
+        user/system/idle and the utilization ratios are elementwise
+        IEEE operations, and the totals are a sequential scan over the
+        running total followed by the phases' values in order.
+        """
+        loads, phases = self._pending_loads, self._pending_phases
+        if not phases:
+            return
+        self._pending_loads, self._pending_phases = [], []
+        busy = np.fromiter(loads, np.float64, len(loads))
+        phase = np.fromiter(phases, np.float64, len(phases)).reshape(-1, 4)
+        # each phase's step, system fraction and iowait, once per machine
+        step, system_fraction, iowait = np.repeat(
+            phase[:, 1:], phase[:, 0].astype(np.intp), axis=0).T
+        # Python float arithmetic on inf and NaN never warns; nor does this
+        with np.errstate(all="ignore"):
+            # row 0 of each series is the running total the scan continues
+            series = np.empty((4, busy.size + 1))
+            series[:, 0] = self._cpu_totals
+            user, system, waits, idle = series[:, 1:]
+            np.multiply(busy, 1.0 - system_fraction, out=user)
+            np.multiply(busy, system_fraction, out=system)
+            waits[:] = iowait
+            np.subtract(step, busy, out=idle)
+            idle -= iowait
+            # max(0.0, idle): -0.0 and NaN become 0.0
+            idle[~(idle > 0.0)] = 0.0
+            self._cpu_totals = tuple(fold_rows(series).tolist())
+            denom = user + system + waits + idle
+            live = denom > 0
+            denom = denom[live]
+            self._best_user_ratio = _raise_best(
+                self._best_user_ratio, user[live] / denom)
+            self._best_iowait_ratio = _raise_best(
+                self._best_iowait_ratio, waits[live] / denom)
 
     def record_memory(self, time: float, used_bytes: Iterable[float]) -> None:
         """Snapshot every machine's resident bytes (as ints) at ``time``."""
-        self._memory_rows.append((time, tuple(map(int, used_bytes))))
+        # an int64 cast truncates toward zero, as int() does
+        self._memory_rows.append((time, np.fromiter(used_bytes, np.int64)))
 
     def record_network(self, sent: float, received: float) -> None:
         """Add to the NIC byte counters."""
@@ -160,35 +187,39 @@ class ResourceTracker:
 
     # -- queries (what the figures plot) ----------------------------------
 
-    def _memory_peaks(self) -> List[int]:
+    def _memory_peaks(self) -> np.ndarray:
         """Each machine's largest sample (0 if never above 0)."""
-        peaks: List[int] = []
+        by_width: Dict[int, List[np.ndarray]] = {}
         for _, row in self._memory_rows:
-            if len(row) > len(peaks):
-                peaks.extend([0] * (len(row) - len(peaks)))
-            peaks[:len(row)] = map(max, peaks, row)
+            by_width.setdefault(row.size, []).append(row)
+        peaks = np.zeros(max(by_width, default=0), dtype=np.int64)
+        for width, rows in by_width.items():
+            np.maximum(peaks[:width], np.max(rows, axis=0), out=peaks[:width])
         return peaks
 
     def peak_memory_bytes(self) -> int:
         """Largest single-machine resident memory seen."""
-        return max(self._memory_peaks(), default=0)
+        peaks = self._memory_peaks()
+        return int(peaks.max()) if peaks.size else 0
 
     def total_memory_bytes(self) -> int:
         """Sum of every machine's peak memory (Table 8's metric)."""
-        return sum(self._memory_peaks())
+        return int(self._memory_peaks().sum())
 
     def memory_series(self, machine: int) -> List[Tuple[float, int]]:
         """(time, bytes) series for one machine (Figure 10's lines)."""
-        return [(time, row[machine]) for time, row in self._memory_rows
-                if machine < len(row)]
+        return [(time, int(row[machine])) for time, row in self._memory_rows
+                if machine < row.size]
 
     def cpu_totals(self) -> Dict[str, float]:
         """Aggregate CPU seconds by category across the cluster."""
-        return {"user": self._cpu_user, "system": self._cpu_system,
-                "iowait": self._cpu_iowait, "idle": self._cpu_idle}
+        self._fold_cpu()
+        return dict(zip(("user", "system", "iowait", "idle"),
+                        self._cpu_totals))
 
     def max_cpu_utilization(self) -> Dict[str, float]:
         """Peak per-phase fraction of (user, iowait) CPU (Figure 13a)."""
+        self._fold_cpu()
         return {"user": self._best_user_ratio,
                 "iowait": self._best_iowait_ratio}
 
@@ -199,3 +230,9 @@ class ResourceTracker:
     def memory_byte_seconds(self) -> float:
         """The run's resident-memory × time integral (cost accounting)."""
         return self._memory_byte_seconds
+
+
+def _raise_best(best: float, ratios: np.ndarray) -> float:
+    """``best`` raised to the largest ratio above it; NaN never wins."""
+    above = ratios[ratios > best]
+    return float(above.max()) if above.size else best

@@ -169,9 +169,15 @@ class ResultCache:
         the least-recently-used entries from disk first.
         """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(canonical_json(payload), encoding="ascii")
+        text = canonical_json(payload)
+        try:
+            tmp.write_text(text, encoding="ascii")
+        except FileNotFoundError:
+            # the fan-out directory is made by the first put that needs
+            # it (or remade, if something removed it since)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="ascii")
         os.replace(tmp, path)
         if self.max_cells is not None:
             self._lru[key] = None

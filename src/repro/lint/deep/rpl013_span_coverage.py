@@ -18,9 +18,9 @@ record (``repro.obs.cost``): the memory×time integral it accrues is
 billed as GB-hours, so an unspanned call would charge dollars the trace
 cannot attribute. Memory snapshots and CPU records stay exempt:
 ``sample_memory`` records one fleet-wide memory row outside spans by
-design (a gauge, not work), and ``record_cpu``, which charges a whole
-compute phase in one call, is only called by the span-wrapped
-``parallel_compute`` primitive.
+design (a gauge, not work), and ``record_cpu``, which records a whole
+compute phase in one call (the tracker folds the phases once per run),
+is only called by the span-wrapped ``parallel_compute`` primitive.
 """
 
 from __future__ import annotations

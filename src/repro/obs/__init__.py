@@ -32,6 +32,7 @@ from .metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
+    fold_rows,
     fold_sum,
 )
 from .observation import FrozenJournalObservation, RunObservation
@@ -59,6 +60,7 @@ __all__ = [
     "SpanError",
     "Tracer",
     "fold_sum",
+    "fold_rows",
     "Counter",
     "Gauge",
     "Histogram",

@@ -19,8 +19,11 @@ from typing import (
     Dict, Iterable, Iterator, List, Mapping, MutableMapping, Optional, Union,
 )
 
+import numpy as np
+
 __all__ = [
     "fold_sum",
+    "fold_rows",
     "MetricError",
     "Counter",
     "Gauge",
@@ -44,6 +47,17 @@ def fold_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def fold_rows(rows: np.ndarray) -> np.ndarray:
+    """Fold each row of a float array strictly left to right.
+
+    :func:`fold_sum` for arrays: ``np.add.accumulate`` is a sequential
+    scan (numpy pairs terms up only in reductions), so the scan's last
+    column is each row's left fold, bit for bit. A running total in the
+    first column continues it. A 1-D array folds to one scalar.
+    """
+    return np.add.accumulate(rows, axis=-1)[..., -1]
 
 
 class MetricError(TypeError):

@@ -249,7 +249,9 @@ def oblivious_partition(
     if num_parts < 1:
         raise ValueError("num_parts must be positive")
     replicas: List[set] = [set() for _ in range(graph.num_vertices)]
-    loads = np.zeros(num_parts, dtype=np.int64)
+    # a Python list: per-element numpy indexing in the candidate key
+    # dominated the placement
+    loads = [0] * num_parts
     part = np.empty(graph.num_edges, dtype=np.int64)
     src = graph.edge_sources().tolist()
     dst = graph.edge_targets().tolist()
@@ -267,12 +269,13 @@ def oblivious_partition(
         else:
             candidates = None
         if candidates is None:
-            choice = int(loads.argmin())
+            choice = loads.index(min(loads))  # the first least-loaded
         else:
-            choice = min(candidates, key=lambda m: (loads[m], m))
+            # least load, ties to the lowest machine id
+            choice = min(candidates, key=lambda m: loads[m] * num_parts + m)
             capacity = imbalance_limit * (e + 1) / num_parts
             if loads[choice] + 1 > capacity:
-                choice = int(loads.argmin())
+                choice = loads.index(min(loads))
         part[e] = choice
         loads[choice] += 1
         su.add(choice)

@@ -124,6 +124,15 @@ class TestMemoryAccountant:
         mem.free(0, 5 * GB, "x")
         assert mem.used_bytes(0) == 0
 
+    def test_free_rejects_a_negative_size(self):
+        mem = self.make()
+        mem.allocate(0, GB, "x")
+        with pytest.raises(ValueError):
+            mem.free(0, -GB, "x")
+        # nothing grew past the check: not the label, the machine or its peak
+        assert mem.label_bytes(0, "x") == GB
+        assert mem.used_bytes(0) == GB and mem.peak_bytes(0) == GB
+
     def test_free_all(self):
         mem = self.make(3)
         mem.allocate_even(6 * GB, "a")
@@ -232,6 +241,16 @@ class TestResourceTracker:
         assert t.memory_series(1) == [(0.0, 50), (1.0, 40)]
         assert t.memory_series(2) == []
         assert t.peak_memory_bytes() == 200
+
+    def test_series_and_peaks_are_python_ints(self):
+        t = ResourceTracker(2)
+        t.record_memory(0.0, (1.5e9, 2.5))
+        t.record_memory(1.0, [3.0, 4.9])
+        values = [b for m in range(2) for _, b in t.memory_series(m)]
+        values += [t.peak_memory_bytes(), t.total_memory_bytes()]
+        assert values == [1500000000, 3, 2, 4, 1500000000, 1500000004]
+        assert {type(v) for v in values} == {int}
+        assert type(ResourceTracker(1).peak_memory_bytes()) is int
 
     def test_total_memory_sums_peaks(self):
         t = ResourceTracker(2)

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -125,6 +126,19 @@ def test_cache_corrupt_or_alien_entries_degrade_to_misses(tmp_path):
 
 def payload(tag):
     return {"version": PAYLOAD_VERSION, "record": {"tag": tag}}
+
+
+def test_cache_put_lands_after_its_fanout_directory_was_removed(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    first, second = "ab" * 32, "ab" + "cd" * 31
+    cache.put(first, payload(0))
+    shutil.rmtree(cache.path_for(first).parent)
+    path = cache.put(second, payload(1))
+    assert path.parent == cache.path_for(first).parent
+    assert cache.get(second) == payload(1) and cache.get(first) is None
+    shutil.rmtree(tmp_path / "cache")
+    cache.put(first, payload(2))
+    assert cache.get(first) == payload(2) and len(cache) == 1
 
 
 def test_cache_budget_evicts_least_recently_used(tmp_path):

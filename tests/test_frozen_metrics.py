@@ -1,8 +1,9 @@
-"""Partition metrics computed once, fleet charges folded once per phase.
+"""Partition metrics computed once, fleet charges folded once per run.
 
 A frozen partition caches every metric that scans its edges; the
 resource tracker and memory accountant charge a whole fleet in one
-call. Both must give exactly what the direct formulations give: the
+call, and the tracker folds its CPU phases in one array pass per query.
+Both must give exactly what the direct formulations give: the
 sort-and-unique replica count and per-machine tracker and accountant
 references are kept here as oracles.
 """
@@ -23,7 +24,7 @@ from repro.cluster import (
     SimulatedOOM,
 )
 from repro.graph import Graph
-from repro.obs import Histogram, fold_sum
+from repro.obs import Histogram, fold_rows, fold_sum
 from repro.partitioning import (
     random_edge_partition,
     random_vertex_partition,
@@ -192,6 +193,53 @@ def test_tracker_totals_equal_a_sample_scan_bit_for_bit(phases):
     assert tracker.max_cpu_utilization() == reference.best
 
 
+def bits(totals):
+    """A dict of floats as text that tells -0.0 from 0.0."""
+    return {name: repr(value) for name, value in totals.items()}
+
+
+@st.composite
+def fleet_runs(draw):
+    """Phases on fleets of 1-200 machines, with queries and rescales."""
+    width = draw(st.integers(1, 200))
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["phase", "phase", "query", "rescale"]))
+        if kind == "rescale":
+            width = draw(st.integers(1, 200))
+            ops.append((kind, width))
+        elif kind == "query":
+            ops.append((kind,))
+        else:
+            # a few drawn loads, tiled across the fleet
+            base = draw(st.lists(seconds, min_size=1, max_size=8))
+            loads = (base * width)[:width]
+            ops.append((kind, loads, draw(seconds),
+                        draw(st.floats(0.0, 1.0)), draw(seconds)))
+    return ops
+
+
+@given(fleet_runs())
+@settings(max_examples=150, deadline=None)
+def test_deferred_cpu_fold_matches_per_machine_records(ops):
+    tracker = ResourceTracker(4)
+    reference = PerMachineTracker()
+    for kind, *args in ops:
+        if kind == "phase":
+            loads, step, system_fraction, iowait = args
+            tracker.record_cpu(loads, step, system_fraction, iowait)
+            reference.phase(loads, step, system_fraction, iowait)
+            # the caller reuses its buffer; the recorded phase must not move
+            loads[:] = [busy * 3.0 + 1.0 for busy in reversed(loads)]
+        elif kind == "query":
+            assert bits(tracker.cpu_totals()) == bits(reference.totals)
+            assert bits(tracker.max_cpu_utilization()) == bits(reference.best)
+        else:
+            tracker.record_rescale(*args)
+    assert bits(tracker.cpu_totals()) == bits(reference.totals)
+    assert bits(tracker.max_cpu_utilization()) == bits(reference.best)
+
+
 @pytest.mark.parametrize("step", [-0.0, float("nan"), -1.0])
 def test_idle_clamps_like_max_zero(step):
     tracker = ResourceTracker(1)
@@ -320,10 +368,18 @@ def test_allocate_even_matches_per_machine_allocation(n, allocations, warm):
         want = outcome(
             lambda: reference.allocate_even(gb * GB, label, skew=skew))
         assert got == want
-        assert memory._used == reference.used
-        assert memory._peak == reference.peak
-        assert memory._by_label == reference.by_label
+        assert_same_state(memory, reference)
     assert memory.max_peak_bytes() == max(reference.peak)
+
+
+def assert_same_state(memory, reference):
+    """Resident, peak and per-label bytes equal, read through the API."""
+    assert memory.used_by_machine() == tuple(reference.used)
+    n = len(reference.used)
+    assert [memory.peak_bytes(m) for m in range(n)] == reference.peak
+    for label in {label for labels in reference.by_label for label in labels}:
+        assert [memory.label_bytes(m, label) for m in range(n)] == [
+            labels.get(label, 0.0) for labels in reference.by_label]
 
 
 def test_allocate_even_ooms_past_the_heavy_machine():
@@ -344,6 +400,36 @@ def test_fold_sum_is_left_to_right():
     # Python 3.12's compensated sum() gives 1.0 here
     assert fold_sum([1e16, 1.0, -1e16]) == 0.0
     assert fold_sum([]) == 0 and fold_sum([2.5]) == 2.5
+
+
+def left_fold(values):
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return total
+
+
+inf, nan = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("values", [
+    [1e16, 1.0, -1e16],
+    # long enough that a pairwise sum (numpy's reduce) keeps the ones
+    [1e16] + [1.0] * 64 + [-1e16],
+    [-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0],
+    [1.0, nan, 2.0], [inf, 1.0], [inf, -inf], [-inf, 1e308, 1e308],
+    [1e308, 1e308, -inf],
+])
+def test_the_accumulate_fold_is_a_left_fold(values):
+    """fold_rows leans on np.add.accumulate being a sequential scan."""
+    want = repr(left_fold(values))
+    assert repr(float(fold_rows(np.array(values)))) == want
+    # as one row of a 2-D scan too, which is how the tracker calls it
+    rows = np.array([values, [1.0] * len(values)])
+    assert repr(float(fold_rows(rows)[0])) == want
+    # and after a 0.0 running total it is fold_sum, which starts at 0
+    assert repr(float(fold_rows(np.array([0.0] + values)))) == repr(
+        float(fold_sum(values)))
 
 
 def test_journaled_totals_use_the_fold():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.datasets.registry import dataset_names
 from repro.engines.common import cached_block_partition
 from repro.graph import from_edges
@@ -165,6 +166,48 @@ class TestOblivious:
         rand = random_edge_partition(small_uk.graph, 32).replication_factor()
         obl = oblivious_partition(small_uk.graph, 32).replication_factor()
         assert obl < rand
+
+    @pytest.mark.parametrize("size", ["tiny", "small"])
+    @pytest.mark.parametrize("name", ["twitter", "uk0705", "wrn"])
+    def test_matches_the_numpy_loads_placement(self, name, size):
+        graph = load_dataset(name, size).graph
+        for m in (32, 128):
+            np.testing.assert_array_equal(
+                oblivious_partition(graph, m).part_of_edge,
+                numpy_loads_oblivious_part(graph, m))
+
+
+def numpy_loads_oblivious_part(graph, num_parts, imbalance_limit=1.15):
+    """The reference: the greedy placement with numpy-array loads."""
+    replicas = [set() for _ in range(graph.num_vertices)]
+    loads = np.zeros(num_parts, dtype=np.int64)
+    part = np.empty(graph.num_edges, dtype=np.int64)
+    edges = zip(graph.edge_sources().tolist(), graph.edge_targets().tolist())
+    for e, (u, v) in enumerate(edges):
+        su, sv = replicas[u], replicas[v]
+        both = su & sv
+        if both:
+            candidates = both
+        elif su and not sv:
+            candidates = su
+        elif sv and not su:
+            candidates = sv
+        elif su or sv:
+            candidates = su | sv
+        else:
+            candidates = None
+        if candidates is None:
+            choice = int(loads.argmin())
+        else:
+            choice = min(candidates, key=lambda m: (loads[m], m))
+            capacity = imbalance_limit * (e + 1) / num_parts
+            if loads[choice] + 1 > capacity:
+                choice = int(loads.argmin())
+        part[e] = choice
+        loads[choice] += 1
+        su.add(choice)
+        sv.add(choice)
+    return part
 
 
 class TestAuto:
