@@ -11,7 +11,7 @@ from common import once, write_output
 from repro.analysis import render_table
 from repro.chaos import ChaosPlan, MachineCrash
 from repro.cluster import ClusterSpec
-from repro.core import weak_efficiency, weak_scaling_experiment
+from repro.core.weak_scaling import weak_efficiency, weak_scaling_experiment
 from repro.datasets import load_dataset
 from repro.engines import make_engine, workload_for
 from repro.engines.common import COSTS

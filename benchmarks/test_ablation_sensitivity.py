@@ -12,7 +12,7 @@ from common import once, write_output
 
 from repro.analysis import render_table
 from repro.cluster import ClusterSpec
-from repro.core import PERTURBABLE_CONSTANTS, sensitivity_analysis
+from repro.core.sensitivity import PERTURBABLE_CONSTANTS, sensitivity_analysis
 from repro.datasets import load_dataset
 from repro.engines import make_engine, workload_for
 

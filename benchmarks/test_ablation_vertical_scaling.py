@@ -9,7 +9,7 @@ OOM without adding machines.
 from common import once, write_output
 
 from repro.analysis import render_table
-from repro.core import vertical_scaling_experiment
+from repro.core.vertical_scaling import vertical_scaling_experiment
 
 
 def measure():

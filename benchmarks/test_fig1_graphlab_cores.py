@@ -8,7 +8,7 @@ all 4 cores for computation; asynchronous computation does not benefit
 from common import once, write_output
 
 from repro.analysis import bar_chart
-from repro.core import graphlab_core_study
+from repro.core.tuning import graphlab_core_study
 
 
 def study():

@@ -9,7 +9,7 @@ from common import SIZES, once, write_output
 
 from repro.analysis import bar_chart, render_table
 from repro.cluster import ClusterSpec
-from repro.core import graphx_partition_sweep, recommended_graphx_partitions
+from repro.core.tuning import graphx_partition_sweep, recommended_graphx_partitions
 from repro.datasets import load_dataset
 from repro.engines.spark import default_partitions
 

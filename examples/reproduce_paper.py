@@ -17,7 +17,8 @@ from pathlib import Path
 from repro import paper_grid
 from repro.analysis import grid_report, render_grid, write_log
 from repro.analysis.tables import render_table
-from repro.core import cost_experiment, verify_all_findings
+from repro.core import cost_experiment
+from repro.core.findings import verify_all_findings
 from repro.engines import systems_for_workload
 
 DATASETS = ("twitter", "uk0705", "wrn")

@@ -15,8 +15,8 @@ Run:  python examples/trace_pagerank.py
 from pathlib import Path
 
 from repro import load_dataset, run_cell
-from repro.obs import render_summary, superstep_rows, write_chrome, \
-    write_superstep_csv
+from repro.obs.export import (render_summary, superstep_rows, write_chrome,
+                              write_superstep_csv)
 
 OUT_DIR = Path("trace_pagerank_out")
 

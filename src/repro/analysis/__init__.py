@@ -1,7 +1,7 @@
 """Log persistence, text tables, and ASCII charts (the viz-tool stand-in)."""
 
 from .charts import bar_chart, histogram, line_chart
-from .logs import read_log, record_to_result, result_to_record, write_log
+from .logs import read_log, write_log
 from .report import grid_report
 from .tables import render_grid, render_table
 
@@ -13,7 +13,5 @@ __all__ = [
     "histogram",
     "write_log",
     "read_log",
-    "result_to_record",
-    "record_to_result",
     "grid_report",
 ]

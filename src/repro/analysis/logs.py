@@ -2,8 +2,9 @@
 
 The paper's experiments produced "more than 20 GB of log files that
 were used for analysis" (§1). Here every :class:`RunResult` serializes
-to one JSON line; grids can be written, re-read, and re-analysed
-without re-running the simulation.
+to one JSON line (the record :func:`repro.engines.base.result_to_record`
+defines); grids can be written, re-read, and re-analysed without
+re-running the simulation.
 """
 
 from __future__ import annotations
@@ -12,56 +13,11 @@ import json
 from pathlib import Path
 from typing import Iterable, Union
 
-from ..cluster import FailureKind
-from ..engines.base import RunResult
 from ..core.runner import ResultGrid
+from ..engines.base import RunResult, result_to_record
+from ..obs.report import read_runs_log
 
-__all__ = ["result_to_record", "record_to_result", "write_log", "read_log"]
-
-
-def result_to_record(result: RunResult) -> dict:
-    """A JSON-safe dict for one run (answers are not serialized)."""
-    return {
-        "system": result.system,
-        "workload": result.workload,
-        "dataset": result.dataset,
-        "cluster_size": result.cluster_size,
-        "load_time": result.load_time,
-        "execute_time": result.execute_time,
-        "save_time": result.save_time,
-        "overhead_time": result.overhead_time,
-        "iterations": result.iterations,
-        "failure": str(result.failure) if result.failure else None,
-        "failure_detail": result.failure_detail,
-        "network_bytes": result.network_bytes,
-        "peak_memory_bytes": result.peak_memory_bytes,
-        "total_memory_bytes": result.total_memory_bytes,
-        "per_iteration_time": result.per_iteration_time,
-        "extras": dict(result.extras),
-    }
-
-
-def record_to_result(record: dict) -> RunResult:
-    """Rebuild a :class:`RunResult` (without the answer array)."""
-    failure = record.get("failure")
-    return RunResult(
-        system=record["system"],
-        workload=record["workload"],
-        dataset=record["dataset"],
-        cluster_size=record["cluster_size"],
-        load_time=record.get("load_time", 0.0),
-        execute_time=record.get("execute_time", 0.0),
-        save_time=record.get("save_time", 0.0),
-        overhead_time=record.get("overhead_time", 0.0),
-        iterations=record.get("iterations", 0),
-        failure=FailureKind(failure) if failure else None,
-        failure_detail=record.get("failure_detail", ""),
-        network_bytes=record.get("network_bytes", 0.0),
-        peak_memory_bytes=record.get("peak_memory_bytes", 0.0),
-        total_memory_bytes=record.get("total_memory_bytes", 0.0),
-        per_iteration_time=record.get("per_iteration_time", 0.0),
-        extras=record.get("extras", {}),
-    )
+__all__ = ["write_log", "read_log"]
 
 
 def write_log(results: Iterable[RunResult], path: Union[str, Path]) -> int:
@@ -75,11 +31,12 @@ def write_log(results: Iterable[RunResult], path: Union[str, Path]) -> int:
 
 
 def read_log(path: Union[str, Path]) -> ResultGrid:
-    """Load a JSONL log back into a :class:`ResultGrid`."""
+    """Load a JSONL log back into a :class:`ResultGrid`.
+
+    A line that is not a run record raises
+    :class:`~repro.obs.report.ReportError` naming the line.
+    """
     grid = ResultGrid()
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                grid.put(record_to_result(json.loads(line)))
+    for result in read_runs_log(path):
+        grid.put(result)
     return grid

@@ -37,14 +37,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis import render_grid, render_table, write_log
-from .analysis.report import grid_report
 from .chaos.experiment import (DEFAULT_FAULTS, DEFAULT_MAGNITUDES,
                                DEFAULT_SYSTEMS, DEFAULT_TIMINGS, DIRECTIONS,
                                ELASTIC_SYSTEMS, FAULT_KINDS)
 from .cluster import CLUSTER_SIZES
-from .core import cost_experiment
-from .core.weak_scaling import weak_efficiency, weak_scaling_experiment
 from .datasets import DATASET_NAMES, load_dataset
 from .engines import (ENGINE_KEYS, EXTENSION_WORKLOADS, WORKLOAD_NAMES,
                       systems_for_workload)
@@ -375,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_datasets(args) -> int:
+    from .analysis import render_table
+
     rows = []
     for name in DATASET_NAMES:
         dataset = load_dataset(name, args.size)
@@ -422,9 +420,10 @@ def _cli_cache(args):
 
 
 def _cmd_run(args) -> int:
+    from .analysis import render_table
     from .core.runner import ExperimentSpec
     from .exec import execute_grid
-    from .obs import one_line_summary
+    from .obs.export import one_line_summary
 
     spec = ExperimentSpec(
         systems=(args.system,),
@@ -461,6 +460,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    from .analysis import render_grid, write_log
     from .core.runner import ExperimentSpec
     from .exec import execute_grid, print_progress
 
@@ -487,7 +487,7 @@ def _cmd_grid(args) -> int:
     print(execution.report.summary())
     completed = grid.completed()
     if completed:
-        from .obs import one_line_summary
+        from .obs.export import one_line_summary
 
         slowest = max(completed, key=lambda r: r.total_time)
         print(f"\nslowest cell {slowest.system} {slowest.workload}/"
@@ -529,6 +529,9 @@ def _cmd_bench_elastic(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    from .analysis import render_table
+    from .core.cost import cost_experiment
+
     rows = cost_experiment(
         datasets=tuple(args.datasets), workloads=tuple(args.workloads)
     )
@@ -547,6 +550,9 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_weak(args) -> int:
+    from .analysis import render_table
+    from .core.weak_scaling import weak_efficiency, weak_scaling_experiment
+
     points = weak_scaling_experiment(
         args.system, args.workload, args.dataset,
         cluster_sizes=tuple(args.machines),
@@ -597,6 +603,8 @@ def _perturbation_outcome(args, report, *, heading, row, column, columns,
     ``reference`` the gate compares against, and the family's ``cells``.
     Exits 1 if any completed perturbed run's answers diverge.
     """
+    from .analysis import render_table
+
     grouped: dict = {}
     for cell in report.cells:
         grouped.setdefault((cell.system, row(cell)), {})[column(cell)] = cell
@@ -709,7 +717,8 @@ def _cmd_elastic(args) -> int:
 
 
 def _cmd_findings(args) -> int:
-    from .core import verify_all_findings
+    from .analysis import render_table
+    from .core.findings import verify_all_findings
 
     findings = verify_all_findings(include_extensions=args.extensions)
     rows = [{
@@ -760,7 +769,7 @@ def _cmd_report(args) -> int:
     try:
         for path in args.paths:
             if perf.classify_path(path) == perf.KIND_LEGACY_LOG:
-                from .analysis import read_log
+                from .analysis import grid_report, read_log
 
                 grid = read_log(path)
                 sections.append(
@@ -778,8 +787,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .obs import (Journal, JournalError, render_summary, write_chrome,
-                      write_superstep_csv)
+    from .obs import Journal, JournalError
+    from .obs.export import render_summary, write_chrome, write_superstep_csv
 
     try:
         journal = Journal.read(args.journal)
@@ -838,6 +847,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
+    from .analysis import render_grid
     from .serve import ServeClient, ServeError, grid_from_payloads
 
     systems = tuple(args.systems) if args.systems else systems_for_workload(

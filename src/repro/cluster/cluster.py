@@ -281,4 +281,4 @@ class Cluster:
 
     def sample_memory(self) -> None:
         """Snapshot every machine's resident memory into the tracker."""
-        self.tracker.record_memory(self.now, self.memory.used_by_machine())
+        self.tracker.record_memory(self.now, self.memory.used_array())

@@ -58,6 +58,12 @@ class MemoryAccountant:
         """Current resident bytes on every machine, in machine order."""
         return tuple(self._used.tolist())
 
+    def used_array(self) -> np.ndarray:
+        """The same bytes as a read-only float64 view (no copy)."""
+        view = self._used.view()
+        view.flags.writeable = False
+        return view
+
     def peak_bytes(self, machine_id: int) -> float:
         """Peak resident bytes on one machine."""
         return float(self._peak[machine_id])

@@ -26,7 +26,7 @@ elementwise IEEE operations are exact, and the sums go through
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -139,10 +139,11 @@ class ResourceTracker:
             self._best_iowait_ratio = _raise_best(
                 self._best_iowait_ratio, waits[live] / denom)
 
-    def record_memory(self, time: float, used_bytes: Iterable[float]) -> None:
+    def record_memory(self, time: float, used_bytes: Sequence[float]) -> None:
         """Snapshot every machine's resident bytes (as ints) at ``time``."""
-        # an int64 cast truncates toward zero, as int() does
-        self._memory_rows.append((time, np.fromiter(used_bytes, np.int64)))
+        # one int64 cast (a copy) truncates toward zero, as int() does
+        row = np.asarray(used_bytes).astype(np.int64)
+        self._memory_rows.append((time, row))
 
     def record_network(self, sent: float, received: float) -> None:
         """Add to the NIC byte counters."""

@@ -1,28 +1,13 @@
-"""Experiment core: matrix runner, COST analysis, tuning, scalability."""
+"""Experiment core: the matrix runner and the COST analysis.
+
+The root re-exports only :mod:`.runner` and :mod:`.cost`, whose imports
+all sit on the cell path. The analysis-only modules (``findings``,
+``scalability``, ``sensitivity``, ``tuning``, ``vertical_scaling``,
+``weak_scaling``) are imported from the module that defines each name.
+"""
 
 from .cost import CostRow, cost_experiment, cost_factor
-from .findings import EXTENSION_FINDINGS, FINDINGS, Finding, verify_all_findings
 from .runner import ExperimentSpec, ResultGrid, paper_grid, run_cell, run_grid
-from .scalability import ScalingCurve, scaling_classification, scaling_curves
-from .sensitivity import (
-    PERTURBABLE_CONSTANTS,
-    SensitivityResult,
-    perturbed_costs,
-    sensitivity_analysis,
-)
-from .vertical_scaling import VerticalPoint, vertical_scaling_experiment
-from .weak_scaling import (
-    WeakScalingPoint,
-    weak_efficiency,
-    weak_scaling_dataset,
-    weak_scaling_experiment,
-)
-from .tuning import (
-    CoreStudyResult,
-    graphlab_core_study,
-    graphx_partition_sweep,
-    recommended_graphx_partitions,
-)
 
 __all__ = [
     "ExperimentSpec",
@@ -33,25 +18,4 @@ __all__ = [
     "CostRow",
     "cost_factor",
     "cost_experiment",
-    "Finding",
-    "FINDINGS",
-    "EXTENSION_FINDINGS",
-    "verify_all_findings",
-    "VerticalPoint",
-    "PERTURBABLE_CONSTANTS",
-    "SensitivityResult",
-    "perturbed_costs",
-    "sensitivity_analysis",
-    "vertical_scaling_experiment",
-    "ScalingCurve",
-    "scaling_curves",
-    "scaling_classification",
-    "CoreStudyResult",
-    "graphlab_core_study",
-    "graphx_partition_sweep",
-    "recommended_graphx_partitions",
-    "WeakScalingPoint",
-    "weak_scaling_dataset",
-    "weak_scaling_experiment",
-    "weak_efficiency",
 ]

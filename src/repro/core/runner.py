@@ -21,7 +21,7 @@ from ..chaos.plan import ChaosPlan
 from ..cluster import CLUSTER_SIZES, ClusterSpec
 from ..datasets.registry import Dataset
 from ..engines import make_engine, systems_for_workload, workload_for
-from ..engines.base import RunResult
+from ..engines.base import RunResult, result_to_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.progress import CellEvent
@@ -98,8 +98,6 @@ class ResultGrid:
         the sequential run that would have produced it.
         """
         import numpy as np
-
-        from ..analysis.logs import result_to_record
 
         if set(self.cells) != set(other.cells):
             return False

@@ -45,6 +45,8 @@ from ..workloads.wcc import WCC
 
 __all__ = [
     "RunResult",
+    "result_to_record",
+    "record_to_result",
     "Engine",
     "RecoveryContext",
     "RecoveryModel",
@@ -176,6 +178,60 @@ class RunResult:
             f"RunResult({self.system} {self.workload}/{self.dataset}"
             f"@{self.cluster_size}: {status}, total={self.total_time:.1f}s)"
         )
+
+
+def result_to_record(result: RunResult) -> dict:
+    """A JSON-safe dict for one run (answers are not serialized).
+
+    The one record layout: the runs-log line, the cache and worker
+    payload's ``record``, and what :meth:`ResultGrid.same_results`
+    compares.
+    """
+    return {
+        "system": result.system,
+        "workload": result.workload,
+        "dataset": result.dataset,
+        "cluster_size": result.cluster_size,
+        "load_time": result.load_time,
+        "execute_time": result.execute_time,
+        "save_time": result.save_time,
+        "overhead_time": result.overhead_time,
+        "iterations": result.iterations,
+        "failure": str(result.failure) if result.failure else None,
+        "failure_detail": result.failure_detail,
+        "network_bytes": result.network_bytes,
+        "peak_memory_bytes": result.peak_memory_bytes,
+        "total_memory_bytes": result.total_memory_bytes,
+        "per_iteration_time": result.per_iteration_time,
+        "extras": dict(result.extras),
+    }
+
+
+def record_to_result(record: dict) -> RunResult:
+    """Rebuild a :class:`RunResult` (without the answer array).
+
+    Raises ``KeyError`` when a coordinate (system, workload, dataset,
+    cluster_size) is missing and ``ValueError`` on an unknown failure.
+    """
+    failure = record.get("failure")
+    return RunResult(
+        system=record["system"],
+        workload=record["workload"],
+        dataset=record["dataset"],
+        cluster_size=record["cluster_size"],
+        load_time=record.get("load_time", 0.0),
+        execute_time=record.get("execute_time", 0.0),
+        save_time=record.get("save_time", 0.0),
+        overhead_time=record.get("overhead_time", 0.0),
+        iterations=record.get("iterations", 0),
+        failure=FailureKind(failure) if failure else None,
+        failure_detail=record.get("failure_detail", ""),
+        network_bytes=record.get("network_bytes", 0.0),
+        peak_memory_bytes=record.get("peak_memory_bytes", 0.0),
+        total_memory_bytes=record.get("total_memory_bytes", 0.0),
+        per_iteration_time=record.get("per_iteration_time", 0.0),
+        extras=record.get("extras", {}),
+    )
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from .executor import ExecutionReport, GridExecution, execute_grid, execute_spec
 from .plan import CellTask, plan_grid, plan_grids
 from .progress import CellEvent, ProgressFn, print_progress
 from .retry import ExecutorError, RetryPolicy
-from .serialize import FrozenJournalObservation, payload_to_result, result_to_payload
+from .serialize import payload_to_result, result_to_payload
 
 __all__ = [
     "CellTask",
@@ -45,7 +45,6 @@ __all__ = [
     "print_progress",
     "ExecutorError",
     "RetryPolicy",
-    "FrozenJournalObservation",
     "payload_to_result",
     "result_to_payload",
 ]

@@ -2,11 +2,12 @@
 
 A finished :class:`~repro.engines.base.RunResult` crosses two
 boundaries: back from a worker process to the scheduler, and onto disk
-as a cache entry. Both use the same payload — the JSONL-log record the
-analysis layer already defines, plus the answer array (exact bytes, so
-a cached cell's answer is bit-identical to a fresh run's) and the run's
-canonical journal text (so ``--trace`` on a warm cache still writes
-byte-identical per-cell journals).
+as a cache entry. Both use the same payload — the run record that
+:func:`~repro.engines.base.result_to_record` defines next to
+``RunResult`` (also the runs-log line), plus the answer array (exact
+bytes, so a cached cell's answer is bit-identical to a fresh run's) and
+the run's canonical journal text (so ``--trace`` on a warm cache still
+writes byte-identical per-cell journals).
 
 The journal text is never rendered here. ``Engine.run`` froze it once
 when the run returned (:class:`~repro.obs.FrozenJournalObservation`);
@@ -23,15 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..analysis.logs import record_to_result, result_to_record
-from ..engines.base import RunResult
+from ..engines.base import RunResult, record_to_result, result_to_record
 from ..obs import FrozenJournalObservation
 
-__all__ = [
-    "FrozenJournalObservation",
-    "result_to_payload",
-    "payload_to_result",
-]
+__all__ = ["result_to_payload", "payload_to_result"]
 
 #: bump when the payload layout changes incompatibly (part of cache keys)
 #: v2: journals carry the cost record + memory_byte_seconds metric

@@ -7,6 +7,10 @@ produce a deterministic JSONL journal of nested simulated-clock spans
 metrics registry, exportable as a Chrome/Perfetto trace, a terminal
 timeline, or a per-superstep CSV.
 
+The root re-exports what a running cell uses. The readers of finished
+journals, :mod:`.export` (trace, summary, CSV) and :mod:`.report`
+(``repro report`` and its diff gate), are imported from their modules.
+
 Two invariants hold the layer honest:
 
 * **Simulated clock only.** Spans read the cluster clock; recording a
@@ -36,23 +40,6 @@ from .metrics import (
     fold_sum,
 )
 from .observation import FrozenJournalObservation, RunObservation
-from .report import (
-    PerfDiff,
-    PerfSource,
-    ReportError,
-    classify_path,
-    diff_sources,
-    load_source,
-    render_report,
-)
-from .export import (
-    chrome_trace,
-    one_line_summary,
-    render_summary,
-    superstep_rows,
-    write_chrome,
-    write_superstep_csv,
-)
 from .spans import Span, SpanError, Tracer
 
 __all__ = [
@@ -78,19 +65,6 @@ __all__ = [
     "aggregate_costs",
     "cost_event_from_events",
     "cost_report_from_events",
-    "chrome_trace",
-    "write_chrome",
-    "superstep_rows",
-    "write_superstep_csv",
-    "render_summary",
-    "one_line_summary",
-    "PerfDiff",
-    "PerfSource",
-    "ReportError",
-    "classify_path",
-    "diff_sources",
-    "load_source",
-    "render_report",
     "HostTimer",
     "host_now",
     "host_sleep",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..engines.base import RunResult, record_to_result
 from .cost import cost_event_from_events
 from .export import _self_times
 from .journal import Journal
@@ -33,6 +34,7 @@ __all__ = [
     "PerfSource",
     "classify_path",
     "load_source",
+    "read_runs_log",
     "render_report",
     "hot_span_rows",
     "DiffEntry",
@@ -196,23 +198,16 @@ def _run_row_from_journal(journal: Journal) -> RunRow:
     )
 
 
-def _run_row_from_record(record: dict) -> RunRow:
-    total = (
-        float(record.get("load_time", 0.0))
-        + float(record.get("execute_time", 0.0))
-        + float(record.get("save_time", 0.0))
-        + float(record.get("overhead_time", 0.0))
-    )
-    failure = record.get("failure")
+def _run_row_from_result(result: RunResult) -> RunRow:
     return RunRow(
         key="",
-        system=str(record.get("system", "?")),
-        workload=str(record.get("workload", "?")),
-        dataset=str(record.get("dataset", "?")),
-        machines=int(record.get("cluster_size", 0)),
-        status=str(failure) if failure else "ok",
-        total_seconds=total,
-        iterations=int(record.get("iterations", 0)),
+        system=result.system,
+        workload=result.workload,
+        dataset=result.dataset,
+        machines=result.cluster_size,
+        status="ok" if result.ok else str(result.failure),
+        total_seconds=result.total_time,
+        iterations=result.iterations,
         cost=None,
     )
 
@@ -263,20 +258,40 @@ def _assign_keys(rows: List[RunRow]) -> None:
         row.key = base if n == 0 else f"{base}#{n + 1}"
 
 
-def _jsonl_events(text: str, source: str) -> List[dict]:
+def _jsonl_events(text: str, source: str) -> List[Tuple[str, dict]]:
+    """Each JSON object line as ``("source:lineno", event)``."""
     events = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
+        where = f"{source}:{lineno}"
         try:
             event = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ReportError(f"{source}:{lineno}: not JSON ({exc.msg})") from exc
+            raise ReportError(f"{where}: not JSON ({exc.msg})") from exc
         if not isinstance(event, dict):
-            raise ReportError(f"{source}:{lineno}: expected a JSON object")
-        events.append(event)
+            raise ReportError(f"{where}: expected a JSON object")
+        events.append((where, event))
     return events
+
+
+def read_runs_log(path: Union[str, Path]) -> List[RunResult]:
+    """The runs in a runs-log (``repro grid --log``), in file order.
+
+    A line that is not a run record raises :class:`ReportError` naming
+    the line: the file comes from outside the program.
+    """
+    results = []
+    text = Path(path).read_text(encoding="ascii")
+    for where, record in _jsonl_events(text, str(path)):
+        try:
+            results.append(record_to_result(record))
+        except KeyError as exc:
+            raise ReportError(f"{where}: run record lacks {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ReportError(f"{where}: not a run record ({exc})") from exc
+    return results
 
 
 def load_source(path: Union[str, Path]) -> PerfSource:
@@ -306,11 +321,12 @@ def load_source(path: Union[str, Path]) -> PerfSource:
         source.benches.append(json.loads(p.read_text(encoding="ascii")))
     elif kind == KIND_BENCH_HISTORY:
         source.benches.extend(
-            _jsonl_events(p.read_text(encoding="ascii"), str(path))
+            event for _, event
+            in _jsonl_events(p.read_text(encoding="ascii"), str(path))
         )
     else:  # legacy runs-log
-        for record in _jsonl_events(p.read_text(encoding="ascii"), str(path)):
-            source.runs.append(_run_row_from_record(record))
+        source.runs.extend(_run_row_from_result(result)
+                           for result in read_runs_log(p))
     _assign_keys(source.runs)
     return source
 

@@ -7,15 +7,13 @@ from repro.analysis import (
     histogram,
     line_chart,
     read_log,
-    record_to_result,
     render_grid,
     render_table,
-    result_to_record,
     write_log,
 )
 from repro.cluster import FailureKind
 from repro.core import ResultGrid
-from repro.engines.base import RunResult
+from repro.engines.base import RunResult, record_to_result, result_to_record
 
 
 def make_result(**kw):

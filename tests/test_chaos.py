@@ -452,7 +452,7 @@ class TestRecoveryExperiment:
 
 
 def test_extension_finding_supported():
-    from repro.core import EXTENSION_FINDINGS, verify_all_findings
+    from repro.core.findings import EXTENSION_FINDINGS, verify_all_findings
 
     (check,) = [c for c in EXTENSION_FINDINGS
                 if c.__name__ == "_chaos_recovery_tradeoff"]

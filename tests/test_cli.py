@@ -1,10 +1,19 @@
 """Tests for the command-line interface."""
 
+import json
 from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import write_log
 from repro.cli import _trace_filename, build_parser, main
+from repro.engines.base import RunResult, result_to_record
+
+
+def _logged_run(system, execute_time):
+    return RunResult(system=system, workload="pagerank", dataset="twitter",
+                     cluster_size=16, load_time=1.0,
+                     execute_time=execute_time, iterations=3)
 
 
 class TestParser:
@@ -90,6 +99,42 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "# Experiment report" in out
         assert "Best system per column" in out
+
+    def test_report_diff_of_two_runs_logs(self, capsys, tmp_path):
+        before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+        write_log([_logged_run("BV", 10.0), _logged_run("G", 20.0)], before)
+        write_log([_logged_run("BV", 10.0), _logged_run("G", 30.0)], after)
+        assert main(["report", "--diff", str(before), str(after)]) == 1
+        out = capsys.readouterr().out
+        assert "compared 2 runs" in out
+        assert "G pagerank/twitter@16 · total seconds: 21.0 -> 31.0" in out
+
+    @pytest.mark.parametrize("coordinate", ["dataset", "cluster_size"])
+    @pytest.mark.parametrize("diff", [False, True])
+    def test_runs_log_line_without_a_coordinate(self, capsys, tmp_path,
+                                                coordinate, diff):
+        good = tmp_path / "good.jsonl"
+        write_log([_logged_run("BV", 10.0)], good)
+        record = result_to_record(_logged_run("G", 20.0))
+        del record[coordinate]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(good.read_text() + "\n" + json.dumps(record) + "\n")
+        argv = ["report", "--diff", str(good), str(bad)] if diff else [
+            "report", str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: run record lacks '{coordinate}'" in err
+
+    @pytest.mark.parametrize("field, value", [("failure", "BOOM"),
+                                              ("extras", [1])])
+    def test_runs_log_line_with_a_malformed_field(self, capsys, tmp_path,
+                                                  field, value):
+        record = result_to_record(_logged_run("G", 20.0))
+        record[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["report", str(bad)]) == 2
+        assert f"{bad}:1: not a run record" in capsys.readouterr().err
 
     def test_report_to_file(self, capsys, tmp_path):
         log = tmp_path / "runs.jsonl"

@@ -7,14 +7,15 @@ from repro.core import (
     ExperimentSpec,
     ResultGrid,
     cost_factor,
-    graphlab_core_study,
-    graphx_partition_sweep,
     paper_grid,
-    recommended_graphx_partitions,
     run_cell,
     run_grid,
-    scaling_classification,
-    scaling_curves,
+)
+from repro.core.scalability import scaling_classification, scaling_curves
+from repro.core.tuning import (
+    graphlab_core_study,
+    graphx_partition_sweep,
+    recommended_graphx_partitions,
 )
 from repro.datasets import load_dataset
 from repro.engines.base import RunResult

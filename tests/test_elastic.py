@@ -227,7 +227,7 @@ class TestElasticityExperiment:
 
 
 def test_extension_finding_elastic_rescale_tolerance():
-    from repro.core import EXTENSION_FINDINGS
+    from repro.core.findings import EXTENSION_FINDINGS
 
     (check,) = [c for c in EXTENSION_FINDINGS
                 if c.__name__ == "_elastic_rescale_tolerance"]

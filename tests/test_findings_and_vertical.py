@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    FINDINGS,
-    Finding,
-    verify_all_findings,
-    vertical_scaling_experiment,
-)
+from repro.core.findings import FINDINGS, Finding, verify_all_findings
+from repro.core.vertical_scaling import vertical_scaling_experiment
 
 
 class TestFindingsVerifier:

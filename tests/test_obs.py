@@ -32,6 +32,8 @@ from repro.obs import (
     SpanError,
     Tracer,
     build_journal,
+)
+from repro.obs.export import (
     chrome_trace,
     one_line_summary,
     render_summary,

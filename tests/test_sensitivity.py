@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import (
+from repro.core.sensitivity import (
     PERTURBABLE_CONSTANTS,
     perturbed_costs,
     sensitivity_analysis,

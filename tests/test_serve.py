@@ -18,8 +18,9 @@ import pytest
 from repro.core.runner import ExperimentSpec, run_grid
 from repro.exec.executor import execute_specs
 from repro.exec.serialize import result_to_payload
-from repro.obs import Journal, render_summary
+from repro.obs import Journal
 from repro.obs import report as perf
+from repro.obs.export import render_summary
 from repro.obs.hostclock import host_now
 from repro.serve import (
     JOB_CANCELLED,

@@ -4,8 +4,8 @@ import pytest
 
 from repro.analysis.report import grid_report
 from repro.cluster import FailureKind
-from repro.core import (
-    ResultGrid,
+from repro.core import ResultGrid
+from repro.core.weak_scaling import (
     weak_efficiency,
     weak_scaling_dataset,
     weak_scaling_experiment,
