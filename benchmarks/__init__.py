@@ -1,5 +1,6 @@
 """The benchmark harness: one module per reproduced table/figure.
 
-A package (not just a directory of pytest files) so the executor
-benchmark can run as ``python -m benchmarks.bench_grid``.
+A package, so the figure tests import their shared helpers as
+``benchmarks.common`` and the fleet-charging micro-benchmark runs as
+``python -m benchmarks.bench_fleet``.
 """

@@ -8,7 +8,7 @@ Blogel wins, the approximate-friendly GraphLab variants are close, the
 Hadoop/Spark family trails by an order of magnitude.
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_grid
 from repro.cluster import ClusterSpec

@@ -6,7 +6,7 @@ isolate (§2.3 Giraph++, §5.6 hash-to-min, §5.8 combiners, §3.3 K = 3,
 Table 1 fault tolerance, §5.12 weak scaling).
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.chaos import ChaosPlan, MachineCrash

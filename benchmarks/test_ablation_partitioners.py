@@ -11,7 +11,7 @@ partitioning exist. This ablation measures what that choice cost:
   fraction several-fold.
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.cluster import ClusterSpec

@@ -8,7 +8,7 @@ finding the paper itself hedges on (§7: Giraph vs GraphLab might be a
 language artifact) is the one that flips.
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.cluster import ClusterSpec

@@ -6,7 +6,7 @@ traversals do not; and memory-scaled instances rescue GraphLab's WRN
 OOM without adding machines.
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.core.vertical_scaling import vertical_scaling_experiment

@@ -8,7 +8,7 @@ flat after loading.
 
 import numpy as np
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import line_chart
 from repro.cluster import Cluster, ClusterSpec, GB, SimulatedFailure

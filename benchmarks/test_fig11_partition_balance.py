@@ -6,7 +6,7 @@ would put ~9.4 on each; the paper observed one machine holding 54.
 
 import numpy as np
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import histogram
 from repro.engines.spark import partition_placement

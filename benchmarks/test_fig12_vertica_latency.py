@@ -5,7 +5,7 @@ of PageRank on the UK dataset over 32 machines; Vertica's temp-table
 churn and join shuffling leave it far behind the native systems.
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import bar_chart
 from repro.cluster import ClusterSpec

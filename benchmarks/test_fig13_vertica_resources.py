@@ -6,7 +6,7 @@ Collected while computing PageRank on UK0705 over 64 machines:
 network — and all three overheads grow with the cluster.
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.cluster import ClusterSpec, GB

@@ -5,7 +5,7 @@ all 4 cores for computation; asynchronous computation does not benefit
 (context switching while vertices also communicate) and can get worse.
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import bar_chart
 from repro.core.tuning import graphlab_core_study

@@ -6,7 +6,7 @@ end-to-end WCC response time by ~50 % on a 16-machine cluster, almost
 entirely out of the load phase.
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.cluster import ClusterSpec

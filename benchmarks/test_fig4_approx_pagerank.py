@@ -5,7 +5,7 @@ converged vertices opt out; most converge within the first few
 iterations, so the per-iteration update ratio collapses quickly.
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import line_chart
 from repro.datasets import load_dataset

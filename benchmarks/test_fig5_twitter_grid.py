@@ -1,6 +1,6 @@
 """Figure 5: the Twitter dataset across all workloads and cluster sizes."""
 
-from common import SIZES, once, twitter_grid, write_output
+from benchmarks.common import SIZES, once, twitter_grid, write_output
 
 from repro.analysis import render_grid
 from repro.engines import GRID_SYSTEMS

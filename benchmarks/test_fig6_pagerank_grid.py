@@ -1,6 +1,6 @@
 """Figure 6: PageRank across all systems, datasets, and cluster sizes."""
 
-from common import MAIN_DATASETS, SIZES, once, workload_grid, write_output
+from benchmarks.common import MAIN_DATASETS, SIZES, once, workload_grid, write_output
 
 from repro.analysis import render_grid
 from repro.cluster import FailureKind

@@ -1,6 +1,6 @@
 """Table 1: the feature matrix of the systems under study."""
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.engines import make_engine

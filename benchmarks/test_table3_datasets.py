@@ -1,6 +1,6 @@
 """Table 3: dataset characteristics — paper scale vs the synthetic stand-ins."""
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.datasets import DATASET_NAMES, PAPER_PROFILES, load_dataset

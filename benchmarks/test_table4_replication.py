@@ -10,7 +10,7 @@ The synthetic graphs are denser, so absolute factors differ; the shape
 assertions cover what the paper concludes from the table.
 """
 
-from common import SIZES, once, write_output
+from benchmarks.common import SIZES, once, write_output
 
 from repro.analysis import render_table
 from repro.datasets import load_dataset

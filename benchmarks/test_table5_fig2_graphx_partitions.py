@@ -5,7 +5,7 @@ cluster size); Figure 2 shows how the count changes PageRank time on
 Twitter and UK0705 (the default 1200 for UK is far from optimal).
 """
 
-from common import SIZES, once, write_output
+from benchmarks.common import SIZES, once, write_output
 
 from repro.analysis import bar_chart, render_table
 from repro.cluster import ClusterSpec

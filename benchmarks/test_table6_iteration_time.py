@@ -13,7 +13,7 @@ Paper values (seconds per iteration):
 
 import pytest
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.cluster import ClusterSpec

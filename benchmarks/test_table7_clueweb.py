@@ -9,7 +9,7 @@ Paper values (seconds):
     K-hop      161.6     0.03    0.2   16.4
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.cluster import ClusterSpec

@@ -7,7 +7,7 @@ Paper values (GB):
     WRN     (13.6 GB raw):  363.7  475.4  683.4  1054.1
 """
 
-from common import SIZES, once, write_output
+from benchmarks.common import SIZES, once, write_output
 
 from repro.analysis import render_table
 from repro.cluster import ClusterSpec, GB

@@ -12,7 +12,7 @@ reachability on the road network is ~25-30x *slower* than one thread
 (COST 0.04 / 0.03).
 """
 
-from common import once, write_output
+from benchmarks.common import once, write_output
 
 from repro.analysis import render_table
 from repro.core import cost_experiment

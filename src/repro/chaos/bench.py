@@ -16,22 +16,19 @@ host-side wall time:
 
 Writes ``BENCH_elastic.json`` and appends one canonical JSON line to
 ``BENCH_history.jsonl``, same trajectory contract as the grid and serve
-benches. Runnable as ``repro bench-elastic`` or
-``python -m benchmarks.bench_elastic``.
+benches. Run it as ``repro bench-elastic``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 from ..obs.hostclock import host_now
+from ..obs.report import write_bench_record
 from .experiment import elasticity_experiment
 
-__all__ = ["run_bench", "main", "BENCH_SCHEMA_VERSION"]
+__all__ = ["run_bench", "BENCH_SCHEMA_VERSION"]
 
 #: bump when the BENCH_elastic.json record layout changes
 BENCH_SCHEMA_VERSION = 1
@@ -94,15 +91,7 @@ def run_bench(
         ),
         "tolerance": tolerance,
     }
-    Path(output).write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
-    if history is None:
-        history = str(Path(output).with_name("BENCH_history.jsonl"))
-    if history:
-        with open(history, "a", encoding="ascii") as fh:
-            fh.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    history = write_bench_record(record, output, history)
     gate = "bit-equal" if record["bit_equal"] else "ANSWER MISMATCH"
     print(
         f"  {record['completed']}/{record['cells']} rescaled cells "
@@ -116,22 +105,3 @@ def run_bench(
         print(f"  {mechanism}: {seconds:.1f}s per rescale{bill}")
     return record
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry shared by ``repro bench-elastic`` and benchmarks/."""
-    parser = argparse.ArgumentParser(
-        prog="bench-elastic",
-        description="Benchmark mid-run rescaling across recovery mechanisms.",
-    )
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: cpu count)")
-    parser.add_argument("-o", "--output", default="BENCH_elastic.json",
-                        help="where the JSON record goes")
-    parser.add_argument("--history", default=None, metavar="FILE",
-                        help="append the record here as one JSON line "
-                             "(default: BENCH_history.jsonl next to the "
-                             "output; pass '' to skip)")
-    args = parser.parse_args(argv)
-    record = run_bench(jobs=args.jobs, output=args.output,
-                       history=args.history)
-    return 0 if record["bit_equal"] else 1

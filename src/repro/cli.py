@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .chaos.experiment import (DEFAULT_FAULTS, DEFAULT_MAGNITUDES,
@@ -339,33 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal", default=None, metavar="FILE",
                    help="also write the daemon's _server.jsonl here")
 
-    p = sub.add_parser(
+    # listed for --help only: main() hands `repro lint ...` to the
+    # linter's own parser before this one runs
+    sub.add_parser(
         "lint",
         help="static analysis of the model contracts "
              "(RPL001-RPL010; --deep adds RPL011-RPL014, RPL018-RPL020)",
     )
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=("text", "json", "github"),
-                   default="text")
-    p.add_argument("--select",
-                   help="comma-separated rule codes or prefixes to run")
-    p.add_argument("--ignore",
-                   help="comma-separated rule codes or prefixes to skip")
-    p.add_argument("--deep", action="store_true",
-                   help="also run the whole-program pass "
-                        "(RPL011-RPL014, RPL018-RPL020)")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="suppress findings recorded in this baseline file")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite --baseline with every current finding")
-    p.add_argument("--ast-cache", metavar="FILE",
-                   help="parsed-AST pickle shared between lint steps")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print every rule with its rationale and exit")
-    p.add_argument("--explain", metavar="CODE",
-                   help="print one rule's rationale, discipline, and "
-                        "minimal example, then exit (2 on unknown codes)")
 
     return parser
 
@@ -412,6 +393,22 @@ def _trace_filename(result, tag: str = "") -> str:
     digest = hashlib.sha256(stem.encode("utf-8")).hexdigest()[:8]
     safe = re.sub(r"[^A-Za-z0-9_.+-]", "-", stem)
     return f"{safe}.{digest}.jsonl"
+
+
+def _write_journals(trace: str, runs) -> int:
+    """Write each ``(result, tag)`` run's journal into the ``--trace`` dir.
+
+    Runs without an observation are skipped; returns how many journals
+    were written.
+    """
+    trace_dir = Path(trace)
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    written = 0
+    for result, tag in runs:
+        if result.observation is not None:
+            result.observation.write(trace_dir / _trace_filename(result, tag))
+            written += 1
+    return written
 
 
 def _cli_cache(args):
@@ -494,16 +491,9 @@ def _cmd_grid(args) -> int:
               f"{slowest.dataset}@{slowest.cluster_size} — "
               f"{one_line_summary(slowest)}")
     if args.trace:
-        from pathlib import Path
-
+        written = _write_journals(
+            args.trace, ((result, "") for result in grid.cells.values()))
         trace_dir = Path(args.trace)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        written = 0
-        for result in grid.cells.values():
-            if result.observation is None:
-                continue
-            result.observation.write(trace_dir / _trace_filename(result))
-            written += 1
         execution.scheduler_journal().write(trace_dir / "_scheduler.jsonl")
         print(f"{written} cell journals (+ _scheduler.jsonl) written to "
               f"{trace_dir}/")
@@ -633,20 +623,10 @@ def _perturbation_outcome(args, report, *, heading, row, column, columns,
                   f"({result.cell()}); its {cells} cells were skipped")
 
     if args.trace:
-        from pathlib import Path
-
-        trace_dir = Path(args.trace)
-        trace_dir.mkdir(parents=True, exist_ok=True)
         journals = [(result, "clean") for result in report.clean.values()]
         journals += [(cell.perturbed, tag(cell)) for cell in report.cells]
-        written = 0
-        for result, result_tag in journals:
-            if result.observation is None:
-                continue
-            result.observation.write(
-                trace_dir / _trace_filename(result, tag=result_tag))
-            written += 1
-        print(f"{written} journals written to {trace_dir}/")
+        written = _write_journals(args.trace, journals)
+        print(f"{written} journals written to {Path(args.trace)}/")
 
     mismatches = report.mismatches()
     if mismatches:
@@ -878,18 +858,9 @@ def _cmd_submit(args) -> int:
     print(f"{status['completed']} cells: {status['cache_hits']} served "
           f"from the warm cache, {status['executed']} executed")
     if args.trace:
-        from pathlib import Path
-
-        trace_dir = Path(args.trace)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        written = 0
-        for result in grid.cells.values():
-            if result.observation is None:
-                continue
-            result.observation.write(
-                trace_dir / _trace_filename(result))
-            written += 1
-        print(f"{written} cell journals written to {trace_dir}/")
+        written = _write_journals(
+            args.trace, ((result, "") for result in grid.cells.values()))
+        print(f"{written} cell journals written to {Path(args.trace)}/")
     return 0
 
 
@@ -936,23 +907,6 @@ def _cmd_serve_bench(args) -> int:
     return 0 if record["bit_equal_spotcheck"] else 1
 
 
-def _cmd_lint(args) -> int:
-    from .lint.cli import run_lint
-
-    return run_lint(
-        paths=args.paths,
-        fmt=args.format,
-        select=args.select,
-        list_rules=args.list_rules,
-        ignore=args.ignore,
-        deep=args.deep,
-        baseline=args.baseline,
-        update_baseline=args.update_baseline,
-        ast_cache=args.ast_cache,
-        explain=args.explain,
-    )
-
-
 _COMMANDS = {
     "datasets": _cmd_datasets,
     "run": _cmd_run,
@@ -970,12 +924,16 @@ _COMMANDS = {
     "submit": _cmd_submit,
     "serve-ctl": _cmd_serve_ctl,
     "serve-bench": _cmd_serve_bench,
-    "lint": _cmd_lint,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from .lint.cli import main as lint_main
+
+        return lint_main(argv[1:], prog="repro lint")
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

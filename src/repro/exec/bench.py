@@ -14,23 +14,22 @@ ratios, ``speedup_parallel`` (cold fan-out) and ``speedup_warm`` (cache
 replay), next to ``host_cpus``: a single-core host caps cold parallel
 speedup at ~1×, and there the cache carries the win.
 
-Runnable as ``repro bench-grid`` or ``python -m benchmarks.bench_grid``.
+Run it as ``repro bench-grid``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 from ..obs.hostclock import host_now
+from ..obs.report import write_bench_record
 from .executor import ExecutionReport, execute_grid
 
-__all__ = ["run_bench", "main", "BENCH_SCHEMA_VERSION"]
+__all__ = ["run_bench", "BENCH_SCHEMA_VERSION"]
 
 #: bump when the BENCH_grid.json record layout changes
 #: v2: schema_version + speedup_warm + grid cost block + history append
@@ -142,15 +141,7 @@ def run_bench(
             ),
         },
     }
-    Path(output).write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
-    if history is None:
-        history = str(Path(output).with_name("BENCH_history.jsonl"))
-    if history:
-        with open(history, "a", encoding="ascii") as fh:
-            fh.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    history = write_bench_record(record, output, history)
     print(
         f"speedup: parallel {record['speedup_parallel']:.2f}x · "
         f"warm-cache {record['speedup_warm']:.2f}x -> {output}"
@@ -158,21 +149,3 @@ def run_bench(
     )
     return record
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point shared by ``repro bench-grid`` and benchmarks/."""
-    parser = argparse.ArgumentParser(
-        prog="bench-grid",
-        description="Time the benchmark PageRank grid at jobs=1 vs jobs=N.",
-    )
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker count (default: cpu count, min 2)")
-    parser.add_argument("-o", "--output", default="BENCH_grid.json",
-                        help="where the JSON record goes")
-    parser.add_argument("--history", default=None, metavar="FILE",
-                        help="append the record here as one JSON line "
-                             "(default: BENCH_history.jsonl next to the "
-                             "output; pass '' to skip)")
-    args = parser.parse_args(argv)
-    run_bench(jobs=args.jobs, output=args.output, history=args.history)
-    return 0

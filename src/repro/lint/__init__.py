@@ -22,7 +22,7 @@ suppresses every code on that line).
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Union
 
 from .rules import ALL_RULES, RULES_BY_CODE, Rule, Violation
 from .source import SourceModule
@@ -36,7 +36,7 @@ __all__ = [
     "lint_source",
     "lint_module",
     "lint_file",
-    "lint_paths",
+    "load_module",
     "iter_python_files",
     "select_rules",
     "expand_selectors",
@@ -99,38 +99,44 @@ def expand_selectors(
     return sorted(matched)
 
 
+def load_module(
+    path: str, text: Optional[str] = None
+) -> Union[SourceModule, Violation]:
+    """Parse one file (or ``text`` standing for it) into a SourceModule.
+
+    A file that cannot be decoded as UTF-8 or parsed is an RPL000
+    violation, not a traceback: every pass must keep walking the rest
+    of the tree. An ``OSError`` while reading propagates.
+    """
+    try:
+        if text is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return SourceModule.parse(text, path=path)
+    except UnicodeDecodeError as exc:
+        message, line, col = f"could not decode file as UTF-8: {exc.reason}", 1, 0
+    except SyntaxError as exc:
+        message, line, col = (
+            f"could not parse file: {exc.msg}",
+            exc.lineno or 1,
+            (exc.offset or 1) - 1,
+        )
+    except ValueError as exc:
+        # python 3.9 raises bare ValueError for e.g. null bytes
+        message, line, col = f"could not parse file: {exc}", 1, 0
+    return Violation(
+        code=PARSE_ERROR_CODE, message=message, path=path, line=line, col=col
+    )
+
+
 def lint_source(
     text: str,
     path: str = "<string>",
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Violation]:
     """Lint one source string; returns sorted, noqa-filtered violations."""
-    if rules is None:
-        rules = ALL_RULES
-    try:
-        module = SourceModule.parse(text, path=path)
-    except SyntaxError as exc:
-        return [
-            Violation(
-                code=PARSE_ERROR_CODE,
-                message=f"could not parse file: {exc.msg}",
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-            )
-        ]
-    except ValueError as exc:
-        # python 3.9 raises bare ValueError for e.g. null bytes
-        return [
-            Violation(
-                code=PARSE_ERROR_CODE,
-                message=f"could not parse file: {exc}",
-                path=path,
-                line=1,
-                col=0,
-            )
-        ]
-    return lint_module(module, rules)
+    module = load_module(path, text)
+    return [module] if isinstance(module, Violation) else lint_module(module, rules)
 
 
 def lint_module(
@@ -149,25 +155,9 @@ def lint_module(
 
 
 def lint_file(path: str, rules: Optional[Sequence[Rule]] = None) -> List[Violation]:
-    """Lint one file on disk.
-
-    A file that is not valid UTF-8 is a diagnostic (RPL000), not a
-    traceback — the CLI must keep walking the rest of the tree.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        return [
-            Violation(
-                code=PARSE_ERROR_CODE,
-                message=f"could not decode file as UTF-8: {exc.reason}",
-                path=path,
-                line=1,
-                col=0,
-            )
-        ]
-    return lint_source(text, path=path, rules=rules)
+    """Lint one file on disk."""
+    module = load_module(path)
+    return [module] if isinstance(module, Violation) else lint_module(module, rules)
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
@@ -187,12 +177,3 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
             found.append(path)
     return found
 
-
-def lint_paths(
-    paths: Sequence[str], rules: Optional[Sequence[Rule]] = None
-) -> List[Violation]:
-    """Lint every Python file under ``paths`` (files or directories)."""
-    violations = []
-    for path in iter_python_files(paths):
-        violations.extend(lint_file(path, rules=rules))
-    return violations

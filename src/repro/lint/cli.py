@@ -1,14 +1,15 @@
 """Command-line entry point: ``python -m repro.lint [paths...]``.
 
+The one parser behind both ``python -m repro.lint`` and ``repro lint``.
 Exit codes follow linter convention: 0 clean, 1 findings, 2 bad usage.
 The shallow pass (RPL001-RPL010) always runs; ``--deep`` additionally
-builds the whole-program model and runs RPL011-RPL014 and RPL018-RPL020.
-``--select`` / ``--ignore`` filter both passes — an exact code matches
-only itself, anything shorter matches ruff-style by prefix —
-``--baseline`` suppresses previously recorded findings,
-``--ast-cache`` shares parsed ASTs between the shallow and deep CI
-steps, and ``--explain RPLxxx`` prints one rule's rationale, the
-discipline it enforces, and its minimal positive/negative example.
+builds the whole-program model and runs RPL011-RPL014 and RPL018-RPL020
+over the same parse of each file. ``--select`` / ``--ignore`` filter
+both passes — an exact code matches only itself, anything shorter
+matches ruff-style by prefix — and ``--explain RPLxxx`` prints one
+rule's rationale, the discipline it enforces, and its minimal
+positive/negative example. ``# noqa: RPLxxx`` on a line suppresses a
+single finding on purpose.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import sys
 from typing import Dict, List, Optional
 
 from . import (
-    PARSE_ERROR_CODE,
     RULES_BY_CODE,
     Violation,
     expand_selectors,
     iter_python_files,
     lint_module,
+    load_module,
 )
 from .reporters import RENDERERS, render_rule_list
 from .source import SourceModule
@@ -31,9 +32,9 @@ from .source import SourceModule
 __all__ = ["main", "build_parser", "run_explain", "run_lint"]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
+        prog=prog,
         description=(
             "Domain-aware static analysis for the simulation's model "
             "contracts (shallow rules RPL001-RPL010; --deep adds the "
@@ -72,27 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
             "RPL018-RPL020): call-graph model conformance, determinism "
             "taint, span coverage, chaos safety, cache-key soundness, "
             "cross-process state sharing, and bounded-retry hygiene"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "baseline file (lint-baseline.json): recorded findings are "
-            "suppressed so CI fails only on new ones"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline with every current finding and exit 0",
-    )
-    parser.add_argument(
-        "--ast-cache",
-        metavar="FILE",
-        help=(
-            "pickle of parsed ASTs, reused between the shallow and deep "
-            "steps (stale entries re-parse automatically)"
         ),
     )
     parser.add_argument(
@@ -183,24 +163,16 @@ def run_lint(
     list_rules: bool = False,
     ignore: Optional[str] = None,
     deep: bool = False,
-    baseline: Optional[str] = None,
-    update_baseline: bool = False,
-    ast_cache: Optional[str] = None,
     explain: Optional[str] = None,
 ) -> int:
     """Run the analyzer; prints a report and returns the exit code."""
     from .deep import DEEP_RULES_BY_CODE, deep_lint_modules
-    from .deep.astcache import AstCache
-    from .deep.baseline import filter_baselined, load_baseline, write_baseline
 
     if explain:
         return run_explain(explain)
     if list_rules:
         print(render_rule_list())
         return 0
-    if update_baseline and not baseline:
-        print("--update-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
     try:
         active = _active_rules(select, ignore, deep)
     except KeyError as exc:
@@ -215,71 +187,32 @@ def run_lint(
         print(f"no Python files under {paths}", file=sys.stderr)
         return 2
 
-    cache = AstCache(ast_cache)
     sources: Dict[str, SourceModule] = {}
     violations: List[Violation] = []
     for path in files:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            module = load_module(path)
         except OSError as exc:
             print(f"cannot read {path}: {exc.strerror}", file=sys.stderr)
             return 2
-        except UnicodeDecodeError as exc:
-            violations.append(Violation(
-                code=PARSE_ERROR_CODE,
-                message=f"could not decode file as UTF-8: {exc.reason}",
-                path=path,
-                line=1,
-                col=0,
-            ))
+        if isinstance(module, Violation):
+            violations.append(module)
             continue
-        module = cache.get(path, text)
-        if module is None:
-            try:
-                module = SourceModule.parse(text, path=path)
-            except SyntaxError as exc:
-                violations.append(Violation(
-                    code=PARSE_ERROR_CODE,
-                    message=f"could not parse file: {exc.msg}",
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                ))
-                continue
-            except ValueError as exc:
-                # python 3.9 raises bare ValueError for e.g. null bytes
-                violations.append(Violation(
-                    code=PARSE_ERROR_CODE,
-                    message=f"could not parse file: {exc}",
-                    path=path,
-                    line=1,
-                    col=0,
-                ))
-                continue
-            cache.put(path, text, module)
         sources[path] = module
         violations.extend(lint_module(module, shallow_rules))
-    cache.save()
 
     if deep and deep_rules:
         violations.extend(deep_lint_modules(sources, rules=deep_rules))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-
-    if update_baseline:
-        count = write_baseline(baseline, violations)
-        print(f"baseline updated: {count} fingerprint(s) -> {baseline}")
-        return 0
-    if baseline:
-        violations = filter_baselined(violations, load_baseline(baseline))
-
     render = RENDERERS[fmt]
     print(render(violations, files_checked=len(files)))
     return 1 if violations else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def main(
+    argv: Optional[List[str]] = None, prog: str = "python -m repro.lint"
+) -> int:
+    args = build_parser(prog).parse_args(argv)
     try:
         return run_lint(
             paths=args.paths,
@@ -288,9 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             list_rules=args.list_rules,
             ignore=args.ignore,
             deep=args.deep,
-            baseline=args.baseline,
-            update_baseline=args.update_baseline,
-            ast_cache=args.ast_cache,
             explain=args.explain,
         )
     except BrokenPipeError:

@@ -36,9 +36,8 @@ Usage::
     repro lint --deep src/repro            # shallow + deep, exit 1 on findings
     python -m repro.lint --deep --format json src
 
-Findings carry the same :class:`Violation` shape as the shallow rules,
-honour ``# noqa: RPLxxx`` on the flagged line, and can be baselined via
-``lint-baseline.json`` (see :mod:`repro.lint.deep.baseline`).
+Findings carry the same :class:`Violation` shape as the shallow rules
+and honour ``# noqa: RPLxxx`` on the flagged line.
 """
 
 from __future__ import annotations
@@ -118,17 +117,14 @@ def deep_lint_paths(
     reporting for them — so the deep pass analyzes the largest
     consistent subset of the tree.
     """
-    from .. import iter_python_files
+    from .. import iter_python_files, load_module
 
     sources = {}
     for path in iter_python_files(paths):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError):
+            module = load_module(path)
+        except OSError:
             continue
-        try:
-            sources[path] = SourceModule.parse(text, path=path)
-        except (SyntaxError, ValueError):
-            continue
+        if isinstance(module, SourceModule):
+            sources[path] = module
     return deep_lint_modules(sources, rules=rules)

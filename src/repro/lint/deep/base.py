@@ -2,8 +2,8 @@
 
 Deep rules check a :class:`~repro.lint.deep.program.Program` rather than
 one module, but they emit the same :class:`~repro.lint.rules.base.Violation`
-records as the shallow pass so the reporters, ``# noqa`` filtering, and
-baseline all treat both passes uniformly.
+records as the shallow pass so the reporters and ``# noqa`` filtering
+treat both passes uniformly.
 """
 
 from __future__ import annotations

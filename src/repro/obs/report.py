@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..engines.base import RunResult, record_to_result
 from .cost import cost_event_from_events
 from .export import _self_times
-from .journal import Journal
+from .journal import Journal, canonical_json, write_atomic
 
 __all__ = [
     "ReportError",
@@ -35,6 +35,7 @@ __all__ = [
     "classify_path",
     "load_source",
     "read_runs_log",
+    "write_bench_record",
     "render_report",
     "hot_span_rows",
     "DiffEntry",
@@ -329,6 +330,29 @@ def load_source(path: Union[str, Path]) -> PerfSource:
                            for result in read_runs_log(p))
     _assign_keys(source.runs)
     return source
+
+
+
+def write_bench_record(
+    record: dict, output: Optional[str], history: Optional[str] = None
+) -> str:
+    """Write one bench record and append it to the bench history.
+
+    ``output`` gets the indented JSON, written atomically (no record
+    file when ``output`` is empty). ``history`` gets one canonical JSON
+    line: ``None`` means ``BENCH_history.jsonl`` next to ``output``,
+    and ``''`` skips the append. Returns the history path appended to,
+    or ``''``.
+    """
+    if output:
+        write_atomic(Path(output),
+                     json.dumps(record, indent=2, sort_keys=True) + "\n")
+        if history is None:
+            history = str(Path(output).with_name("BENCH_history.jsonl"))
+    if history:
+        with open(history, "a", encoding="ascii") as fh:
+            fh.write(canonical_json(record) + "\n")
+    return history or ""
 
 
 # -- span aggregation -------------------------------------------------------

@@ -25,13 +25,11 @@ One run:
    to ``BENCH_history.jsonl`` — the same trajectory file the grid and
    cost benches feed, so ``repro report --diff`` covers serving too.
 
-Runnable as ``repro serve-bench`` or ``python -m repro.serve.loadgen``.
+Run it as ``repro serve-bench``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
 import shutil
 import tempfile
@@ -39,10 +37,11 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from ..obs.hostclock import host_now
+from ..obs.report import write_bench_record
 from .client import ServeClient, grid_from_payloads
 from .daemon import ServeDaemon
 
-__all__ = ["run_loadgen", "main", "SERVE_BENCH_SCHEMA_VERSION", "cell_catalog"]
+__all__ = ["run_loadgen", "SERVE_BENCH_SCHEMA_VERSION", "cell_catalog"]
 
 #: bump when the BENCH_serve.json record layout changes
 SERVE_BENCH_SCHEMA_VERSION = 1
@@ -214,17 +213,7 @@ def run_loadgen(
             ),
         },
     }
-    if output:
-        Path(output).write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n",
-            encoding="ascii",
-        )
-        if history is None:
-            history = str(Path(output).with_name("BENCH_history.jsonl"))
-    if history:
-        with open(history, "a", encoding="ascii") as fh:
-            fh.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    write_bench_record(record, output, history)
     print(
         f"served {record['cells']} cells for {clients} clients: "
         f"hit-rate {record['cache_hit_rate']:.2f} · "
@@ -236,38 +225,3 @@ def run_loadgen(
     )
     return record
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point shared by ``repro serve-bench`` and ``-m``."""
-    parser = argparse.ArgumentParser(
-        prog="serve-bench",
-        description="Load-test the serve daemon with Zipf-skewed clients.",
-    )
-    parser.add_argument("--clients", type=int, default=120,
-                        help="simulated client count (default 120)")
-    parser.add_argument("--seed", type=int, default=2018,
-                        help="load-pattern seed (default 2018)")
-    parser.add_argument("--size", default="tiny",
-                        choices=("tiny", "small", "medium"),
-                        help="dataset size served (default tiny)")
-    parser.add_argument("--max-queue", type=int, default=96, metavar="CELLS",
-                        help="admission-control bound in cells (default 96)")
-    parser.add_argument("-o", "--output", default="BENCH_serve.json",
-                        help="where the JSON record goes")
-    parser.add_argument("--history", default=None, metavar="FILE",
-                        help="append the record here as one JSON line "
-                             "(default: BENCH_history.jsonl next to the "
-                             "output; pass '' to skip)")
-    parser.add_argument("--journal", default=None, metavar="FILE",
-                        help="also write the daemon's _server.jsonl here")
-    args = parser.parse_args(argv)
-    run_loadgen(
-        clients=args.clients, seed=args.seed, dataset_size=args.size,
-        max_queue_cells=args.max_queue, output=args.output,
-        history=args.history, journal=args.journal,
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    raise SystemExit(main())

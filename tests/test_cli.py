@@ -196,3 +196,45 @@ class TestTraceFilename:
         result = SimpleNamespace(system="GL-S-R-I", workload="wcc",
                                  dataset="uk0705", cluster_size=128)
         assert _trace_filename(result) == _trace_filename(result)
+
+
+class TestBenchExitCodes:
+    """The bench commands fail when their bit-equality gate does."""
+
+    @pytest.mark.parametrize("equal, code", [(True, 0), (False, 1)])
+    def test_serve_bench_gates_on_the_spot_check(
+        self, monkeypatch, tmp_path, equal, code
+    ):
+        from repro.serve import loadgen
+
+        calls = []
+
+        def fake_loadgen(**kwargs):
+            calls.append(kwargs)
+            return {"bit_equal_spotcheck": equal}
+
+        monkeypatch.setattr(loadgen, "run_loadgen", fake_loadgen)
+        output = str(tmp_path / "serve.json")
+        assert main(["serve-bench", "--clients", "3", "-o", output,
+                     "--history", ""]) == code
+        assert calls == [dict(
+            clients=3, seed=2018, dataset_size="tiny", max_queue_cells=96,
+            output=output, history="", journal=None,
+        )]
+
+    @pytest.mark.parametrize("equal, code", [(True, 0), (False, 1)])
+    def test_bench_elastic_gates_on_bit_equal_answers(
+        self, monkeypatch, tmp_path, equal, code
+    ):
+        from repro.chaos import bench
+
+        calls = []
+
+        def fake_bench(**kwargs):
+            calls.append(kwargs)
+            return {"bit_equal": equal}
+
+        monkeypatch.setattr(bench, "run_bench", fake_bench)
+        output = str(tmp_path / "elastic.json")
+        assert main(["bench-elastic", "--jobs", "1", "-o", output]) == code
+        assert calls == [dict(jobs=1, output=output, history=None)]

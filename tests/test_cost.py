@@ -38,6 +38,7 @@ from repro.obs.report import (
     diff_sources,
     load_source,
     render_report,
+    write_bench_record,
 )
 
 
@@ -367,6 +368,32 @@ class TestReport:
         diff = diff_sources(load_source(before), load_source(after))
         assert diff.exit_code == 1
         assert any("speedup_parallel" in e.render() for e in diff.regressions)
+
+
+    def test_write_bench_record(self, tmp_path):
+        record = {"bench": "grid", "speedup_parallel": 1.5, "modes": {}}
+        output = tmp_path / "BENCH_grid.json"
+        default_history = tmp_path / "BENCH_history.jsonl"
+        # history=None appends next to the record
+        assert write_bench_record(record, str(output)) == str(default_history)
+        assert output.read_text(encoding="ascii") == (
+            json.dumps(record, indent=2, sort_keys=True) + "\n")
+        canonical = json.dumps(record, sort_keys=True,
+                               separators=(",", ":")) + "\n"
+        assert default_history.read_text(encoding="ascii") == canonical
+        # one line per call; '' skips the append
+        write_bench_record(record, str(output), None)
+        assert write_bench_record(record, str(output), "") == ""
+        assert default_history.read_text(encoding="ascii") == canonical * 2
+        # an explicit history path, and no record file without an output
+        other = tmp_path / "other.jsonl"
+        assert write_bench_record(record, None, str(other)) == str(other)
+        assert other.read_text(encoding="ascii") == canonical
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCH_grid.json", "BENCH_history.jsonl", "other.jsonl"]
+        # the written record classifies and loads as a bench record
+        assert classify_path(output) == KIND_BENCH
+        assert load_source(output).benches == [record]
 
 
 class TestReportCli:

@@ -6,6 +6,8 @@ deep pass over it is in test_lint_deep.py."""
 
 import json
 import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -23,6 +25,7 @@ from repro.lint import (
 from repro.lint.cli import main as lint_main
 
 SRC_REPRO = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+REPO_SRC = os.path.abspath(os.path.join(SRC_REPRO, ".."))
 
 
 def codes(violations):
@@ -810,50 +813,6 @@ def test_cli_github_format(tmp_path, capsys):
     assert "clean" in capsys.readouterr().out
 
 
-def test_cli_baseline_suppresses_recorded_findings(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import time\nt = time.time()\n")
-    baseline = str(tmp_path / "baseline.json")
-    # --update-baseline requires --baseline
-    assert lint_main([str(dirty), "--update-baseline"]) == 2
-    capsys.readouterr()
-    assert lint_main([str(dirty), "--baseline", baseline,
-                      "--update-baseline"]) == 0
-    assert "1 fingerprint(s)" in capsys.readouterr().out
-    # the recorded finding no longer fails the run
-    assert lint_main([str(dirty), "--baseline", baseline]) == 0
-    # a new finding still does
-    dirty.write_text(
-        "import time\nimport random\n"
-        "t = time.time()\nr = random.random()\n"
-    )
-    assert lint_main([str(dirty), "--baseline", baseline]) == 1
-    out = capsys.readouterr().out
-    assert "RPL002" in out and "RPL001" not in out
-
-
-def test_cli_ast_cache_roundtrip(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import time\nt = time.time()\n")
-    cache = str(tmp_path / "cache.pickle")
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 1
-    assert os.path.exists(cache)
-    first = capsys.readouterr().out
-    # warm run reuses the parse and reports identically
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 1
-    assert capsys.readouterr().out == first
-    # a corrupt cache degrades to re-parsing, never to a crash
-    with open(cache, "wb") as fh:
-        fh.write(b"not a pickle")
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 1
-    assert capsys.readouterr().out == first
-    # an edit invalidates the stale entry
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 1
-    capsys.readouterr()
-    dirty.write_text("x = 1\n")
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 0
-
-
 def test_repro_cli_lint_subcommand(tmp_path, capsys):
     from repro.cli import main as repro_main
 
@@ -865,6 +824,49 @@ def test_repro_cli_lint_subcommand(tmp_path, capsys):
     assert "clean" in capsys.readouterr().out
     assert repro_main(["lint", str(dirty)]) == 1
     assert "RPL001" in capsys.readouterr().out
+
+
+def _front_end_outputs(argv):
+    """stdout and exit code of ``repro lint ARGV`` and ``python -m repro.lint ARGV``."""
+    env = dict(os.environ, PYTHONPATH=REPO_SRC)
+    procs = [
+        subprocess.Popen([sys.executable, "-m", *entry, *argv],
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                         env=env)
+        for entry in (("repro.cli", "lint"), ("repro.lint",))
+    ]
+    return [(proc.communicate()[0], proc.returncode) for proc in procs]
+
+
+def test_repro_lint_and_python_m_repro_lint_agree(tmp_path):
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text("import time\nt = time.time()\n")
+    deep = _exec_package(tmp_path / "deep", """
+        __all__ = ["work"]
+
+        _MEMO = {}
+
+        def work(task):
+            return _MEMO.get(task)
+
+        def prime(task, value):
+            _MEMO[task] = value
+        """)
+    cases = [
+        ([str(clean)], 0),
+        ([str(dirty)], 1),
+        ([deep, "--deep", "--format", "json"], 1),
+        (["--list-rules"], 0),
+        (["--explain", "RPL999"], 2),
+    ]
+    for argv, code in cases:
+        via_repro, via_module = _front_end_outputs(argv)
+        assert via_repro == via_module, argv
+        assert via_repro[1] == code, argv
+        if "--deep" in argv:
+            assert b"RPL019" in via_repro[0]
 
 
 def _exec_package(root, workers):
@@ -880,9 +882,6 @@ def _exec_package(root, workers):
 def test_repro_cli_lint_deep_subcommand(tmp_path, capsys):
     from repro.cli import main as repro_main
 
-    committed = os.path.join(
-        os.path.dirname(__file__), "..", "lint-baseline.json"
-    )
     # a per-process memo the worker fills and reads itself: clean
     clean = _exec_package(tmp_path / "clean", """
         __all__ = ["work"]
@@ -905,17 +904,12 @@ def test_repro_cli_lint_deep_subcommand(tmp_path, capsys):
         def prime(task, value):
             _MEMO[task] = value
         """)
-    assert repro_main(["lint", clean, "--deep", "--baseline", committed]) == 0
+    assert repro_main(["lint", clean, "--deep"]) == 0
     assert "clean" in capsys.readouterr().out
     assert repro_main(["lint", dirty]) == 0
     capsys.readouterr()
-    assert repro_main(["lint", dirty, "--deep", "--baseline", committed]) == 1
+    assert repro_main(["lint", dirty, "--deep"]) == 1
     assert "RPL019" in capsys.readouterr().out
-    # --update-baseline and --baseline reach the deep findings too
-    recorded = str(tmp_path / "baseline.json")
-    assert repro_main(["lint", dirty, "--deep", "--baseline", recorded,
-                       "--update-baseline"]) == 0
-    assert repro_main(["lint", dirty, "--deep", "--baseline", recorded]) == 0
 
 
 def test_cli_explain_shallow_rule(capsys):

@@ -26,12 +26,6 @@ from repro.lint.deep import (
     deep_lint_modules,
     deep_lint_paths,
 )
-from repro.lint.deep.baseline import (
-    filter_baselined,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.deep.program import module_name_for
 from repro.lint.reporters import render_json
 from repro.lint.rules.base import Violation
@@ -705,11 +699,6 @@ def test_src_repro_is_deep_clean_and_fast(src_repro_report):
     assert elapsed < 15.0, f"full pass took {elapsed:.1f}s (budget: 15s)"
 
 
-def test_committed_baseline_is_empty():
-    path = os.path.join(os.path.dirname(__file__), "..", "lint-baseline.json")
-    assert load_baseline(path) == []
-
-
 def _other_hash_seed():
     """A PYTHONHASHSEED that differs from this process's own.
 
@@ -742,38 +731,6 @@ def test_deep_report_is_byte_identical_across_hash_seeds(
     assert proc.stdout.decode("utf-8") == expected + "\n"
     assert proc.returncode == 0, proc.stderr.decode("utf-8")
     assert json.loads(proc.stdout)["count"] == 0
-
-
-# -- baseline ---------------------------------------------------------------
-
-def test_baseline_roundtrip_ignores_line_numbers(tmp_path):
-    path = str(tmp_path / "baseline.json")
-    vold = Violation(
-        code="RPL013", message="m", path="src\\repro\\x.py", line=10, col=0
-    )
-    assert write_baseline(path, [vold]) == 1
-    baseline = load_baseline(path)
-    # same finding on a different line, posix separators: still filtered
-    vnew = Violation(
-        code="RPL013", message="m", path="src/repro/x.py", line=99, col=4
-    )
-    assert filter_baselined([vnew], baseline) == []
-    other = Violation(
-        code="RPL013", message="other", path="src/repro/x.py", line=99, col=4
-    )
-    assert filter_baselined([other], baseline) == [other]
-    assert fingerprint(vold) == fingerprint(vnew)
-
-
-def test_baseline_loader_tolerates_garbage(tmp_path):
-    missing = str(tmp_path / "nope.json")
-    assert load_baseline(missing) == []
-    corrupt = tmp_path / "bad.json"
-    corrupt.write_text("{not json")
-    assert load_baseline(str(corrupt)) == []
-    wrong_version = tmp_path / "v0.json"
-    wrong_version.write_text('{"version": 0, "fingerprints": [["a","b","c"]]}')
-    assert load_baseline(str(wrong_version)) == []
 
 
 # -- noqa across passes -----------------------------------------------------
