@@ -10,12 +10,13 @@ import json
 import time
 
 from repro.cluster import GB, R3_XLARGE, MemoryAccountant, ResourceTracker
+from repro.obs import Tracer
 
 PHASES = 21
 
 
 def cpu(n):
-    tracker = ResourceTracker(n)
+    tracker = ResourceTracker(n, Tracer())
     loads = [1.0 + m / n for m in range(n)]
     for phase in range(PHASES):
         tracker.record_cpu(loads, 2.5, 0.1, 0.01 * phase)
@@ -37,7 +38,7 @@ def memory(n):
 
 
 def snapshots(n):
-    tracker = ResourceTracker(n)
+    tracker = ResourceTracker(n, Tracer())
     row = tuple(float(GB + m * 4096) for m in range(n))
     for phase in range(PHASES):
         tracker.record_memory(float(phase), row)

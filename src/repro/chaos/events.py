@@ -43,7 +43,7 @@ belongs to.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, ClassVar, Dict, Mapping, Optional, Type
 
 __all__ = [
     "ChaosEvent",
@@ -254,8 +254,3 @@ def event_from_dict(payload: Mapping[str, Any]) -> ChaosEvent:
     if cls is None:
         raise ValueError(f"unknown chaos event kind {kind!r}")
     return cls(**data)
-
-
-def sorted_events(events: Tuple[ChaosEvent, ...]) -> Tuple[ChaosEvent, ...]:
-    """Events in firing order; ties break by plan position (stable)."""
-    return tuple(sorted(events, key=lambda e: e.time))

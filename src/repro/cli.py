@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint",
         help="static analysis of the model contracts "
-             "(RPL001-RPL010; --deep adds RPL011-RPL014, RPL018-RPL020)",
+             "(RPL001-RPL010; --deep adds RPL012, RPL014, RPL019, RPL020)",
     )
 
     return parser

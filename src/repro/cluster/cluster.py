@@ -56,7 +56,7 @@ class Cluster:
         self.memory = MemoryAccountant(self.num_workers, spec.machine)
         self.network = NetworkModel(self.num_workers, spec.machine)
         self.hdfs = HdfsModel(self.num_workers, spec.machine)
-        self.tracker = ResourceTracker(self.num_workers)
+        self.tracker = ResourceTracker(self.num_workers, self.obs.tracer)
         # A fresh per-run cursor over the (immutable) chaos plan: reusing
         # one spec across grid cells re-arms every scheduled fault.
         self.chaos: Optional[ChaosRuntime] = (

@@ -18,6 +18,14 @@ machine, and folded once per run rather than once per event:
   per-machine peaks and (time, bytes) series are derived on query;
 * network, disk and memory-time counters are running sums.
 
+Disk, network and memory-time records are simulated work that the
+run's journal must show, so the tracker holds the run's
+:class:`~repro.obs.Tracer` and refuses such a record unless the
+innermost open span is a cluster operation's (``cat="cluster"``): the
+:class:`~repro.cluster.Cluster` primitives open one around every
+charge, and an engine charging bytes directly opens its own. The check
+runs in every run, tests included.
+
 No per-machine sample object is ever built and no Python loop runs per
 machine. The totals stay bit-equal to adding one machine at a time:
 elementwise IEEE operations are exact, and the sums go through
@@ -31,6 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..obs.metrics import fold_rows
+from ..obs.spans import SpanError, Tracer
 
 __all__ = ["SimClock", "ResourceTracker"]
 
@@ -55,10 +64,15 @@ class SimClock:
 
 
 class ResourceTracker:
-    """Accumulates the per-run resource series the paper logs."""
+    """Accumulates the per-run resource series the paper logs.
 
-    def __init__(self, num_machines: int) -> None:
+    ``tracer`` is the run's span tracer; disk, network and memory-time
+    records raise :class:`~repro.obs.SpanError` outside a cluster span.
+    """
+
+    def __init__(self, num_machines: int, tracer: Tracer) -> None:
         self.num_machines = num_machines
+        self._tracer = tracer
         self._initial_machines = num_machines
         # Running CPU aggregates (user, system, iowait, idle seconds),
         # folded in phase and machine order — the order a scan over
@@ -145,13 +159,26 @@ class ResourceTracker:
         row = np.asarray(used_bytes).astype(np.int64)
         self._memory_rows.append((time, row))
 
+    def _require_cluster_span(self, record: str) -> None:
+        """Raise unless the innermost open span is a cluster operation's."""
+        span = self._tracer.current
+        if span is None or span.cat != "cluster":
+            raise SpanError(
+                f"{record} outside a cluster span (innermost open span: "
+                f"{span!r}); charge simulated work inside "
+                f"`with tracer.span(..., cat=\"cluster\")` so the journal "
+                f"shows it"
+            )
+
     def record_network(self, sent: float, received: float) -> None:
-        """Add to the NIC byte counters."""
+        """Add to the NIC byte counters (inside a cluster span)."""
+        self._require_cluster_span("record_network")
         self.network_bytes_sent += sent
         self.network_bytes_received += received
 
     def record_disk(self, read: float = 0.0, written: float = 0.0) -> None:
-        """Add to the disk byte counters."""
+        """Add to the disk byte counters (inside a cluster span)."""
+        self._require_cluster_span("record_disk")
         self.disk_bytes_read += read
         self.disk_bytes_written += written
 
@@ -177,9 +204,10 @@ class ResourceTracker:
         The cost model (:mod:`repro.obs.cost`) bills memory by the
         GB-hour, so every clock-advancing primitive charges its
         duration × the cluster's resident bytes here. Like disk and
-        network records, this is simulated work — RPL013 requires call
-        sites to sit inside an obs span.
+        network records, this is simulated work, so it must be charged
+        inside a cluster span.
         """
+        self._require_cluster_span("record_memory_integral")
         if byte_seconds < 0:
             raise ValueError(
                 f"memory integral cannot be negative ({byte_seconds})"

@@ -61,49 +61,37 @@ WORKLOAD_NAMES = ("pagerank", "wcc", "sssp", "khop")
 #: extension workloads runnable on every engine but outside the paper's grids
 EXTENSION_WORKLOADS = ("cdlp",)
 
+#: Cluster primitives every computation model may charge: time,
+#: single-core compute spread over the machines, and memory snapshots
+_COMMON_PRIMITIVES = frozenset({"advance", "uniform_compute", "sample_memory"})
+#: ... plus per-machine compute and all-to-all exchange on a cluster
+_DISTRIBUTED_PRIMITIVES = _COMMON_PRIMITIVES | {"parallel_compute", "shuffle"}
+#: ... plus synchronized supersteps that persist through HDFS
+_SUPERSTEP_PRIMITIVES = _DISTRIBUTED_PRIMITIVES | {
+    "barrier", "hdfs_read", "hdfs_write",
+}
+
 #: computation model → the Cluster primitives that model may charge.
-#: RPL011 (the deep lint pass) statically verifies that every primitive
-#: call site reachable from an engine's ``run`` is covered by the
-#: engine's declared ``model_primitives``, and that the declaration
-#: stays inside this table for the engine's ``trace_model``. Keep the
-#: values literal frozensets — the linter reads this dict from the AST
-#: without importing the module. The table encodes Section 3's model
-#: boundaries: BSP/GAS/dataflow communicate through synchronized
-#: shuffles and persist via HDFS; block-centric additionally gathers
-#: block state to the master (Blogel's global computation); MapReduce
-#: spills iterations through local disk and HDFS round-trips;
-#: relational (Vertica) scans local storage and shuffles join traffic,
-#: never HDFS; the single-thread baseline touches no distributed
-#: communication primitive at all.
+#: The table encodes Section 3's model boundaries: BSP/GAS/dataflow
+#: communicate through synchronized shuffles and persist via HDFS;
+#: block-centric additionally gathers block state to the master
+#: (Blogel's global computation); MapReduce spills iterations through
+#: local disk and HDFS round-trips; relational (Vertica) scans local
+#: storage and shuffles join traffic, never HDFS; the single-thread
+#: baseline touches no distributed communication primitive at all.
+#: ``tests/test_model_contracts.py`` runs every engine and checks that
+#: the primitives it calls fall inside its ``model_primitives``, and
+#: those inside this table's entry for its ``trace_model``.
 MODEL_PRIMITIVES: Mapping[str, FrozenSet[str]] = {
-    "bsp": frozenset({
-        "advance", "parallel_compute", "uniform_compute", "shuffle",
-        "barrier", "hdfs_read", "hdfs_write", "sample_memory",
-    }),
-    "gas": frozenset({
-        "advance", "parallel_compute", "uniform_compute", "shuffle",
-        "barrier", "hdfs_read", "hdfs_write", "sample_memory",
-    }),
-    "dataflow": frozenset({
-        "advance", "parallel_compute", "uniform_compute", "shuffle",
-        "barrier", "hdfs_read", "hdfs_write", "sample_memory",
-    }),
-    "block-centric": frozenset({
-        "advance", "parallel_compute", "uniform_compute", "shuffle",
-        "barrier", "hdfs_read", "hdfs_write", "sample_memory",
-        "gather_to_master",
-    }),
-    "mapreduce": frozenset({
-        "advance", "parallel_compute", "uniform_compute", "shuffle",
-        "hdfs_read", "hdfs_write", "local_disk_io", "sample_memory",
-    }),
-    "relational": frozenset({
-        "advance", "parallel_compute", "uniform_compute", "shuffle",
-        "local_disk_io", "sample_memory",
-    }),
-    "single-thread": frozenset({
-        "advance", "uniform_compute", "local_disk_io", "sample_memory",
-    }),
+    "bsp": _SUPERSTEP_PRIMITIVES,
+    "gas": _SUPERSTEP_PRIMITIVES,
+    "dataflow": _SUPERSTEP_PRIMITIVES,
+    "block-centric": _SUPERSTEP_PRIMITIVES | {"gather_to_master"},
+    "mapreduce": _DISTRIBUTED_PRIMITIVES | {
+        "hdfs_read", "hdfs_write", "local_disk_io",
+    },
+    "relational": _DISTRIBUTED_PRIMITIVES | {"local_disk_io"},
+    "single-thread": _COMMON_PRIMITIVES | {"local_disk_io"},
 }
 
 
@@ -431,11 +419,10 @@ class Engine(abc.ABC):
     #: traces show each paradigm's characteristic shape ("bsp", "gas",
     #: "mapreduce", "block-centric", "dataflow", ...)
     trace_model: str = "bsp"
-    #: the Cluster primitives this engine's call graph may reach — every
-    #: concrete engine must declare this as a literal frozenset, and it
-    #: must be a subset of ``MODEL_PRIMITIVES[trace_model]``; RPL011
-    #: verifies both statically (no value here: forgetting the
-    #: declaration is itself a finding, not an empty contract)
+    #: the Cluster primitives this engine's runs may call, a subset of
+    #: ``MODEL_PRIMITIVES[trace_model]`` (no value here: every concrete
+    #: engine declares its own, and tests/test_model_contracts.py checks
+    #: both inclusions against real runs)
     model_primitives: FrozenSet[str]
 
     # -- template ---------------------------------------------------------

@@ -52,7 +52,7 @@ class BlogelVEngine(BspExecutionMixin, Engine):
     display_name = "Blogel-V"
     language = "C++"
     trace_model = "bsp"           # vertex-centric supersteps over MPI
-    #: RPL011 contract: every primitive reachable from run() (see
+    #: model contract: every Cluster primitive a run may call (see
     #: MODEL_PRIMITIVES in engines/base.py)
     model_primitives = frozenset({
         "advance", "uniform_compute", "shuffle",
@@ -213,7 +213,7 @@ class BlogelBEngine(BspExecutionMixin, Engine):
     display_name = "Blogel-B"
     language = "C++"
     trace_model = "block-centric"  # serial-in-block + cross-block rounds
-    #: RPL011 contract: Blogel-B additionally gathers Voronoi block
+    #: model contract: Blogel-B additionally gathers Voronoi block
     #: state to the master during partitioned loading
     model_primitives = frozenset({
         "advance", "uniform_compute", "shuffle", "gather_to_master",

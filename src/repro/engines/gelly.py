@@ -44,7 +44,7 @@ class GellyEngine(BspExecutionMixin, Engine):
     display_name = "Flink Gelly"
     language = "Java/Scala"
     trace_model = "dataflow"      # BSP iterations lowered onto Flink dataflow
-    #: RPL011 contract: every primitive reachable from run()
+    #: model contract: every Cluster primitive a run may call
     model_primitives = frozenset({
         "advance", "uniform_compute", "shuffle",
         "hdfs_read", "hdfs_write", "sample_memory",

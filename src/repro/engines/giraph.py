@@ -38,7 +38,7 @@ class GiraphEngine(BspExecutionMixin, Engine):
     pagerank_stop = "iterations"   # Giraph runs a fixed iteration count (§5.5)
     language = "Java"
     trace_model = "bsp"            # vertex-centric supersteps + global barrier
-    #: RPL011 contract: every primitive reachable from run()
+    #: model contract: every Cluster primitive a run may call
     model_primitives = frozenset({
         "advance", "uniform_compute", "shuffle",
         "hdfs_read", "hdfs_write", "sample_memory",

@@ -35,7 +35,7 @@ class GiraphPlusPlusEngine(BlogelBEngine):
     display_name = "Giraph++"
     language = "Java"
     trace_model = "block-centric"  # Blogel-B's shape at JVM prices
-    #: RPL011 contract: narrower than Blogel-B — the Hadoop-based
+    #: model contract: narrower than Blogel-B — the Hadoop-based
     #: loader never gathers block state to the master
     model_primitives = frozenset({
         "advance", "uniform_compute", "shuffle",

@@ -46,7 +46,7 @@ class GraphLabEngine(BspExecutionMixin, Engine):
     display_name = "GraphLab"
     language = "C++"
     trace_model = "gas"           # gather-apply-scatter over a vertex cut
-    #: RPL011 contract: every primitive reachable from run()
+    #: model contract: every Cluster primitive a run may call
     model_primitives = frozenset({
         "advance", "uniform_compute", "shuffle",
         "hdfs_read", "hdfs_write", "sample_memory",

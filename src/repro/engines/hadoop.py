@@ -41,7 +41,7 @@ class HadoopEngine(BspExecutionMixin, Engine):
     uses_all_machines = False
     fault_tolerance = "reexecution"
     trace_model = "mapreduce"     # each superstep is a full MR job
-    #: RPL011 contract: all communication through shuffle + HDFS
+    #: model contract: all communication through shuffle + HDFS
     #: round-trips; no direct message passing
     model_primitives = frozenset({
         "advance", "uniform_compute", "shuffle",
@@ -146,7 +146,7 @@ class HaLoopEngine(HadoopEngine):
 
     key = "HL"
     display_name = "HaLoop"
-    #: RPL011 contract: Hadoop's set plus the loop-aware local-disk
+    #: model contract: Hadoop's set plus the loop-aware local-disk
     #: cache that skips the invariant-data HDFS re-read
     model_primitives = frozenset({
         "advance", "uniform_compute", "shuffle",

@@ -156,7 +156,7 @@ class SingleThreadEngine(Engine):
     language = "C++"
     input_format = "edge"
     trace_model = "single-thread"  # one kernel span, no supersteps
-    #: RPL011 contract: the baseline touches no distributed
+    #: model contract: the baseline touches no distributed
     #: communication primitive — local disk and compute only
     model_primitives = frozenset({
         "advance", "uniform_compute", "local_disk_io", "sample_memory",

@@ -79,7 +79,7 @@ class GraphXEngine(BspExecutionMixin, Engine):
 
     key = "S"
     trace_model = "dataflow"      # Pregel-on-RDDs: join/aggregate stages
-    #: RPL011 contract: GraphX's skewed executors charge per-partition
+    #: model contract: GraphX's skewed executors charge per-partition
     #: parallel_compute on top of the shared BSP surface
     model_primitives = frozenset({
         "advance", "parallel_compute", "uniform_compute", "shuffle",

@@ -34,7 +34,7 @@ class VerticaEngine(BspExecutionMixin, Engine):
     language = "SQL"
     input_format = "edge"
     trace_model = "relational"    # join + aggregate + temp-table swap
-    #: RPL011 contract: table scans hit local storage and joins shuffle
+    #: model contract: table scans hit local storage and joins shuffle
     #: segment traffic — a relational engine never touches HDFS
     model_primitives = frozenset({
         "advance", "uniform_compute", "shuffle",

@@ -71,10 +71,10 @@ def expand_selectors(
     Two forms, checked in order:
 
     * **exact** — a selector that *is* a known code selects only that
-      code: ``RPL018`` selects RPL018 alone, never anything it happens
+      code: ``RPL012`` selects RPL012 alone, never anything it happens
       to prefix;
     * **prefix** — anything else matches ruff-style by prefix:
-      ``RPL01`` selects every RPL01x rule (RPL010-RPL014, RPL018 and
+      ``RPL01`` selects every RPL01x rule (RPL010, RPL012, RPL014 and
       RPL019), ``RPL`` selects everything.
 
     Returns the sorted matching subset of ``codes``; raises KeyError for

@@ -3,8 +3,8 @@
 The one parser behind both ``python -m repro.lint`` and ``repro lint``.
 Exit codes follow linter convention: 0 clean, 1 findings, 2 bad usage.
 The shallow pass (RPL001-RPL010) always runs; ``--deep`` additionally
-builds the whole-program model and runs RPL011-RPL014 and RPL018-RPL020
-over the same parse of each file. ``--select`` / ``--ignore`` filter
+builds the whole-program model and runs RPL012, RPL014, RPL019 and
+RPL020 over the same parse of each file. ``--select`` / ``--ignore`` filter
 both passes — an exact code matches only itself, anything shorter
 matches ruff-style by prefix — and ``--explain RPLxxx`` prints one
 rule's rationale, the discipline it enforces, and its minimal
@@ -38,7 +38,7 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
         description=(
             "Domain-aware static analysis for the simulation's model "
             "contracts (shallow rules RPL001-RPL010; --deep adds the "
-            "whole-program rules RPL011-RPL014 and RPL018-RPL020)."
+            "whole-program rules RPL012, RPL014, RPL019 and RPL020)."
         ),
     )
     parser.add_argument(
@@ -57,7 +57,7 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
         "--select",
         help=(
             "comma-separated rule codes or prefixes to run; an exact "
-            "code (RPL018) selects only itself, a prefix (RPL01) "
+            "code (RPL012) selects only itself, a prefix (RPL01) "
             "selects every code it starts (default: all active rules)"
         ),
     )
@@ -69,10 +69,9 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
         "--deep",
         action="store_true",
         help=(
-            "also run the whole-program pass (RPL011-RPL014, "
-            "RPL018-RPL020): call-graph model conformance, determinism "
-            "taint, span coverage, chaos safety, cache-key soundness, "
-            "cross-process state sharing, and bounded-retry hygiene"
+            "also run the whole-program pass (RPL012, RPL014, RPL019, "
+            "RPL020): determinism taint, chaos safety, cross-process "
+            "state sharing, and bounded-retry hygiene"
         ),
     )
     parser.add_argument(

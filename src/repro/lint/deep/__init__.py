@@ -1,30 +1,36 @@
-"""repro.lint.deep — whole-program conformance and determinism analysis.
+"""repro.lint.deep — whole-program determinism and safety analysis.
 
 The shallow pass (RPL001–RPL010) sees one file at a time; this package
 parses the whole tree once, builds a module table, static MROs, and a
 conservative call graph, and checks the contracts that only exist
-*between* files:
+*between* files and that no run can catch:
 
-- RPL011 model conformance — every cluster primitive reachable from an
-  engine's ``run`` is allowed by its declared computation model;
 - RPL012 determinism taint — nothing unordered/unseeded/host-varying
   flows into the RunResult/Journal cone;
-- RPL013 span coverage — no simulated disk/network work is recorded
-  outside an obs span;
 - RPL014 chaos safety — no broad handler can absorb a reachable
   simulated fault before its recovery is priced;
-- RPL018 cache-key soundness — every input that can change a RunResult
-  flows into the result cache's key construction;
 - RPL019 worker sharing — no ``exec`` module-level mutable state is
   expected to cross a process boundary;
 - RPL020 bounded retry — every ``while`` loop that sleeps through the
   host-clock door carries a reachable bound (attempt counter or
   deadline check).
 
+The engine contracts that a run shows exactly are checked by running
+them, and their rules are retired (their codes are not reused):
+
+- RPL011 model conformance → ``tests/test_model_contracts.py`` records
+  the ``Cluster`` primitives real runs call and checks them against
+  each engine's ``model_primitives`` and ``MODEL_PRIMITIVES``;
+- RPL013 span coverage → ``ResourceTracker.record_disk``,
+  ``record_network`` and ``record_memory_integral`` raise
+  :class:`~repro.obs.SpanError` outside a ``cluster`` span, in every run;
+- RPL018 cache-key soundness → ``tests/test_import_census.py`` checks
+  that every package a cell loads is digested into the cache key, and
+  that each ``run_cell`` parameter changes ``cell_key``.
+
 RPL015–RPL017 were static guesses at host cost (pool payloads, loop
-digests, superstep hot-loop hygiene). They are retired, and their codes
-are not reused: host cost is measured per layer instead
-(``perfbench/run.py --trace 1``).
+digests, superstep hot-loop hygiene). They are retired too: host cost
+is measured per layer instead (``perfbench/run.py --trace 1``).
 
 The serving stack needs no lockset analysis: the daemon's event loop
 owns all of its state and its one executor thread shares none, and the
@@ -48,11 +54,8 @@ from ..rules.base import Violation
 from ..source import SourceModule
 from .base import DeepRule
 from .program import Program, build_program
-from .rpl011_model_conformance import ModelConformanceRule
 from .rpl012_determinism import DeterminismTaintRule
-from .rpl013_span_coverage import SpanCoverageRule
 from .rpl014_chaos_safety import ChaosSafetyRule
-from .rpl018_cache_key import CacheKeySoundnessRule
 from .rpl019_worker_sharing import WorkerSharingRule
 from .rpl020_bounded_retry import BoundedRetryRule
 
@@ -67,11 +70,8 @@ __all__ = [
 ]
 
 DEEP_RULES = (
-    ModelConformanceRule(),
     DeterminismTaintRule(),
-    SpanCoverageRule(),
     ChaosSafetyRule(),
-    CacheKeySoundnessRule(),
     WorkerSharingRule(),
     BoundedRetryRule(),
 )

@@ -8,13 +8,7 @@ through the concrete class's static MRO; name calls resolve through the
 import map; attribute calls try an exact dotted resolution first and
 fall back to *every* same-named method in the program (sound
 over-approximation — the deep rules would rather follow one edge too
-many than miss a primitive call).
-
-A call site is additionally marked as a *cluster primitive site* when it
-invokes one of the :data:`PRIMITIVES` through a receiver chain ending in
-``cluster`` (``cluster.shuffle``, ``self.cluster.advance``,
-``ctx.cluster.advance``). Those sites are what RPL011/RPL013/RPL014
-charge against the engines' declared models.
+many than miss a call).
 """
 
 from __future__ import annotations
@@ -26,22 +20,7 @@ from typing import List, Optional, Tuple
 from ..source import dotted_parts
 from .program import ClassInfo, FunctionInfo, Program
 
-__all__ = ["PRIMITIVES", "CallSite", "call_sites", "resolve_targets"]
-
-#: the full Cluster cost-model surface (cluster/cluster.py)
-PRIMITIVES = frozenset({
-    "advance",
-    "parallel_compute",
-    "uniform_compute",
-    "shuffle",
-    "gather_to_master",
-    "broadcast",
-    "barrier",
-    "hdfs_read",
-    "hdfs_write",
-    "local_disk_io",
-    "sample_memory",
-})
+__all__ = ["CallSite", "call_sites", "resolve_targets"]
 
 
 @dataclass
@@ -52,16 +31,12 @@ class CallSite:
     kind: str  # "self" | "super" | "name" | "attr"
     name: str  # called method/function simple name
     chain: Optional[Tuple[str, ...]]  # dotted receiver chain, when named
-    primitive: Optional[str]  # set when this is a cluster primitive site
 
 
 def _classify(call: ast.Call) -> Optional[CallSite]:
     func = call.func
     if isinstance(func, ast.Name):
-        return CallSite(
-            node=call, kind="name", name=func.id, chain=(func.id,),
-            primitive=None,
-        )
+        return CallSite(node=call, kind="name", name=func.id, chain=(func.id,))
     if not isinstance(func, ast.Attribute):
         return None
     parts = dotted_parts(func)
@@ -72,26 +47,11 @@ def _classify(call: ast.Call) -> Optional[CallSite]:
             and isinstance(value.func, ast.Name)
             and value.func.id == "super"
         ):
-            return CallSite(
-                node=call, kind="super", name=func.attr, chain=None,
-                primitive=None,
-            )
-        return CallSite(
-            node=call, kind="attr", name=func.attr, chain=None, primitive=None
-        )
+            return CallSite(node=call, kind="super", name=func.attr, chain=None)
+        return CallSite(node=call, kind="attr", name=func.attr, chain=None)
     chain = tuple(parts)
-    primitive = None
-    if func.attr in PRIMITIVES and len(chain) >= 2 and chain[-2] == "cluster":
-        primitive = func.attr
-    if chain[0] == "self" and len(chain) == 2:
-        return CallSite(
-            node=call, kind="self", name=func.attr, chain=chain,
-            primitive=primitive,
-        )
-    return CallSite(
-        node=call, kind="attr", name=func.attr, chain=chain,
-        primitive=primitive,
-    )
+    kind = "self" if chain[0] == "self" and len(chain) == 2 else "attr"
+    return CallSite(node=call, kind=kind, name=func.attr, chain=chain)
 
 
 def call_sites(fn: FunctionInfo) -> List[CallSite]:

@@ -74,8 +74,6 @@ class ClassInfo:
     node: ast.ClassDef
     base_refs: List[str]  # dotted names after import-alias resolution
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: class-level simple assignments: attr name → value expression
-    assigns: Dict[str, ast.expr] = field(default_factory=dict)
 
     def __repr__(self) -> str:
         return f"ClassInfo({self.qualname})"
@@ -183,7 +181,6 @@ class Program:
             node=node,
             base_refs=refs,
         )
-        cls.assigns = _collect_assigns(node.body)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = FunctionInfo(
@@ -285,15 +282,6 @@ class Program:
         for c in linear[start:]:
             if name in c.methods:
                 return c.methods[name]
-        return None
-
-    def resolve_class_attr(
-        self, cls: ClassInfo, name: str
-    ) -> Optional[Tuple[ClassInfo, ast.expr]]:
-        """First class-body assignment of ``name`` along the MRO."""
-        for c in self.mro(cls):
-            if name in c.assigns:
-                return c, c.assigns[name]
         return None
 
 

@@ -39,6 +39,22 @@ from .program import FunctionInfo, Program
 
 __all__ = ["ChaosSafetyRule"]
 
+#: the Cluster primitives (cluster/cluster.py): each can raise a
+#: simulated failure (``advance`` past the 24-hour budget, for one)
+_PRIMITIVES = frozenset({
+    "advance",
+    "parallel_compute",
+    "uniform_compute",
+    "shuffle",
+    "gather_to_master",
+    "broadcast",
+    "barrier",
+    "hdfs_read",
+    "hdfs_write",
+    "local_disk_io",
+    "sample_memory",
+})
+
 
 def _raises_failure_type(node: ast.AST) -> bool:
     for sub in ast.walk(node):
@@ -53,8 +69,6 @@ def _raises_failure_type(node: ast.AST) -> bool:
 
 
 def _has_primitive_site(node: ast.AST) -> bool:
-    from .callgraph import PRIMITIVES
-
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call) and isinstance(
             sub.func, ast.Attribute
@@ -62,7 +76,7 @@ def _has_primitive_site(node: ast.AST) -> bool:
             parts = dotted_parts(sub.func)
             if (
                 parts
-                and parts[-1] in PRIMITIVES
+                and parts[-1] in _PRIMITIVES
                 and len(parts) >= 2
                 and parts[-2] == "cluster"
             ):

@@ -93,7 +93,7 @@ def render_github(violations: Sequence[Violation], files_checked: int) -> str:
 
 
 def render_rule_list() -> str:
-    """The ``--list-rules`` table (shallow RPL001-010 + deep RPL011-014, RPL018-020)."""
+    """The ``--list-rules`` table (shallow RPL001-010 + deep RPL012, 014, 019, 020)."""
     merged = _all_rules_by_code()
     lines = []
     for code in sorted(merged):

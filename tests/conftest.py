@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from repro.graph import Graph, from_edges
 #: the package under test, spelled the way the lint tests spell it, so
 #: the paths of the shared parse match the paths they build
 SRC_REPRO = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +37,45 @@ def src_repro_modules():
         with open(path, encoding="utf-8") as fh:
             modules[path] = SourceModule.parse(fh.read(), path=path)
     return modules
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """``run(code, src=None)``: run ``code`` in a new interpreter.
+
+    The interpreter imports ``repro`` from ``src`` (default: this
+    repo's ``src``) and this repo's ``tests`` package, so a check
+    defined in a test module runs as-is against another copy of the
+    code. Returns the ``CompletedProcess``, with text output.
+    """
+    def run(code: str, src=None) -> subprocess.CompletedProcess:
+        paths = [str(src or ROOT / "src"), str(ROOT)]
+        if os.environ.get("PYTHONPATH"):
+            paths.append(os.environ["PYTHONPATH"])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        return subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                              env=env, capture_output=True, text=True)
+    return run
+
+
+@pytest.fixture
+def mutated_src(tmp_path):
+    """``mutate(relpath, old, new)``: a mutated copy of src/repro.
+
+    Copies src/repro under ``tmp_path``, replaces the first ``old`` in
+    the file ``relpath`` (relative to the package) with ``new``, and
+    returns the ``src`` directory that holds the copy. A mutation whose
+    ``old`` text is missing fails the test instead of checking nothing.
+    """
+    def mutate(relpath: str, old: str, new: str) -> Path:
+        src = tmp_path / "src"
+        shutil.copytree(SRC_REPRO, src / "repro")
+        path = src / "repro" / relpath
+        text = path.read_text(encoding="utf-8")
+        assert old in text, f"mutation did not apply to {relpath}"
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        return src
+    return mutate
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from repro.cluster import (
     SimulatedOOM,
     SimulatedTimeout,
 )
+from repro.obs import SpanError, Tracer
 
 
 class TestSpecs:
@@ -232,9 +233,17 @@ class TestHdfsModel:
         assert hdfs.write_time(0, 4) == 0.0
 
 
+def tracker(machines):
+    """A standalone tracker charged the way the Cluster primitives charge
+    it: inside an open cluster span."""
+    tracer = Tracer()
+    tracer.start("op", cat="cluster")
+    return ResourceTracker(machines, tracer)
+
+
 class TestResourceTracker:
     def test_memory_series_per_machine(self):
-        t = ResourceTracker(2)
+        t = tracker(2)
         t.record_memory(0.0, [100, 50])
         t.record_memory(1.0, [200.7, 40])
         assert t.memory_series(0) == [(0.0, 100), (1.0, 200)]
@@ -243,49 +252,76 @@ class TestResourceTracker:
         assert t.peak_memory_bytes() == 200
 
     def test_series_and_peaks_are_python_ints(self):
-        t = ResourceTracker(2)
+        t = tracker(2)
         t.record_memory(0.0, (1.5e9, 2.5))
         t.record_memory(1.0, [3.0, 4.9])
         values = [b for m in range(2) for _, b in t.memory_series(m)]
         values += [t.peak_memory_bytes(), t.total_memory_bytes()]
         assert values == [1500000000, 3, 2, 4, 1500000000, 1500000004]
         assert {type(v) for v in values} == {int}
-        assert type(ResourceTracker(1).peak_memory_bytes()) is int
+        assert type(tracker(1).peak_memory_bytes()) is int
 
     def test_total_memory_sums_peaks(self):
-        t = ResourceTracker(2)
+        t = tracker(2)
         t.record_memory(0.0, [100, 40])
         t.record_memory(1.0, [80, 0])
         assert t.total_memory_bytes() == 140
 
     def test_cpu_totals(self):
-        t = ResourceTracker(1)
+        t = tracker(1)
         # 3 s busy, a quarter of it system time, 0.5 s iowait, 4 s step
         t.record_cpu([3.0], 4.0, system_fraction=0.25, iowait=0.5)
         assert t.cpu_totals() == {"user": 2.25, "system": 0.75,
                                   "iowait": 0.5, "idle": 0.5}
 
     def test_cpu_phase_sums_machines_and_clamps_idle(self):
-        t = ResourceTracker(3)
+        t = tracker(3)
         t.record_cpu([1.0, 2.0, 3.0], 2.5)
         totals = t.cpu_totals()
         assert totals["user"] == 6.0
         assert totals["idle"] == 1.5 + 0.5 + 0.0   # never negative
 
     def test_max_cpu_utilization(self):
-        t = ResourceTracker(1)
+        t = tracker(1)
         t.record_cpu([3.0], 4.0, iowait=1.0)
         util = t.max_cpu_utilization()
         assert util["user"] == pytest.approx(0.75)
         assert util["iowait"] == pytest.approx(0.25)
 
     def test_network_totals(self):
-        t = ResourceTracker(1)
+        t = tracker(1)
         t.record_network(sent=10, received=5)
         assert t.network_total_bytes() == 15
 
+    def test_work_records_need_a_cluster_span(self):
+        tracer = Tracer()
+        t = ResourceTracker(1, tracer)
+        charges = (
+            ("record_disk", lambda: t.record_disk(read=1.0)),
+            ("record_network", lambda: t.record_network(sent=1, received=1)),
+            ("record_memory_integral", lambda: t.record_memory_integral(1.0)),
+        )
+        # no span open, then an open span of another category: the
+        # journal would show no cluster operation holding the bytes
+        for cat in (None, "phase"):
+            if cat is not None:
+                tracer.start("execute", cat=cat)
+            for name, charge in charges:
+                with pytest.raises(SpanError, match=name):
+                    charge()
+        assert (t.disk_bytes_read, t.network_total_bytes(),
+                t.memory_byte_seconds()) == (0.0, 0.0, 0.0)
+        with tracer.span("table-scan", cat="cluster"):
+            for _, charge in charges:
+                charge()
+        assert (t.disk_bytes_read, t.network_total_bytes(),
+                t.memory_byte_seconds()) == (1.0, 2.0, 1.0)
+        # CPU phases and memory snapshots are gauges, charged anywhere
+        t.record_cpu([1.0], 1.0)
+        t.record_memory(0.0, [1.0])
+
     def test_empty_tracker(self):
-        t = ResourceTracker(1)
+        t = tracker(1)
         assert t.peak_memory_bytes() == 0
         assert t.max_cpu_utilization() == {"user": 0.0, "iowait": 0.0}
 

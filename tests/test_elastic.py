@@ -17,6 +17,7 @@ from repro.chaos import ChaosPlan, event_from_dict
 from repro.chaos.events import ScaleIn, ScaleOut
 from repro.cluster import ClusterSpec
 from repro.cluster.tracker import ResourceTracker
+from repro.obs import Tracer
 from repro.datasets import load_dataset
 from repro.chaos.experiment import (
     DIRECTIONS,
@@ -83,7 +84,7 @@ class TestRescaleEvents:
 
 
 def test_tracker_record_rescale_is_a_high_water_mark():
-    tracker = ResourceTracker(16)
+    tracker = ResourceTracker(16, Tracer())
     tracker.record_rescale(20)
     assert tracker.num_machines == 20
     tracker.record_rescale(4)   # scale-in never refunds billed capacity

@@ -24,7 +24,7 @@ from repro.cluster import (
     SimulatedOOM,
 )
 from repro.graph import Graph
-from repro.obs import Histogram, fold_rows, fold_sum
+from repro.obs import Histogram, Tracer, fold_rows, fold_sum
 from repro.partitioning import (
     random_edge_partition,
     random_vertex_partition,
@@ -184,7 +184,7 @@ phase = st.tuples(
 @given(st.lists(phase, max_size=30))
 @settings(max_examples=300, deadline=None)
 def test_tracker_totals_equal_a_sample_scan_bit_for_bit(phases):
-    tracker = ResourceTracker(4)
+    tracker = ResourceTracker(4, Tracer())
     reference = PerMachineTracker()
     for loads, step, system_fraction, iowait in phases:
         tracker.record_cpu(loads, step, system_fraction, iowait)
@@ -222,7 +222,7 @@ def fleet_runs(draw):
 @given(fleet_runs())
 @settings(max_examples=150, deadline=None)
 def test_deferred_cpu_fold_matches_per_machine_records(ops):
-    tracker = ResourceTracker(4)
+    tracker = ResourceTracker(4, Tracer())
     reference = PerMachineTracker()
     for kind, *args in ops:
         if kind == "phase":
@@ -242,7 +242,7 @@ def test_deferred_cpu_fold_matches_per_machine_records(ops):
 
 @pytest.mark.parametrize("step", [-0.0, float("nan"), -1.0])
 def test_idle_clamps_like_max_zero(step):
-    tracker = ResourceTracker(1)
+    tracker = ResourceTracker(1, Tracer())
     tracker.record_cpu([0.0], step)
     idle = tracker.cpu_totals()["idle"]
     assert idle == 0.0 and math.copysign(1.0, idle) == 1.0
@@ -258,7 +258,7 @@ snapshot = st.tuples(
 @given(st.lists(snapshot, max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_memory_rows_match_per_machine_samples(snapshots):
-    tracker = ResourceTracker(8)
+    tracker = ResourceTracker(8, Tracer())
     reference = PerMachineTracker()
     for time, used in snapshots:
         tracker.record_memory(time, used)

@@ -53,7 +53,7 @@ def test_select_rules_rejects_unknown_code(tmp_path, capsys):
     # the retired deep codes are unknown to --select, with --deep or not
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    for code in ("RPL015", "RPL016", "RPL017"):
+    for code in ("RPL011", "RPL013", "RPL015", "RPL016", "RPL017", "RPL018"):
         assert lint_main([str(clean), "--deep", "--select", code]) == 2
         assert lint_main([str(clean), "--select", code]) == 2
     assert "no rule code matches" in capsys.readouterr().err
@@ -86,17 +86,17 @@ def test_expand_selectors_exact_match_beats_prefix():
 
 
 def test_expand_selectors_rpl01_matches_ten_deep_rules():
-    # ten codes until RPL015-RPL017 were retired; seven remain
+    # ten codes until RPL015-RPL017 were retired, then RPL011, RPL013
+    # and RPL018; four remain
     from repro.lint.deep import DEEP_RULES_BY_CODE
 
     available = list(RULES_BY_CODE) + list(DEEP_RULES_BY_CODE)
     expanded = expand_selectors(["RPL01"], available)
-    assert expanded == [
-        "RPL010", "RPL011", "RPL012", "RPL013", "RPL014", "RPL018", "RPL019",
-    ]
-    assert expand_selectors(["RPL018"], available) == ["RPL018"]
-    with pytest.raises(KeyError):
-        expand_selectors(["RPL016"], available)
+    assert expanded == ["RPL010", "RPL012", "RPL014", "RPL019"]
+    assert expand_selectors(["RPL019"], available) == ["RPL019"]
+    for retired in ("RPL011", "RPL013", "RPL016", "RPL018"):
+        with pytest.raises(KeyError):
+            expand_selectors([retired], available)
 
 
 # -- RPL001 wall-clock ------------------------------------------------------
@@ -769,8 +769,10 @@ def test_cli_list_rules(capsys):
     for code in RULES_BY_CODE:
         assert code in out
     # deep rules are part of the listing even without --deep
-    for code in ("RPL011", "RPL012", "RPL013", "RPL014"):
+    for code in ("RPL012", "RPL014", "RPL019", "RPL020"):
         assert code in out
+    for retired in ("RPL011", "RPL013", "RPL018"):
+        assert retired not in out
 
 
 def test_cli_select_prefix_and_ignore(tmp_path, capsys):
@@ -796,10 +798,10 @@ def test_cli_select_prefix_and_ignore(tmp_path, capsys):
 def test_cli_deep_rule_selection_requires_deep_flag(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    assert lint_main([str(clean), "--select", "RPL011"]) == 2
+    assert lint_main([str(clean), "--select", "RPL012"]) == 2
     err = capsys.readouterr().err
     assert "--deep" in err
-    assert lint_main([str(clean), "--deep", "--select", "RPL011"]) == 0
+    assert lint_main([str(clean), "--deep", "--select", "RPL012"]) == 0
 
 
 def test_cli_github_format(tmp_path, capsys):
@@ -930,9 +932,11 @@ def test_cli_explain_deep_rule_without_deep_flag(capsys):
 
 
 def test_cli_explain_unknown_code_exits_2(capsys):
-    for code in ("RPL999", "RPL015"):
+    retired = ("RPL011", "RPL013", "RPL015", "RPL018")
+    for code in ("RPL999",) + retired:
         assert lint_main(["--explain", code]) == 2
         err = capsys.readouterr().err
         assert "unknown rule code" in err
         assert "RPL020" in err  # the known-codes list includes deep rules
-        assert "RPL015" not in err.split("known codes:")[1]
+        known = err.split("known codes:")[1]
+        assert not any(code in known for code in retired)

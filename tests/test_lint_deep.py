@@ -46,11 +46,13 @@ def codes(violations):
 # -- registry ---------------------------------------------------------------
 
 def test_deep_registry_covers_rpl011_through_rpl020():
-    # RPL015-RPL017 are retired and their codes stay unused
+    # RPL015-RPL017 are retired, and so are RPL011, RPL013 and RPL018,
+    # which run-time checks replace (tests/test_model_contracts.py,
+    # tests/test_import_census.py); the retired codes stay unused
     assert sorted(DEEP_RULES_BY_CODE) == [
-        "RPL011", "RPL012", "RPL013", "RPL014", "RPL018", "RPL019", "RPL020",
+        "RPL012", "RPL014", "RPL019", "RPL020",
     ]
-    assert len(DEEP_RULES) == 7
+    assert len(DEEP_RULES) == 4
     for rule in DEEP_RULES:
         assert rule.name and rule.rationale
 
@@ -142,164 +144,7 @@ def test_super_resolution_skips_past_the_defining_class(tmp_path):
     assert resolved.qualname == "pkg.base.Engine._load"
 
 
-# -- RPL011 on a fixture package (builtin model table fallback) -------------
-
-def test_rpl011_flags_undeclared_and_disallowed_primitives(tmp_path):
-    program_dir = tmp_path / "eng"
-    (program_dir / "__init__.py").parent.mkdir()
-    (program_dir / "__init__.py").write_text("")
-    (program_dir / "base.py").write_text(textwrap.dedent("""
-        class Engine:
-            trace_model = "bsp"
-
-            def run(self, cluster):
-                self._load(cluster)
-                self._execute(cluster)
-        """))
-    (program_dir / "toy.py").write_text(textwrap.dedent("""
-        from .base import Engine
-
-        class ToyEngine(Engine):
-            trace_model = "single-thread"
-            model_primitives = frozenset({"advance"})
-
-            def _load(self, cluster):
-                cluster.advance(1.0)
-
-            def _execute(self, cluster):
-                self._charge(cluster)
-
-            def _charge(self, cluster):
-                cluster.shuffle(10.0)
-
-        class BareEngine(Engine):
-            def _load(self, cluster):
-                pass
-
-            def _execute(self, cluster):
-                pass
-
-        class GreedyEngine(Engine):
-            trace_model = "single-thread"
-            model_primitives = frozenset({"advance", "shuffle"})
-
-            def _load(self, cluster):
-                pass
-
-            def _execute(self, cluster):
-                pass
-
-        class TidyEngine(Engine):
-            model_primitives = frozenset({"advance", "shuffle"})
-
-            def _load(self, cluster):
-                cluster.advance(1.0)
-
-            def _execute(self, cluster):
-                cluster.shuffle(10.0)
-        """))
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL011"))
-    messages = {v.message for v in found}
-    assert codes(found) == ["RPL011"] * 3
-    # ToyEngine: shuffle reached two hops from run but not declared
-    assert any(
-        "cluster.shuffle()" in m and "ToyEngine" in m for m in messages
-    )
-    # BareEngine: no declaration at all
-    assert any(
-        "BareEngine" in m and "model_primitives" in m for m in messages
-    )
-    # GreedyEngine: declares a primitive its model forbids
-    assert any(
-        "GreedyEngine" in m and "shuffle" in m and "does not allow" in m
-        for m in messages
-    )
-    # TidyEngine: declares what it reaches, within its (bsp) model
-    assert not any("TidyEngine" in m for m in messages)
-
-
-# -- RPL018-RPL020 on fixture packages: one positive + one negative each ----
-
-_RPL018_COMMON = {
-    "pkg/__init__.py": "",
-    "pkg/core/__init__.py": "",
-    "pkg/engines/__init__.py": "",
-    "pkg/workloads/__init__.py": "",
-    "pkg/exec/__init__.py": "",
-    "pkg/engines/base.py": """
-        class Engine:
-            def run(self):
-                return None
-        """,
-    "pkg/engines/toy.py": """
-        from .base import Engine
-        from ..workloads.foo import step
-
-        class ToyEngine(Engine):
-            def run(self):
-                return step()
-        """,
-    "pkg/workloads/foo.py": """
-        def step():
-            return 1
-        """,
-    "pkg/core/runner.py": """
-        from ..engines.toy import ToyEngine
-
-        def run_cell(system, workload, dataset, cluster_size, chaos=None):
-            return ToyEngine().run()
-        """,
-}
-
-
-def _rpl018_cache_module(packages, keys):
-    entries = "\n".join(f'        "{k}": {v},' for k, v in keys.items())
-    listed = ", ".join(f'"{p}"' for p in packages)
-    return (
-        "import hashlib\n"
-        "\n"
-        f"_RESULT_PACKAGES = ({listed},)\n"
-        "\n"
-        "def cell_key(task, dataset):\n"
-        "    payload = {\n"
-        f"{entries}\n"
-        "    }\n"
-        "    return hashlib.sha256(repr(payload).encode()).hexdigest()\n"
-    )
-
-
-def test_rpl018_flags_missing_package_and_missing_key(tmp_path):
-    files = dict(_RPL018_COMMON)
-    # "workloads" is reachable from the engine but not digested, and
-    # run_cell's chaos parameter never reaches the key dict
-    files["pkg/exec/cache.py"] = _rpl018_cache_module(
-        ["core", "engines"],
-        {
-            "system": "task.system", "workload": "task.workload",
-            "dataset": "dataset", "cluster_size": "task.cluster_size",
-        },
-    )
-    _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL018"))
-    assert codes(found) == ["RPL018", "RPL018"]
-    messages = " ".join(v.message for v in found)
-    assert "'workloads'" in messages and "_RESULT_PACKAGES" in messages
-    assert "'chaos'" in messages and "stale" in messages
-
-
-def test_rpl018_complete_key_is_clean(tmp_path):
-    files = dict(_RPL018_COMMON)
-    files["pkg/exec/cache.py"] = _rpl018_cache_module(
-        ["core", "engines", "workloads"],
-        {
-            "system": "task.system", "workload": "task.workload",
-            "dataset": "dataset", "cluster_size": "task.cluster_size",
-            "chaos": "task.chaos",
-        },
-    )
-    _program_from(tmp_path, files)
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL018")) == []
-
+# -- RPL019-RPL020 on fixture packages: one positive + one negative each ----
 
 def test_rpl019_flags_parent_written_worker_read_state(tmp_path):
     _program_from(tmp_path, {
@@ -487,22 +332,6 @@ def _mutated_tree(modules, relpath, mutate):
     return tree
 
 
-def test_rpl011_mutation_forbidden_primitive(src_repro_modules):
-    tree = _mutated_tree(
-        src_repro_modules,
-        os.path.join("engines", "giraph.py"),
-        lambda s: s.replace(
-            "cluster.sample_memory()",
-            "cluster.broadcast(1.0)\n        cluster.sample_memory()",
-            1,
-        ),
-    )
-    found = deep_lint_modules(tree, rules=rules("RPL011"))
-    assert codes(found) == ["RPL011"]
-    assert "cluster.broadcast()" in found[0].message
-    assert "GiraphEngine" in found[0].message
-
-
 def test_rpl012_mutation_unordered_iteration_leak(src_repro_modules):
     def mutate(s):
         s = s.replace(
@@ -529,58 +358,6 @@ def test_rpl012_mutation_unordered_iteration_leak(src_repro_modules):
     assert "set literal" in found[0].message
 
 
-def test_rpl013_mutation_unwrapped_tracker_record(src_repro_modules):
-    tree = _mutated_tree(
-        src_repro_modules,
-        os.path.join("engines", "graphlab.py"),
-        lambda s: s.replace(
-            "cluster.sample_memory()",
-            "cluster.tracker.record_disk(read=1.0)\n"
-            "        cluster.sample_memory()",
-            1,
-        ),
-    )
-    found = deep_lint_modules(tree, rules=rules("RPL013"))
-    assert codes(found) == ["RPL013"]
-    assert "record_disk" in found[0].message
-    assert "span" in found[0].message
-
-
-def test_rpl013_mutation_unspanned_memory_integral(src_repro_modules):
-    # the cost record bills GB-hours off record_memory_integral, so an
-    # unspanned call is untraceable billed work — RPL013 must fire
-    tree = _mutated_tree(
-        src_repro_modules,
-        os.path.join("engines", "graphlab.py"),
-        lambda s: s.replace(
-            "cluster.sample_memory()",
-            "cluster.tracker.record_memory_integral(1.0)\n"
-            "        cluster.sample_memory()",
-            1,
-        ),
-    )
-    found = deep_lint_modules(tree, rules=rules("RPL013"))
-    assert codes(found) == ["RPL013"]
-    assert "record_memory_integral" in found[0].message
-
-
-def test_rpl013_memory_integral_inside_span_is_clean(src_repro_modules):
-    # the same charge wrapped in a span is the sanctioned shape (how
-    # the Cluster primitives themselves accrue the integral): no finding
-    tree = _mutated_tree(
-        src_repro_modules,
-        os.path.join("engines", "graphlab.py"),
-        lambda s: s.replace(
-            "cluster.sample_memory()",
-            "with cluster.tracer.span(\"extra\", cat=\"cluster\"):\n"
-            "            cluster.tracker.record_memory_integral(1.0)\n"
-            "        cluster.sample_memory()",
-            1,
-        ),
-    )
-    assert deep_lint_modules(tree, rules=rules("RPL013")) == []
-
-
 def test_rpl014_mutation_stray_broad_except(src_repro_modules):
     def mutate(s):
         match = re.search(r"( +)(cluster\.shuffle\([^\n]+\))", s)
@@ -600,34 +377,6 @@ def test_rpl014_mutation_stray_broad_except(src_repro_modules):
     assert codes(found) == ["RPL014"]
     assert "broad except" in found[0].message
     assert "fault" in found[0].message
-
-
-def test_rpl018_mutation_dropped_result_package(src_repro_modules):
-    tree = _mutated_tree(
-        src_repro_modules,
-        os.path.join("exec", "cache.py"),
-        lambda s: s.replace('"partitioning", "workloads",', '"partitioning",', 1),
-    )
-    found = deep_lint_modules(tree, rules=rules("RPL018"))
-    assert codes(found) == ["RPL018"]
-    assert "'workloads'" in found[0].message
-    assert "_RESULT_PACKAGES" in found[0].message
-
-
-def test_rpl018_mutation_dropped_chaos_key(src_repro_modules):
-    tree = _mutated_tree(
-        src_repro_modules,
-        os.path.join("exec", "cache.py"),
-        lambda s: s.replace(
-            '        "chaos": None if task.chaos is None else task.chaos.to_dict(),\n',
-            "",
-            1,
-        ),
-    )
-    found = deep_lint_modules(tree, rules=rules("RPL018"))
-    assert codes(found) == ["RPL018"]
-    assert "'chaos'" in found[0].message
-    assert "stale" in found[0].message
 
 
 def test_rpl019_mutation_parent_primed_dataset_memo(src_repro_modules):
