@@ -19,11 +19,14 @@ entries degrade to cache misses, never to errors.
 
 A cache may carry a ``max_cells`` budget: entries are then tracked in
 LRU order (by cells — each entry is one cell payload) and the
-least-recently-used entries are evicted from disk when a put would
+least-recently-used entries are evicted from disk when an entry would
 exceed the budget, with the count kept in :attr:`ResultCache.evictions`
 (the serve daemon journals it). The order is in-process state, which is
-sound exactly where the budget is used — the daemon is the cache's
-single writer; unbounded caches skip the tracking entirely.
+sound exactly where the budget is used: the daemon's scheduler is the
+cache's single bookkeeper. Pool workers write their cells' entries
+through their own unbounded caches, and the scheduler then counts each
+one with :meth:`ResultCache.record`. Unbounded caches skip the tracking
+entirely.
 """
 
 from __future__ import annotations
@@ -163,10 +166,10 @@ class ResultCache:
         return payload
 
     def put(self, key: str, payload: dict) -> Path:
-        """Store a payload atomically; concurrent writers are safe.
+        """Store a payload atomically, then :meth:`record` it.
 
-        Under a ``max_cells`` budget, the put that exceeds it evicts
-        the least-recently-used entries from disk first.
+        Concurrent writers are safe: each writes its own temp file and
+        renames it into place.
         """
         path = self.path_for(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -179,17 +182,28 @@ class ResultCache:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_text(text, encoding="ascii")
         os.replace(tmp, path)
-        if self.max_cells is not None:
-            self._lru[key] = None
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.max_cells:
-                victim, _ = self._lru.popitem(last=False)
-                try:
-                    self.path_for(victim).unlink()
-                except OSError:
-                    pass
-                self.evictions += 1
+        self.record(key)
         return path
+
+    def record(self, key: str) -> None:
+        """Count ``key``'s entry as the newest, whoever wrote it.
+
+        :meth:`put` ends here; a scheduler calls it for an entry that a
+        worker process wrote with its own (unbounded) cache, so one
+        budget covers every writer. Past a ``max_cells`` budget the
+        least-recently-used entries are evicted from disk.
+        """
+        if self.max_cells is None:
+            return
+        self._lru[key] = None
+        self._lru.move_to_end(key)
+        while len(self._lru) > self.max_cells:
+            victim, _ = self._lru.popitem(last=False)
+            try:
+                self.path_for(victim).unlink()
+            except OSError:
+                pass
+            self.evictions += 1
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).is_file()

@@ -21,21 +21,44 @@ Two guarantees shape the implementation:
   a killed grid re-run with ``resume=True`` executes only the missing
   cells.
 
+The pool receives **batches**, not single cells: the portable misses,
+sorted by (dataset, size, workload, cluster size) so that a worker's
+partition, diameter and trajectory memos stay warm, then cut into
+contiguous runs (:func:`_batches`: ``BATCHES_PER_WORKER`` per worker,
+at most ``MAX_BATCH_CELLS`` cells each). A worker runs its batch cell
+by cell and writes each finished cell's cache entry itself; the
+scheduler records that entry against the cache's budget
+(:meth:`~repro.exec.cache.ResultCache.record`) and assembles results
+in plan order. A cell that raises comes back as its own outcome and
+alone is retried. A broken pool loses every batch in flight: the cells
+of those batches whose entries a worker already wrote are read back,
+neither re-run nor counted as retries, and the rest cost one backoff
+between them and one attempt each. Every exit sets the workers' stop
+event and cancels queued batches, so an interrupted grid stops at the
+next cell boundary.
+
 The executor observes itself: scheduler spans (plan, one per cell) and
 cache hit/miss/retry counters land in a host-clock
 :class:`~repro.obs.RunObservation`, journalable next to the per-cell
-simulated-clock journals.
+simulated-clock journals. A cell span's ``host_seconds`` is the cell's
+own run time inline. Pooled, it runs from the submission of the cell's
+batch until the worker finished the cell, plus the batch's trip back:
+queueing for a worker, the earlier cells of its batch, and its own run.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, _ExceptionWithTraceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from queue import SimpleQueue
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from types import TracebackType
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union, cast,
+)
 
 from ..datasets.registry import Dataset, load_dataset
 from ..engines.base import RunResult
@@ -58,6 +81,84 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.runner import ExperimentSpec, ResultGrid
 
 __all__ = ["ExecutionReport", "GridExecution", "execute_grid", "execute_specs"]
+
+#: batches per pool worker: enough that the last batches to finish keep
+#: every worker busy, few enough that a batch's round trip through the
+#: parent is paid by many cells
+BATCHES_PER_WORKER = 4
+#: the most cells one batch holds, so a long grid still streams results
+MAX_BATCH_CELLS = 64
+
+#: one pooled cell in flight: its task, cache key and attempt number
+_Cell = Tuple[CellTask, Optional[str], int]
+
+
+def _affinity(cell: _Cell) -> Tuple[str, str, str, int]:
+    """Cells that share a dataset, workload and size share worker memos."""
+    task = cell[0]
+    return (task.dataset, task.size, task.workload, task.cluster_size)
+
+
+def _batches(cells: List[_Cell], jobs: int) -> List[List[_Cell]]:
+    """Split cells, in affinity order, into contiguous near-equal batches.
+
+    ``jobs * BATCHES_PER_WORKER`` batches, or more when a batch would
+    exceed ``MAX_BATCH_CELLS``, and never more batches than cells. The
+    sort is stable, so cells with equal coordinates keep plan order.
+    """
+    ordered = sorted(cells, key=_affinity)
+    count = max(jobs * BATCHES_PER_WORKER, -(-len(ordered) // MAX_BATCH_CELLS))
+    count = min(count, len(ordered))
+    bounds = [len(ordered) * i // count for i in range(count + 1)]
+    return [ordered[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+# -- the worker side of the pool -----------------------------------------------
+# It lives here, not in ``workers``, because catching a cell's exception
+# to hand it back is failure recovery, which belongs in this module.
+
+#: the scheduler's stop event, handed to each worker when it starts
+_stop: Any = None
+
+
+def _init_worker(stop: Any) -> None:
+    """Pool initializer: keep the scheduler's stop event for batches."""
+    global _stop
+    _stop = stop
+
+
+def run_cell_batch(
+    cells: List[Tuple[dict, Optional[str]]],
+    cache_dir: Optional[Path],
+) -> List[Tuple[float, object]]:
+    """The pool's entry point: run ``(task payload, key)`` pairs in order.
+
+    Returns one ``(seconds, payload)`` outcome per cell that ran, or
+    ``(seconds, exception)`` per cell that raised, where ``seconds`` is
+    how far into the batch the cell ended. A finished cell with a key
+    is written to ``cache_dir`` before the next cell starts. Once the
+    stop event is set the batch ends early with fewer outcomes than
+    cells; the scheduler that set it reads none of them.
+    """
+    cache = None if cache_dir is None else ResultCache(cache_dir)
+    start = host_now()
+    outcomes: List[Tuple[float, object]] = []
+    for task, key in cells:
+        if _stop is not None and _stop.is_set():
+            break
+        try:
+            payload = run_cell_task(task)
+        except Exception as exc:  # this cell's failure goes back to retry
+            # unpickles as ``exc`` chained to the worker's traceback
+            # text, as an exception the pool itself sends back does
+            trace = cast(TracebackType, exc.__traceback__)
+            outcomes.append((host_now() - start,
+                             _ExceptionWithTraceback(exc, trace)))
+            continue
+        if cache is not None and key is not None:
+            cache.put(key, payload)
+        outcomes.append((host_now() - start, payload))
+    return outcomes
 
 
 @dataclass
@@ -245,78 +346,123 @@ class _GridRun:
             return
 
     def run_pool(self, misses: List[Tuple[CellTask, Optional[str]]]) -> None:
-        """Fan portable cells out over a process pool, with retry.
+        """Fan portable cells out over a process pool in batches, with retry.
 
-        Each future announces itself on one queue when it finishes, so a
-        completion costs one ``get`` rather than a waiter on every
-        pending future.
+        Cells go out in affinity order (:func:`_batches`), and each
+        batch's future announces itself on one queue when it finishes,
+        so a completion costs one ``get`` rather than a waiter on every
+        pending future. Every exit sets the workers' stop event and
+        cancels the queued batches, so cells left behind by an
+        interruption or an exhausted retry are never run.
         """
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-        pending: Dict[Future, Tuple[CellTask, Optional[str], int, float]] = {}
+        stop = multiprocessing.get_context().Event()
+
+        def new_pool() -> ProcessPoolExecutor:
+            return ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_init_worker,
+                initargs=(stop,),
+            )
+
+        pool = new_pool()
+        cache_dir = None if self.cache is None else self.cache.cache_dir
+        pending: Dict[Future, Tuple[List[_Cell], float]] = {}
         finished: "SimpleQueue[Future]" = SimpleQueue()
 
-        def submit(task: CellTask, key: Optional[str], attempt: int) -> None:
-            try:
-                future = pool.submit(run_cell_task, task.payload(attempt))
-            except BrokenProcessPool as exc:
-                # a worker died before every cell was submitted: fail
-                # this cell like the ones in flight, so the loop below
-                # rebuilds the pool once for all of them
-                future = Future()
-                future.set_exception(exc)
-            pending[future] = (task, key, attempt, host_now())
-            future.add_done_callback(finished.put)
+        def submit(cells: List[_Cell]) -> None:
+            for batch in _batches(cells, self.jobs):
+                work = [(task.payload(attempt), key) for task, key, attempt in batch]
+                try:
+                    future = pool.submit(run_cell_batch, work, cache_dir)
+                except BrokenProcessPool as exc:
+                    # a worker died before every batch was submitted:
+                    # fail this batch like the ones in flight, so the
+                    # loop below rebuilds the pool once for all of them
+                    future = Future()
+                    future.set_exception(exc)
+                pending[future] = (batch, host_now())
+                future.add_done_callback(finished.put)
 
-        def retry_or_raise(
-            cells: List[Tuple[CellTask, Optional[str], int]], exc: Exception
-        ) -> None:
+        def retry_or_raise(cells: List[_Cell], exc: Exception) -> None:
             """Back off once for one failure, then resubmit every cell.
 
-            A broken pool fails every cell in flight at once; one
+            A broken pool fails every batch in flight at once; one
             worker death is still one backoff, not one per cell.
             """
             for task, _, attempt in cells:
                 if attempt >= self.retry.max_attempts:
                     raise self._exhausted(task, attempt, exc) from exc
             host_sleep(self.retry.delay(max(a for _, _, a in cells)))
-            for task, key, attempt in cells:
+            for _ in cells:
                 self._count_retry()
-                submit(task, key, attempt + 1)
+            submit([(task, key, attempt + 1) for task, key, attempt in cells])
+
+        def salvage(cells: List[_Cell], submitted: float) -> List[_Cell]:
+            """Finish the lost cells whose entries a worker wrote; return the rest."""
+            unfinished = []
+            for task, key, attempt in cells:
+                payload = (self.cache.get(key)
+                           if self.cache is not None and key else None)
+                if payload is None:
+                    unfinished.append((task, key, attempt))
+                else:
+                    self._finish_pooled(task, key, payload, attempt,
+                                        host_now() - submitted)
+            return unfinished
 
         try:
-            for task, key in misses:
-                submit(task, key, 1)
+            submit([(task, key, 1) for task, key in misses])
             while pending:
                 future = finished.get()
                 if future not in pending:
                     continue  # from a pool already replaced as broken
-                task, key, attempt, submitted = pending.pop(future)
+                batch, submitted = pending.pop(future)
                 try:
-                    payload = future.result()
+                    outcomes = future.result()
                 except (KeyboardInterrupt, SystemExit):
                     raise
-                except BrokenProcessPool as exc:
-                    # The pool is dead: rebuild it, re-queue this cell and
-                    # everything still in flight (their results, if any,
-                    # died with the workers).
-                    pool.shutdown(wait=False)
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
-                    requeue = [(task, key, attempt)] + [
-                        (t, k, a) for (t, k, a, _) in pending.values()
-                    ]
-                    pending.clear()
-                    retry_or_raise(requeue, exc)
                 except Exception as exc:
-                    retry_or_raise([(task, key, attempt)], exc)
+                    # The batch is lost; the cells of it that a worker
+                    # already wrote to the cache are done, not retried.
+                    lost = salvage(batch, submitted)
+                    if isinstance(exc, BrokenProcessPool):
+                        # The pool died with every batch in flight.
+                        # Rebuild it; batches that returned before the
+                        # break still arrive through the queue.
+                        for other, (cells, sent) in list(pending.items()):
+                            if not (other.done() and not other.cancelled()
+                                    and other.exception() is None):
+                                del pending[other]
+                                lost += salvage(cells, sent)
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        pool = new_pool()
+                    if lost:
+                        retry_or_raise(lost, exc)
                 else:
-                    if self.cache is not None and key is not None:
-                        self.cache.put(key, payload)
-                    self._finish(
-                        task, payload_to_result(payload), SOURCE_RUN,
-                        attempt, host_now() - submitted,
-                    )
+                    received = host_now() - submitted
+                    ran = outcomes[-1][0]
+                    failed: List[_Cell] = []
+                    error: Optional[Exception] = None
+                    for (task, key, attempt), (ended, outcome) in zip(batch, outcomes):
+                        if isinstance(outcome, Exception):
+                            failed.append((task, key, attempt))
+                            error = outcome
+                        else:
+                            # submit-to-result, less the batch's later cells
+                            self._finish_pooled(task, key, outcome, attempt,
+                                                received - (ran - ended))
+                    if error is not None:
+                        retry_or_raise(failed, error)
         finally:
-            pool.shutdown(wait=False)
+            stop.set()
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def _finish_pooled(self, task: CellTask, key: Optional[str], payload: dict,
+                       attempt: int, host_seconds: float) -> None:
+        """Finish a cell a worker ran; the worker wrote its cache entry."""
+        if self.cache is not None and key is not None:
+            self.cache.record(key)
+        self._finish(task, payload_to_result(payload), SOURCE_RUN, attempt,
+                     host_seconds)
 
     def _aggregate_costs(self, ordered: List[RunResult]) -> None:
         """Fold every cell's cost record into the scheduler's metrics.

@@ -1,11 +1,12 @@
-"""The worker-process entry point: one cell in, one payload out.
+"""What a worker process runs per cell: one cell in, one payload out.
 
-Workers receive a :class:`~repro.exec.plan.CellTask` payload, rebuild
-the (deterministic) dataset in their own process, run the cell, and
-ship the serialized result back. Simulated failures — TO/OOM/MPI/SHFL —
+The pool's entry point, :func:`repro.exec.executor.run_cell_batch`,
+calls :func:`run_cell_task` for each cell of its batch: it rebuilds the
+(deterministic) dataset in the worker's process, runs the cell, and
+returns the serialized result. Simulated failures — TO/OOM/MPI/SHFL —
 are *results* and come back inside the payload like any completed run;
 only a real exception escaping the simulation (a bug, a dying
-interpreter) propagates to the scheduler, where the retry policy deals
+interpreter) goes back to the scheduler, where the retry policy deals
 with it.
 
 ``_REPRO_EXEC_FAULT`` is the retry path's failure drill (the process-

@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -19,6 +20,7 @@ import pytest
 
 from repro.core.runner import ExperimentSpec, ResultGrid, run_grid
 from repro.datasets.registry import load_dataset, register_dataset
+from repro.engines import systems_for_workload
 from repro.exec import (
     CellTask,
     ExecutorError,
@@ -32,7 +34,7 @@ from repro.exec import (
 )
 from repro.exec.serialize import PAYLOAD_VERSION
 from repro.exec import executor as executor_module
-from repro.exec.workers import FAULT_ENV, run_cell_task
+from repro.exec.workers import FAULT_ENV, WorkerCrash, run_cell_task
 from repro.obs import Journal
 
 
@@ -45,6 +47,15 @@ def tiny_spec(systems=("G", "BV"), datasets=("twitter",), sizes=(16, 32)):
         cluster_sizes=tuple(sizes),
         dataset_size="tiny",
     )
+
+
+def lineup_spec():
+    """26 cells: PageRank's 13-system lineup on twitter/tiny at 16 and 32.
+
+    More cells than a 2- or 3-worker pool has batches, so pooled runs
+    of it ship multi-cell batches.
+    """
+    return tiny_spec(systems=systems_for_workload("pagerank"))
 
 
 def journal_bytes(grid: ResultGrid) -> dict:
@@ -96,6 +107,28 @@ def test_run_grid_wires_jobs_and_cache_through(tmp_path):
     assert isinstance(cold, ResultGrid) and len(cold) == 2
     assert cold.same_results(warm)
     assert journal_bytes(cold) == journal_bytes(warm)
+
+
+def test_multi_cell_batches_deliver_every_cell_once_in_plan_order(tmp_path):
+    spec = lineup_spec()
+    tasks = plan_grid(spec)
+    twitter = load_dataset("twitter", "tiny")
+    seq = execute_grid(spec, jobs=1)
+    for jobs in (2, 3):
+        batches = executor_module._batches([(t, None, 1) for t in tasks], jobs)
+        assert len(batches) < len(tasks)  # some batch holds several cells
+        events = []
+        cache = ResultCache(tmp_path / f"cache-{jobs}")
+        par = execute_grid(spec, jobs=jobs, cache=cache, progress=events.append)
+        assert par.report.executed == len(tasks) and par.report.retries == 0
+        assert seq.grid.same_results(par.grid)
+        # plan order and byte identity at once: every journal names its cell
+        assert [r.observation.journal().dumps() for r in par.results] == [
+            r.observation.journal().dumps() for r in seq.results
+        ]
+        assert sorted(e.task.index for e in events) == list(range(len(tasks)))
+        assert len(cache) == len(tasks)
+        assert all(cell_key(t, twitter) in cache for t in tasks)
 
 
 # -- caching -----------------------------------------------------------------
@@ -172,6 +205,15 @@ def test_cache_budget_adopts_preexisting_entries(tmp_path):
     assert bounded.evictions == 1
     assert bounded.get(keys[0]) is None
     assert bounded.get(keys[1]) == payload(1)
+
+
+def test_cache_budget_bounds_the_entries_pool_workers_write(tmp_path):
+    cache = ResultCache(tmp_path / "cache", max_cells=3)
+    execution = execute_specs(
+        [tiny_spec(systems=("G", "BV", "S", "HD"))], jobs=2, cache=cache
+    )
+    assert execution.report.executed == 8
+    assert len(cache) == 3 and cache.evictions == 5
 
 
 class UncountableCache(ResultCache):
@@ -286,6 +328,22 @@ def test_worker_crashes_are_retried_in_the_pool(monkeypatch):
     assert journal_bytes(execution.grid) == journal_bytes(clean.grid)
 
 
+def test_a_failing_cell_retries_alone_inside_its_batch(monkeypatch):
+    spec = lineup_spec()
+    clean = execute_grid(spec, jobs=1)
+    monkeypatch.setenv(FAULT_ENV, "G:1")
+    events = []
+    execution = execute_grid(
+        spec, jobs=2, retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+        progress=events.append,
+    )
+    retried = sorted(e.task.cell_id for e in events if e.attempts > 1)
+    assert retried == ["G:pagerank:twitter/tiny@16", "G:pagerank:twitter/tiny@32"]
+    assert execution.report.retries == 2
+    assert execution.grid.same_results(clean.grid)
+    assert journal_bytes(execution.grid) == journal_bytes(clean.grid)
+
+
 def _die_on_first_giraph_attempt(task):
     """A worker that exits without a word on G@16's first attempt."""
     if (task["system"], task["cluster_size"], task["attempt"]) == ("G", 16, 1):
@@ -315,6 +373,92 @@ def test_a_dead_worker_rebuilds_the_pool_and_requeues(monkeypatch):
     assert journal_bytes(execution.grid) == journal_bytes(clean.grid)
 
 
+def _die_on_first_bv16_attempt(task):
+    """A worker that exits without a word on BV@16's first attempt."""
+    if (task["system"], task["cluster_size"], task["attempt"]) == ("BV", 16, 1):
+        os._exit(3)
+    return run_cell_task(task)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched worker entry point reaches the "
+                           "workers only through fork")
+def test_a_broken_pool_charges_no_retry_to_cells_that_finished(
+        monkeypatch, tmp_path):
+    # The first batch is BB@16, BV@16, G@16: BB@16 finishes and lands
+    # in the cache, then BV@16 kills its worker before G@16 starts.
+    spec = lineup_spec()
+    tasks = plan_grid(spec)
+    first = executor_module._batches([(t, None, 1) for t in tasks], 2)[0]
+    assert [t.cell_id for t, _, _ in first] == [
+        f"{system}:pagerank:twitter/tiny@16" for system in ("BB", "BV", "G")
+    ]
+    clean = execute_grid(spec, jobs=1)
+    monkeypatch.setattr(executor_module, "run_cell_task",
+                        _die_on_first_bv16_attempt)
+    backoffs = []
+    monkeypatch.setattr(executor_module, "host_sleep", backoffs.append)
+    events = []
+    execution = execute_grid(
+        spec, jobs=2, cache=tmp_path / "cache", progress=events.append,
+        retry=RetryPolicy(max_attempts=3, base_delay=0.25),
+    )
+    attempts = {e.task.cell_id: e.attempts for e in events}
+    assert len(events) == len(attempts) == len(tasks)
+    assert [attempts[t.cell_id] for t, _, _ in first] == [1, 2, 2]
+    # cells lost with the pool that had finished are read back, not
+    # re-run: only the cells that had not finished count as retries
+    assert execution.report.retries == sum(a - 1 for a in attempts.values())
+    assert backoffs == [0.25]
+    assert execution.report.executed == len(tasks)
+    assert execution.grid.same_results(clean.grid)
+    assert journal_bytes(execution.grid) == journal_bytes(clean.grid)
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """A real pool that remembers its stop event and its shutdowns."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        (self.stop,) = kwargs["initargs"]
+        self.shutdowns = []
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
+        super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+
+def test_an_interrupted_pooled_grid_cancels_its_queued_batches(monkeypatch):
+    pools = []
+
+    def make_pool(**kwargs):
+        pools.append(RecordingPool(**kwargs))
+        return pools[-1]
+
+    def interrupt(event):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", make_pool)
+    with pytest.raises(KeyboardInterrupt):
+        execute_grid(lineup_spec(), jobs=2, progress=interrupt)
+    (pool,) = pools
+    # queued batches are cancelled, and running ones stop at their next
+    # cell: the workers see the stop event
+    assert pool.shutdowns == [{"wait": False, "cancel_futures": True}]
+    assert pool.stop.is_set()
+
+
+def test_a_stopped_batch_runs_no_further_cells(monkeypatch):
+    task = plan_grid(tiny_spec(systems=("BV",), sizes=(16,)))[0]
+    work = [(task.payload(1), None)] * 2
+    stop = threading.Event()
+    monkeypatch.setattr(executor_module, "_stop", stop)
+    assert [type(outcome) for _, outcome in
+            executor_module.run_cell_batch(work, None)] == [dict, dict]
+    stop.set()
+    assert executor_module.run_cell_batch(work, None) == []
+
+
 def test_a_pool_that_breaks_during_submission_is_rebuilt(monkeypatch):
     # A worker that dies at once can break the pool while the scheduler
     # is still submitting: ProcessPoolExecutor.submit then raises
@@ -324,7 +468,7 @@ def test_a_pool_that_breaks_during_submission_is_rebuilt(monkeypatch):
     clean = execute_grid(spec, jobs=1)
     pools = []
 
-    class BreaksOnSecondSubmit(ProcessPoolExecutor):
+    class BreaksOnSecondSubmit(RecordingPool):
         submitted = 0
 
         def submit(self, fn, /, *args, **kwargs):
@@ -333,8 +477,8 @@ def test_a_pool_that_breaks_during_submission_is_rebuilt(monkeypatch):
                 raise BrokenProcessPool("a child process terminated abruptly")
             return super().submit(fn, *args, **kwargs)
 
-    def make_pool(max_workers):
-        pools.append(BreaksOnSecondSubmit(max_workers=max_workers))
+    def make_pool(**kwargs):
+        pools.append(BreaksOnSecondSubmit(**kwargs))
         return pools[-1]
 
     monkeypatch.setattr(executor_module, "ProcessPoolExecutor", make_pool)
@@ -344,6 +488,7 @@ def test_a_pool_that_breaks_during_submission_is_rebuilt(monkeypatch):
         spec, jobs=2, retry=RetryPolicy(max_attempts=3, base_delay=0.25)
     )
     assert len(pools) == 2 and backoffs == [0.25]
+    assert pools[0].shutdowns[0] == {"wait": False, "cancel_futures": True}
     assert execution.report.executed == 4
     assert execution.grid.same_results(clean.grid)
     assert journal_bytes(execution.grid) == journal_bytes(clean.grid)
@@ -359,6 +504,19 @@ def test_retry_exhaustion_raises_with_the_cell_address(monkeypatch):
             jobs=1,
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
         )
+
+
+def test_pooled_retry_exhaustion_keeps_the_worker_traceback(monkeypatch):
+    monkeypatch.setenv(FAULT_ENV, "G:5")
+    with pytest.raises(
+        ExecutorError, match=r"G:pagerank:twitter/tiny@16 failed after 1"
+    ) as raised:
+        execute_grid(
+            tiny_spec(sizes=(16,)), jobs=2, retry=RetryPolicy(max_attempts=1),
+        )
+    crash = raised.value.__cause__
+    assert isinstance(crash, WorkerCrash)
+    assert "_maybe_inject_fault" in str(crash.__cause__)
 
 
 # -- simulated failures are results ------------------------------------------
