@@ -24,18 +24,19 @@ Two guarantees shape the implementation:
 The pool receives **batches**, not single cells: the portable misses,
 sorted by (dataset, size, workload, cluster size) so that a worker's
 partition, diameter and trajectory memos stay warm, then cut into
-contiguous runs (:func:`_batches`: ``BATCHES_PER_WORKER`` per worker,
-at most ``MAX_BATCH_CELLS`` cells each). A worker runs its batch cell
-by cell and writes each finished cell's cache entry itself; the
-scheduler records that entry against the cache's budget
-(:meth:`~repro.exec.cache.ResultCache.record`) and assembles results
-in plan order. A cell that raises comes back as its own outcome and
+contiguous runs (:func:`_batches`: ``BATCHES_PER_WORKER`` per worker).
+A worker runs its batch cell by cell and writes each finished cell's
+cache entry itself; the scheduler records that entry against the
+cache's budget (:meth:`~repro.exec.cache.ResultCache.record`) and
+assembles results in plan order. A cell that raises comes back as its own outcome and
 alone is retried. A broken pool loses every batch in flight: the cells
 of those batches whose entries a worker already wrote are read back,
 neither re-run nor counted as retries, and the rest cost one backoff
 between them and one attempt each. Every exit sets the workers' stop
 event and cancels queued batches, so an interrupted grid stops at the
-next cell boundary.
+next cell boundary; the scheduler then waits for the running batches
+to stop and records every entry their workers wrote, so a bounded
+cache stays bounded.
 
 The executor observes itself: scheduler spans (plan, one per cell) and
 cache hit/miss/retry counters land in a host-clock
@@ -50,14 +51,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool, _ExceptionWithTraceback
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from queue import SimpleQueue
-from types import TracebackType
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union, cast,
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from ..datasets.registry import Dataset, load_dataset
@@ -86,8 +87,6 @@ __all__ = ["ExecutionReport", "GridExecution", "execute_grid", "execute_specs"]
 #: every worker busy, few enough that a batch's round trip through the
 #: parent is paid by many cells
 BATCHES_PER_WORKER = 4
-#: the most cells one batch holds, so a long grid still streams results
-MAX_BATCH_CELLS = 64
 
 #: one pooled cell in flight: its task, cache key and attempt number
 _Cell = Tuple[CellTask, Optional[str], int]
@@ -102,13 +101,11 @@ def _affinity(cell: _Cell) -> Tuple[str, str, str, int]:
 def _batches(cells: List[_Cell], jobs: int) -> List[List[_Cell]]:
     """Split cells, in affinity order, into contiguous near-equal batches.
 
-    ``jobs * BATCHES_PER_WORKER`` batches, or more when a batch would
-    exceed ``MAX_BATCH_CELLS``, and never more batches than cells. The
+    ``jobs * BATCHES_PER_WORKER`` batches, never more than cells. The
     sort is stable, so cells with equal coordinates keep plan order.
     """
     ordered = sorted(cells, key=_affinity)
-    count = max(jobs * BATCHES_PER_WORKER, -(-len(ordered) // MAX_BATCH_CELLS))
-    count = min(count, len(ordered))
+    count = min(jobs * BATCHES_PER_WORKER, len(ordered))
     bounds = [len(ordered) * i // count for i in range(count + 1)]
     return [ordered[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -127,6 +124,26 @@ def _init_worker(stop: Any) -> None:
     _stop = stop
 
 
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception a cell raised in a pool worker.
+
+    Tracebacks do not pickle, so a worker sends the text, and the
+    scheduler chains it as the ``__cause__`` of the unpickled exception.
+    """
+
+
+@dataclass
+class _CellError:
+    """A cell's exception on its way back from a worker."""
+
+    exc: Exception
+    trace: str
+
+    def unwrap(self) -> Exception:
+        self.exc.__cause__ = _WorkerTraceback(self.trace)
+        return self.exc
+
+
 def run_cell_batch(
     cells: List[Tuple[dict, Optional[str]]],
     cache_dir: Optional[Path],
@@ -134,7 +151,7 @@ def run_cell_batch(
     """The pool's entry point: run ``(task payload, key)`` pairs in order.
 
     Returns one ``(seconds, payload)`` outcome per cell that ran, or
-    ``(seconds, exception)`` per cell that raised, where ``seconds`` is
+    ``(seconds, _CellError)`` per cell that raised, where ``seconds`` is
     how far into the batch the cell ended. A finished cell with a key
     is written to ``cache_dir`` before the next cell starts. Once the
     stop event is set the batch ends early with fewer outcomes than
@@ -149,11 +166,9 @@ def run_cell_batch(
         try:
             payload = run_cell_task(task)
         except Exception as exc:  # this cell's failure goes back to retry
-            # unpickles as ``exc`` chained to the worker's traceback
-            # text, as an exception the pool itself sends back does
-            trace = cast(TracebackType, exc.__traceback__)
-            outcomes.append((host_now() - start,
-                             _ExceptionWithTraceback(exc, trace)))
+            trace = "".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__))
+            outcomes.append((host_now() - start, _CellError(exc, trace)))
             continue
         if cache is not None and key is not None:
             cache.put(key, payload)
@@ -242,6 +257,8 @@ class _GridRun:
         self.tasks: List[CellTask] = []
         self.datasets: Dict[Tuple[str, str], Dataset] = {}
         self.keys: Dict[int, str] = {}
+        #: keys of the cells handed to a pool worker and not yet finished
+        self.outstanding: Set[str] = set()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -353,7 +370,10 @@ class _GridRun:
         so a completion costs one ``get`` rather than a waiter on every
         pending future. Every exit sets the workers' stop event and
         cancels the queued batches, so cells left behind by an
-        interruption or an exhausted retry are never run.
+        interruption or an exhausted retry are never run. An exit that
+        leaves keyed cells unfinished waits for the running batches to
+        stop, then records the entries their workers wrote, so they
+        count against the cache's budget.
         """
         stop = multiprocessing.get_context().Event()
 
@@ -369,6 +389,7 @@ class _GridRun:
         finished: "SimpleQueue[Future]" = SimpleQueue()
 
         def submit(cells: List[_Cell]) -> None:
+            self.outstanding.update(key for _, key, _ in cells if key)
             for batch in _batches(cells, self.jobs):
                 work = [(task.payload(attempt), key) for task, key, attempt in batch]
                 try:
@@ -443,9 +464,9 @@ class _GridRun:
                     failed: List[_Cell] = []
                     error: Optional[Exception] = None
                     for (task, key, attempt), (ended, outcome) in zip(batch, outcomes):
-                        if isinstance(outcome, Exception):
+                        if isinstance(outcome, _CellError):
                             failed.append((task, key, attempt))
-                            error = outcome
+                            error = outcome.unwrap()
                         else:
                             # submit-to-result, less the batch's later cells
                             self._finish_pooled(task, key, outcome, attempt,
@@ -454,12 +475,18 @@ class _GridRun:
                         retry_or_raise(failed, error)
         finally:
             stop.set()
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Running batches end at their next cell boundary; wait for
+            # that only when their entries still need counting.
+            pool.shutdown(wait=bool(self.outstanding), cancel_futures=True)
+            for key in sorted(self.outstanding):
+                if self.cache is not None and key in self.cache:
+                    self.cache.record(key)
 
     def _finish_pooled(self, task: CellTask, key: Optional[str], payload: dict,
                        attempt: int, host_seconds: float) -> None:
         """Finish a cell a worker ran; the worker wrote its cache entry."""
         if self.cache is not None and key is not None:
+            self.outstanding.discard(key)
             self.cache.record(key)
         self._finish(task, payload_to_result(payload), SOURCE_RUN, attempt,
                      host_seconds)

@@ -216,6 +216,22 @@ def test_cache_budget_bounds_the_entries_pool_workers_write(tmp_path):
     assert len(cache) == 3 and cache.evictions == 5
 
 
+def test_an_interrupted_pooled_grid_keeps_its_cache_budget(tmp_path):
+    # Workers write entries the scheduler has not read yet: the rest of
+    # a returned batch, and the cells running when the grid stops. The
+    # scheduler counts them before it gives up.
+    class Stop(Exception):
+        pass
+
+    def interrupt(event):
+        raise Stop
+
+    cache = ResultCache(tmp_path / "cache", max_cells=2)
+    with pytest.raises(Stop):
+        execute_specs([lineup_spec()], jobs=2, cache=cache, progress=interrupt)
+    assert len(cache) == 2 and cache.evictions >= 1
+
+
 class UncountableCache(ResultCache):
     """A cache that refuses to be sized and counts its lookups."""
 
