@@ -1,8 +1,6 @@
-"""Log persistence, text tables, and ASCII charts (the viz-tool stand-in)."""
+"""Text tables and ASCII charts (the viz-tool stand-in)."""
 
 from .charts import bar_chart, histogram, line_chart
-from .logs import read_log, write_log
-from .report import grid_report
 from .tables import render_grid, render_table
 
 __all__ = [
@@ -11,7 +9,4 @@ __all__ = [
     "bar_chart",
     "line_chart",
     "histogram",
-    "write_log",
-    "read_log",
-    "grid_report",
 ]

@@ -4,17 +4,17 @@ Subcommands mirror the study's workflow::
 
     repro datasets                      # Table 3 for the synthetic stand-ins
     repro run BV pagerank twitter -m 16 # one experiment cell
-    repro grid wcc --log runs.jsonl     # one result figure (Figs 6-9)
+    repro grid wcc --trace traces/      # one result figure (Figs 6-9)
     repro grid wcc --jobs 4 --resume    # same grid, parallel + resumable
     repro bench-grid                    # time jobs=1 vs jobs=N -> BENCH_grid.json
     repro cost                          # Table 9 (the COST experiment)
     repro weak BV pagerank twitter      # the weak-scaling extension
     repro chaos --faults crash netsplit # fault injection: MTTR per system
     repro elastic --directions out in   # mid-run rescaling: cost per mechanism
-    repro report runs.jsonl -o out.md   # Markdown report from a log
-    repro report traces/ BENCH_grid.json # cost & perf report from journals
+    repro report traces/ -o out.md      # result tables, cost & perf report
+    repro report traces/ BENCH_grid.json # ... plus bench records
     repro report --diff old/ new/       # regression gate: exit 1 if slower
-    repro trace trace.jsonl --summary   # inspect a run journal
+    repro trace trace.jsonl --summary   # inspect a journal
     repro lint src/                     # enforce the model contracts (RPLxxx)
     repro serve                         # benchmark-as-a-service daemon
     repro submit pagerank --systems BB G # run a grid through the daemon
@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", nargs="+", default=["twitter", "uk0705", "wrn"])
     p.add_argument("--machines", nargs="+", type=int, default=list(CLUSTER_SIZES))
     p.add_argument("--size", default="small")
-    p.add_argument("--log", help="append results to this JSONL file")
     p.add_argument("--trace", metavar="DIR",
                    help="write one journal per cell into this directory "
                         "(plus the scheduler's own _scheduler.jsonl)")
@@ -218,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="perf & cost report — or regression diff — from logs, "
-             "journals, trace dirs, and bench records",
+        help="result tables, perf & cost report — or regression diff — "
+             "from journals, trace dirs, and bench records",
     )
     p.add_argument("paths", nargs="+", metavar="PATH",
-                   help="runs-log JSONL, run journal, trace directory, "
+                   help="trace directory, run/scheduler/server journal, "
                         "BENCH_grid.json, or BENCH_history.jsonl")
     p.add_argument("-o", "--output", help="write the report here (default stdout)")
     p.add_argument("--diff", action="store_true",
@@ -238,16 +237,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hot-span rows per input (default 10)")
 
     p = sub.add_parser(
-        "trace", help="inspect or convert a run journal (JSONL)"
+        "trace", help="inspect or convert a journal (JSONL)"
     )
-    p.add_argument("journal", help="journal file written by 'repro run --trace'")
+    p.add_argument("journal",
+                   help="journal file written by 'repro run --trace' (or a "
+                        "grid's _scheduler.jsonl, a daemon's _server.jsonl)")
     p.add_argument("--chrome", metavar="FILE",
                    help="export Chrome trace_event JSON (Perfetto-loadable)")
     p.add_argument("--csv", metavar="FILE",
                    help="export the per-superstep series as CSV")
     p.add_argument("--summary", action="store_true",
-                   help="print the phase timeline and hottest spans "
-                        "(default when no export is requested)")
+                   help="print the phase timeline and hottest spans; "
+                        "scheduler and server journals print their "
+                        "'repro report' (default when no export is "
+                        "requested)")
     p.add_argument("--top", type=int, default=5,
                    help="how many span groups the summary ranks (default 5)")
 
@@ -457,7 +460,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    from .analysis import render_grid, write_log
+    from .analysis import render_grid
     from .core.runner import ExperimentSpec
     from .exec import execute_grid, print_progress
 
@@ -497,9 +500,6 @@ def _cmd_grid(args) -> int:
         execution.scheduler_journal().write(trace_dir / "_scheduler.jsonl")
         print(f"{written} cell journals (+ _scheduler.jsonl) written to "
               f"{trace_dir}/")
-    if args.log:
-        count = write_log(grid.cells.values(), args.log)
-        print(f"\n{count} runs appended to {args.log}")
     return 0
 
 
@@ -726,48 +726,29 @@ def _emit_report(text: str, output: Optional[str]) -> None:
 def _cmd_report(args) -> int:
     from .obs import report as perf
 
-    if args.diff:
-        if len(args.paths) != 2:
-            print("error: --diff compares exactly two inputs",
-                  file=sys.stderr)
-            return 2
-        try:
-            diff = perf.diff_sources(
-                perf.load_source(args.paths[0]),
-                perf.load_source(args.paths[1]),
-                threshold=args.threshold,
-                cost_threshold=args.cost_threshold,
-            )
-        except perf.ReportError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _emit_report(diff.render(), args.output)
-        return diff.exit_code
-
-    sections: List[str] = []
-    perf_sources: List = []
+    if args.diff and len(args.paths) != 2:
+        print("error: --diff compares exactly two inputs", file=sys.stderr)
+        return 2
     try:
-        for path in args.paths:
-            if perf.classify_path(path) == perf.KIND_LEGACY_LOG:
-                from .analysis import grid_report, read_log
-
-                grid = read_log(path)
-                sections.append(
-                    grid_report(grid, title=f"Experiment report — {path}")
-                )
-            else:
-                perf_sources.append(perf.load_source(path))
+        sources = [perf.load_source(path) for path in args.paths]
     except perf.ReportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if perf_sources:
-        sections.append(perf.render_report(perf_sources, top=args.top))
-    _emit_report("\n\n".join(sections), args.output)
+    if args.diff:
+        diff = perf.diff_sources(
+            *sources,
+            threshold=args.threshold,
+            cost_threshold=args.cost_threshold,
+        )
+        _emit_report(diff.render(), args.output)
+        return diff.exit_code
+    _emit_report(perf.render_report(sources, top=args.top), args.output)
     return 0
 
 
 def _cmd_trace(args) -> int:
     from .obs import Journal, JournalError
+    from .obs import report as perf
     from .obs.export import render_summary, write_chrome, write_superstep_csv
 
     try:
@@ -786,7 +767,15 @@ def _cmd_trace(args) -> int:
         print(f"superstep csv: {rows} rows written to {args.csv}")
         exported = True
     if args.summary or not exported:
-        print(render_summary(journal, top=args.top))
+        if journal.meta.get("kind") in ("scheduler", "server"):
+            try:
+                source = perf.load_source(args.journal)
+            except perf.ReportError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            print(perf.render_report([source], top=args.top))
+        else:
+            print(render_summary(journal, top=args.top))
     return 0
 
 

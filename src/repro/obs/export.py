@@ -9,8 +9,9 @@ translated):
 * :func:`write_superstep_csv` — one row per superstep for the bench
   harness (the per-iteration series behind Table 6 and Figure 10).
 * :func:`render_summary` / :func:`one_line_summary` — the terminal
-  views: a phase timeline with the hottest spans, and the single
-  diagnosable line ``repro run``/``repro grid`` print by default.
+  views: a run journal's phase timeline with the hottest spans, and
+  the single diagnosable line ``repro run``/``repro grid`` print by
+  default.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 from .journal import Journal
+from .report import hot_span_rows
 
 __all__ = [
     "chrome_trace",
@@ -144,158 +146,18 @@ def write_superstep_csv(journal: Journal, path: Union[str, Path]) -> int:
 
 # -- terminal views --------------------------------------------------------
 
-def _self_times(spans: List[dict]) -> Dict[int, float]:
-    """Per-span self time: duration minus direct children's durations."""
-    selfs = {span["id"]: span["dur"] for span in spans}
-    for span in spans:
-        parent = span.get("parent")
-        if parent in selfs:
-            selfs[parent] -= span["dur"]
-    return selfs
-
-
-def _hot_spans(spans: List[dict], top: int) -> List[Tuple[str, int, float, float]]:
-    """Top (label, count, total, self) groups ranked by self time."""
-    selfs = _self_times(spans)
-    groups: Dict[str, List[float]] = {}
-    for span in spans:
-        label = f"{span['name']}" + (f" [{span['cat']}]" if span.get("cat") else "")
-        total, self_time, count = groups.get(label, [0.0, 0.0, 0])
-        groups[label] = [
-            total + span["dur"], self_time + selfs[span["id"]], count + 1,
-        ]
-    ranked = sorted(
-        ((label, int(count), total, self_time)
-         for label, (total, self_time, count) in groups.items()),
-        key=lambda item: (-item[3], item[0]),
-    )
-    return ranked[:top]
-
-
 def _bar(fraction: float, width: int = 24) -> str:
     filled = int(round(max(0.0, min(1.0, fraction)) * width))
     return "#" * filled + "." * (width - filled)
 
 
-def _render_scheduler_summary(journal: Journal, top: int) -> str:
-    """The executor's story: cache/retry counters + the grid's bill.
-
-    ``repro grid --trace`` writes ``_scheduler.jsonl`` next to the
-    per-cell journals; its spans are host-clock (scheduling overhead),
-    its counters are the cache-hit/retry/executed tallies, and the
-    ``cost.*`` counters aggregate every cell's cost record.
-    """
-    meta = journal.meta
-    spans = journal.spans()
-    grid_spans = [s for s in spans if s.get("name") == "grid"]
-    total = grid_spans[0]["dur"] if grid_spans else sum(
-        s["dur"] for s in spans if s.get("parent") is None
-    )
-    lines = [
-        f"scheduler — {meta.get('cells', '?')} cells · "
-        f"{meta.get('cache_hits', '?')} cached · "
-        f"{meta.get('executed', '?')} executed · "
-        f"{meta.get('retries', '?')} retries · jobs={meta.get('jobs', '?')} · "
-        f"{_fmt_seconds(total)} host"
-    ]
-    dollars = journal.scalar("cost.dollars")
-    if dollars:
-        answers = journal.scalar("cost.answers")
-        per = f" · ${dollars / answers:.4f}/answer" if answers else ""
-        lines.append(
-            f"  grid cost ${dollars:.4f} · "
-            f"{journal.scalar('cost.machine_seconds'):.0f} machine-s · "
-            f"{journal.scalar('cost.gb_shuffled'):.2f} GB shuffled · "
-            f"{journal.scalar('cost.memory_gb_hours'):.3f} mem GB-h · "
-            f"{answers:.0f} answers{per}"
-        )
-        recovery = journal.scalar("cost.recovery_seconds")
-        if recovery:
-            lines.append(
-                f"  chaos recovery {_fmt_seconds(recovery)} simulated "
-                f"(priced inside the machine-second bill)"
-            )
-    hot = _hot_spans(spans, top)
-    if hot:
-        lines.append(f"  top {len(hot)} scheduler spans by self time (host):")
-        for label, count, span_total, self_time in hot:
-            lines.append(
-                f"    {label:<24s} x{count:<5d} self "
-                f"{_fmt_seconds(self_time):>8s} · total "
-                f"{_fmt_seconds(span_total)}"
-            )
-    return "\n".join(lines)
-
-
-def _render_server_summary(journal: Journal, top: int) -> str:
-    """The serve daemon's story: queue, hit-rate, latency, per-client bill.
-
-    ``repro serve`` writes ``_server.jsonl`` at shutdown; its spans are
-    host-clock per-job service records, its counters the serving
-    tallies, and meta carries the latency percentiles and each client's
-    simulated bill.
-    """
-    meta = journal.meta
-    lines = [
-        f"server {meta.get('address', '?')} — {meta.get('jobs', '?')} jobs "
-        f"from {meta.get('clients', '?')} clients · "
-        f"{meta.get('cells', '?')} cells · "
-        f"{meta.get('rejected', '?')} rejected"
-    ]
-    hit_rate = meta.get("cache_hit_rate")
-    lines.append(
-        f"  cache: {meta.get('cache_hits', '?')} hits · "
-        f"{meta.get('executed', '?')} executed"
-        + (f" · hit-rate {float(hit_rate):.2f}"
-           if isinstance(hit_rate, (int, float)) else "")
-    )
-    p50, p99 = meta.get("p50_latency"), meta.get("p99_latency")
-    if isinstance(p50, (int, float)) and isinstance(p99, (int, float)):
-        lines.append(
-            f"  latency p50 {_fmt_seconds(float(p50))} · "
-            f"p99 {_fmt_seconds(float(p99))} (host, submit-to-finish)"
-        )
-    dollars = meta.get("dollars")
-    if isinstance(dollars, (int, float)) and dollars:
-        lines.append(f"  served cost ${float(dollars):.4f} (simulated)")
-    per_client = meta.get("per_client")
-    if isinstance(per_client, dict) and per_client:
-        ranked = sorted(
-            per_client.items(),
-            key=lambda kv: (-float(kv[1].get("dollars", 0.0)), kv[0]),
-        )
-        lines.append(f"  top {min(top, len(ranked))} clients by bill:")
-        for client, account in ranked[:top]:
-            lines.append(
-                f"    {client:<24s} {float(account.get('jobs', 0)):3.0f} jobs"
-                f" · {float(account.get('cells', 0)):4.0f} cells · "
-                f"${float(account.get('dollars', 0.0)):.4f}"
-            )
-    hot = _hot_spans(journal.spans(), top)
-    if hot:
-        lines.append(f"  top {len(hot)} server spans by self time (host):")
-        for label, count, span_total, self_time in hot:
-            lines.append(
-                f"    {label:<24s} x{count:<5d} self "
-                f"{_fmt_seconds(self_time):>8s} · total "
-                f"{_fmt_seconds(span_total)}"
-            )
-    return "\n".join(lines)
-
-
 def render_summary(journal: Journal, top: int = 5) -> str:
-    """The terminal timeline: phases, supersteps, and the hot spans.
+    """A run journal's terminal timeline: phases, supersteps, hot spans.
 
-    Scheduler journals (``_scheduler.jsonl``) and server journals
-    (``_server.jsonl``) get their own shapes: cache/retry counters and
-    the grid's aggregated cost, or the serving queue/latency/bill view,
-    instead of the per-run phase bars.
+    Scheduler and server journals render through
+    :func:`repro.obs.report.render_report` instead.
     """
     meta = journal.meta
-    if meta.get("kind") == "scheduler":
-        return _render_scheduler_summary(journal, top)
-    if meta.get("kind") == "server":
-        return _render_server_summary(journal, top)
     spans = journal.spans()
     run_spans = [s for s in spans if s.get("cat") == "run"]
     total = run_spans[0]["dur"] if run_spans else sum(
@@ -340,10 +202,10 @@ def render_summary(journal: Journal, top: int = 5) -> str:
             + (f" · ${per:.4f}/answer" if per is not None else
                " · no answer (failure billed, nothing earned)")
         )
-    hot = _hot_spans(spans, top)
+    hot = hot_span_rows([("", spans)], top)
     if hot:
         lines.append(f"  top {len(hot)} spans by self time:")
-        for label, count, span_total, self_time in hot:
+        for _, label, count, self_time, _, span_total in hot:
             share = self_time / total if total > 0 else 0.0
             lines.append(
                 f"    {label:<24s} x{count:<5d} self {_fmt_seconds(self_time):>8s}"

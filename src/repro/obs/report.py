@@ -1,9 +1,12 @@
 """Cross-run perf & cost reports and the regression gate.
 
-The analysis surface behind ``repro report``: load any mix of run
-journals, grid trace directories (``repro grid --trace``), bench
-records (``BENCH_grid.json`` / ``BENCH_history.jsonl``), and legacy
-runs-logs; aggregate spans flamegraph-style (self time per span name
+The one renderer behind ``repro report`` (and behind ``repro trace`` of
+a scheduler or server journal): load any mix of run journals, grid
+trace directories (``repro grid --trace``), scheduler and server
+journals, and bench records (``BENCH_grid.json`` /
+``BENCH_history.jsonl``); render a grid's result tables, failure
+census, per-column winners and §5.12 scaling labels from its run
+journals; aggregate spans flamegraph-style (self time per span name
 per engine); render cost-and-time comparison tables; and *diff* two
 inputs with configurable relative thresholds so CI can gate on "did
 this PR make anything slower or more expensive".
@@ -17,14 +20,15 @@ byte-identical output (the property the CI gate and the tests pin).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, TypeVar, Union)
 
-from ..engines.base import RunResult, record_to_result
+from ..core.scalability import ScalingCurve, scaling_classification
 from .cost import cost_event_from_events
-from .export import _self_times
-from .journal import Journal, canonical_json, write_atomic
+from .journal import Journal, JournalError, canonical_json, write_atomic
 
 __all__ = [
     "ReportError",
@@ -34,7 +38,6 @@ __all__ = [
     "PerfSource",
     "classify_path",
     "load_source",
-    "read_runs_log",
     "write_bench_record",
     "render_report",
     "hot_span_rows",
@@ -49,7 +52,6 @@ KIND_SERVER = "server-journal"
 KIND_TRACE_DIR = "trace-dir"
 KIND_BENCH = "bench"
 KIND_BENCH_HISTORY = "bench-history"
-KIND_LEGACY_LOG = "legacy-log"
 
 #: the grid-level cost counters the executor folds into _scheduler.jsonl
 _SCHEDULER_COST_FIELDS = (
@@ -59,7 +61,7 @@ _SCHEDULER_COST_FIELDS = (
 
 
 class ReportError(ValueError):
-    """An input file is not a journal, trace dir, bench record, or log."""
+    """An input file is not a journal, trace dir, or bench record."""
 
 
 # -- input classification ---------------------------------------------------
@@ -73,11 +75,9 @@ def _classify_event(event: dict, source: str) -> str:
         if event.get("kind") == "server":
             return KIND_SERVER
         return KIND_JOURNAL
-    if "system" in event and "workload" in event:
-        return KIND_LEGACY_LOG
     raise ReportError(
-        f"{source}: neither a run journal, a scheduler journal, a bench "
-        f"record, nor a runs-log"
+        f"{source}: neither a run, scheduler or server journal, nor a "
+        f"bench record"
     )
 
 
@@ -118,7 +118,7 @@ def classify_path(path: Union[str, Path]) -> str:
 
 @dataclass
 class RunRow:
-    """One run's report-facing summary (from a journal or a log record)."""
+    """One run's report-facing summary, from its journal's meta line."""
 
     key: str
     system: str
@@ -129,9 +129,24 @@ class RunRow:
     total_seconds: float
     iterations: int
     #: the journal's cost event (or one computed on the fly); ``None``
-    #: for legacy log records, which carry no journal to bill from
+    #: when the events carry nothing to bill from
     cost: Optional[dict]
     spans: List[dict] = field(default_factory=list)
+
+    @property
+    def coordinates(self) -> str:
+        """``system workload/dataset@machines``: the key before any #n."""
+        return (f"{self.system} {self.workload}/{self.dataset}"
+                f"@{self.machines}")
+
+    @property
+    def label(self) -> str:
+        """The system plus the key's #n suffix: one result-table row."""
+        return self.system + self.key[len(self.coordinates):]
+
+    def cell(self) -> str:
+        """The paper's grid cell: whole seconds or the failure code."""
+        return f"{self.total_seconds:.0f}" if self.status == "ok" else self.status
 
 
 @dataclass
@@ -144,6 +159,9 @@ class SchedulerRow:
     retries: int
     jobs: int
     cost: Dict[str, float]
+    #: host-clock seconds of the grid span (scheduling wall time)
+    host_seconds: float
+    spans: List[dict]
 
 
 @dataclass
@@ -164,6 +182,8 @@ class ServerRow:
     p50_latency: float
     p99_latency: float
     per_client: Dict[str, Dict[str, float]]
+    address: str
+    spans: List[dict]
 
 
 @dataclass
@@ -179,88 +199,118 @@ class PerfSource:
 
 # -- loading ----------------------------------------------------------------
 
-def _run_row_from_journal(journal: Journal) -> RunRow:
+T = TypeVar("T")
+
+
+def _field(meta: Dict[str, object], name: str, cast: Callable[[object], T],
+           where: str, default: Optional[T] = None) -> T:
+    """``cast(meta[name])``; a missing or mistyped field names the file.
+
+    ``default=None`` makes the field required.
+    """
+    if name not in meta:
+        if default is None:
+            raise ReportError(f"{where}: meta lacks {name!r}")
+        return default
+    value = meta[name]
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ReportError(
+            f"{where}: meta field {name!r} is not {cast.__name__} ({value!r})"
+        ) from exc
+
+
+def _run_row(journal: Journal, where: str) -> RunRow:
     meta = journal.meta
-    cost = journal.cost()
-    if cost is None:
-        # pre-cost journals (older traces) are still priced on the fly
-        cost = cost_event_from_events(journal.events)
-    return RunRow(
+    row = RunRow(
         key="",
-        system=str(meta.get("system", "?")),
-        workload=str(meta.get("workload", "?")),
-        dataset=str(meta.get("dataset", "?")),
-        machines=int(meta.get("machines", 0)),  # type: ignore[arg-type]
-        status=str(meta.get("status", "?")),
-        total_seconds=float(meta.get("total_time", 0.0)),  # type: ignore[arg-type]
-        iterations=int(meta.get("iterations", 0)),  # type: ignore[arg-type]
-        cost=cost,
+        system=_field(meta, "system", str, where),
+        workload=_field(meta, "workload", str, where),
+        dataset=_field(meta, "dataset", str, where),
+        machines=_field(meta, "machines", int, where),
+        status=_field(meta, "status", str, where, "?"),
+        total_seconds=_field(meta, "total_time", float, where, 0.0),
+        iterations=_field(meta, "iterations", int, where, 0),
+        cost=journal.cost(),
         spans=journal.spans(),
     )
+    if row.cost is None:
+        # pre-cost journals (older traces) are still priced on the fly
+        row.cost = cost_event_from_events(journal.events)
+    return row
 
 
-def _run_row_from_result(result: RunResult) -> RunRow:
-    return RunRow(
-        key="",
-        system=result.system,
-        workload=result.workload,
-        dataset=result.dataset,
-        machines=result.cluster_size,
-        status="ok" if result.ok else str(result.failure),
-        total_seconds=result.total_time,
-        iterations=result.iterations,
-        cost=None,
-    )
-
-
-def _scheduler_row(journal: Journal) -> SchedulerRow:
+def _scheduler_row(journal: Journal, where: str) -> SchedulerRow:
     meta = journal.meta
+    spans = journal.spans()
+    grid = [s for s in spans if s.get("name") == "grid"]
     return SchedulerRow(
-        cells=int(meta.get("cells", 0)),  # type: ignore[arg-type]
-        cache_hits=int(meta.get("cache_hits", 0)),  # type: ignore[arg-type]
-        executed=int(meta.get("executed", 0)),  # type: ignore[arg-type]
-        retries=int(meta.get("retries", 0)),  # type: ignore[arg-type]
-        jobs=int(meta.get("jobs", 0)),  # type: ignore[arg-type]
+        cells=_field(meta, "cells", int, where, 0),
+        cache_hits=_field(meta, "cache_hits", int, where, 0),
+        executed=_field(meta, "executed", int, where, 0),
+        retries=_field(meta, "retries", int, where, 0),
+        jobs=_field(meta, "jobs", int, where, 0),
         cost={
             name: journal.scalar(f"cost.{name}")
             for name in _SCHEDULER_COST_FIELDS
         },
+        host_seconds=grid[0]["dur"] if grid else sum(
+            s["dur"] for s in spans if s.get("parent") is None),
+        spans=spans,
     )
 
 
-def _server_row(journal: Journal) -> ServerRow:
+def _server_row(journal: Journal, where: str) -> ServerRow:
     meta = journal.meta
     per_client = meta.get("per_client")
     return ServerRow(
-        jobs=int(meta.get("jobs", 0)),  # type: ignore[arg-type]
-        rejected=int(meta.get("rejected", 0)),  # type: ignore[arg-type]
-        shed=int(meta.get("shed", 0)),  # type: ignore[arg-type]
-        deadline_expired=int(meta.get("deadline_expired", 0)),  # type: ignore[arg-type]
-        cells=int(meta.get("cells", 0)),  # type: ignore[arg-type]
-        cache_hits=int(meta.get("cache_hits", 0)),  # type: ignore[arg-type]
-        executed=int(meta.get("executed", 0)),  # type: ignore[arg-type]
-        evictions=int(meta.get("evictions", 0)),  # type: ignore[arg-type]
-        cache_hit_rate=float(meta.get("cache_hit_rate", 0.0)),  # type: ignore[arg-type]
-        dollars=float(meta.get("dollars", 0.0)),  # type: ignore[arg-type]
-        clients=int(meta.get("clients", 0)),  # type: ignore[arg-type]
-        p50_latency=float(meta.get("p50_latency", 0.0)),  # type: ignore[arg-type]
-        p99_latency=float(meta.get("p99_latency", 0.0)),  # type: ignore[arg-type]
+        jobs=_field(meta, "jobs", int, where, 0),
+        rejected=_field(meta, "rejected", int, where, 0),
+        shed=_field(meta, "shed", int, where, 0),
+        deadline_expired=_field(meta, "deadline_expired", int, where, 0),
+        cells=_field(meta, "cells", int, where, 0),
+        cache_hits=_field(meta, "cache_hits", int, where, 0),
+        executed=_field(meta, "executed", int, where, 0),
+        evictions=_field(meta, "evictions", int, where, 0),
+        cache_hit_rate=_field(meta, "cache_hit_rate", float, where, 0.0),
+        dollars=_field(meta, "dollars", float, where, 0.0),
+        clients=_field(meta, "clients", int, where, 0),
+        p50_latency=_field(meta, "p50_latency", float, where, 0.0),
+        p99_latency=_field(meta, "p99_latency", float, where, 0.0),
         per_client=per_client if isinstance(per_client, dict) else {},
+        address=_field(meta, "address", str, where, "?"),
+        spans=journal.spans(),
     )
+
+
+def _add_journal(source: PerfSource, path: Path) -> None:
+    """Read one journal file into the row list its meta kind selects."""
+    try:
+        journal = Journal.read(path)
+    except JournalError as exc:
+        raise ReportError(str(exc)) from exc
+    kind = journal.meta.get("kind")
+    if kind == "scheduler":
+        source.schedulers.append(_scheduler_row(journal, str(path)))
+    elif kind == "server":
+        source.servers.append(_server_row(journal, str(path)))
+    else:
+        source.runs.append(_run_row(journal, str(path)))
 
 
 def _assign_keys(rows: List[RunRow]) -> None:
     """Stable, unique run keys: coordinates plus a #n dedup suffix."""
     seen: Dict[str, int] = {}
     for row in rows:
-        base = f"{row.system} {row.workload}/{row.dataset}@{row.machines}"
+        base = row.coordinates
         n = seen.get(base, 0)
         seen[base] = n + 1
         row.key = base if n == 0 else f"{base}#{n + 1}"
 
 
-def _jsonl_events(text: str, source: str) -> List[Tuple[str, dict]]:
-    """Each JSON object line as ``("source:lineno", event)``."""
+def _jsonl_events(text: str, source: str) -> List[dict]:
+    """Each JSON object line of a JSONL file, in order."""
     events = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -273,30 +323,18 @@ def _jsonl_events(text: str, source: str) -> List[Tuple[str, dict]]:
             raise ReportError(f"{where}: not JSON ({exc.msg})") from exc
         if not isinstance(event, dict):
             raise ReportError(f"{where}: expected a JSON object")
-        events.append((where, event))
+        events.append(event)
     return events
 
 
-def read_runs_log(path: Union[str, Path]) -> List[RunResult]:
-    """The runs in a runs-log (``repro grid --log``), in file order.
-
-    A line that is not a run record raises :class:`ReportError` naming
-    the line: the file comes from outside the program.
-    """
-    results = []
-    text = Path(path).read_text(encoding="ascii")
-    for where, record in _jsonl_events(text, str(path)):
-        try:
-            results.append(record_to_result(record))
-        except KeyError as exc:
-            raise ReportError(f"{where}: run record lacks {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ReportError(f"{where}: not a run record ({exc})") from exc
-    return results
-
-
 def load_source(path: Union[str, Path]) -> PerfSource:
-    """Load one input path into its report-ready form."""
+    """Load one input path into its report-ready form.
+
+    Anything malformed — a line that is not JSON, a run journal whose
+    meta lacks a coordinate or holds a mistyped field — raises
+    :class:`ReportError` naming the file (and line): inputs come from
+    outside the program.
+    """
     kind = classify_path(path)
     p = Path(path)
     source = PerfSource(label=str(path))
@@ -305,32 +343,16 @@ def load_source(path: Union[str, Path]) -> PerfSource:
         if not files:
             raise ReportError(f"{path}: no .jsonl journals in directory")
         for file in files:
-            journal = Journal.read(file)
-            if journal.meta.get("kind") == "scheduler":
-                source.schedulers.append(_scheduler_row(journal))
-            elif journal.meta.get("kind") == "server":
-                source.servers.append(_server_row(journal))
-            else:
-                source.runs.append(_run_row_from_journal(journal))
-    elif kind == KIND_JOURNAL:
-        source.runs.append(_run_row_from_journal(Journal.read(p)))
-    elif kind == KIND_SCHEDULER:
-        source.schedulers.append(_scheduler_row(Journal.read(p)))
-    elif kind == KIND_SERVER:
-        source.servers.append(_server_row(Journal.read(p)))
+            _add_journal(source, file)
     elif kind == KIND_BENCH:
         source.benches.append(json.loads(p.read_text(encoding="ascii")))
     elif kind == KIND_BENCH_HISTORY:
         source.benches.extend(
-            event for _, event
-            in _jsonl_events(p.read_text(encoding="ascii"), str(path))
-        )
-    else:  # legacy runs-log
-        source.runs.extend(_run_row_from_result(result)
-                           for result in read_runs_log(p))
+            _jsonl_events(p.read_text(encoding="ascii"), str(path)))
+    else:
+        _add_journal(source, p)
     _assign_keys(source.runs)
     return source
-
 
 
 def write_bench_record(
@@ -357,24 +379,36 @@ def write_bench_record(
 
 # -- span aggregation -------------------------------------------------------
 
-def hot_span_rows(
-    runs: Sequence[RunRow], top: int = 10
-) -> List[Tuple[str, str, int, float, float, float]]:
-    """Flamegraph-style (engine, span, count, self_s, share, total_s).
+def _self_times(spans: Sequence[dict]) -> Dict[int, float]:
+    """Per-span self time: duration minus direct children's durations."""
+    selfs = {span["id"]: span["dur"] for span in spans}
+    for span in spans:
+        parent = span.get("parent")
+        if parent in selfs:
+            selfs[parent] -= span["dur"]
+    return selfs
 
-    Self time is summed per (engine, span label) across every run;
-    rows rank by self time (the flamegraph's widest leaves first) and
-    ``share`` is each row's fraction of all runs' self time.
+
+def hot_span_rows(
+    owned_spans: Iterable[Tuple[str, Sequence[dict]]], top: int = 10
+) -> List[Tuple[str, str, int, float, float, float]]:
+    """Flamegraph-style (owner, span, count, self_s, share, total_s).
+
+    ``owned_spans`` pairs each journal's spans with their owner (a
+    run's engine, say). Self time is summed per (owner, span label)
+    across every journal; rows rank by self time (the flamegraph's
+    widest leaves first) and ``share`` is each row's fraction of all
+    journals' self time.
     """
     groups: Dict[Tuple[str, str], Tuple[float, float, int]] = {}
     grand = 0.0
-    for row in runs:
-        selfs = _self_times(row.spans)
-        for span in row.spans:
+    for owner, spans in owned_spans:
+        selfs = _self_times(spans)
+        for span in spans:
             label = span["name"] + (
                 f" [{span['cat']}]" if span.get("cat") else ""
             )
-            key = (row.system, label)
+            key = (owner, label)
             total, self_time, count = groups.get(key, (0.0, 0.0, 0))
             groups[key] = (
                 total + span["dur"], self_time + selfs[span["id"]], count + 1
@@ -382,9 +416,9 @@ def hot_span_rows(
             grand += selfs[span["id"]]
     ranked = sorted(groups.items(), key=lambda kv: (-kv[1][1], kv[0]))
     return [
-        (system, label, count, self_time,
+        (owner, label, count, self_time,
          self_time / grand if grand > 0 else 0.0, total)
-        for (system, label), (total, self_time, count) in ranked[:top]
+        for (owner, label), (total, self_time, count) in ranked[:top]
     ]
 
 
@@ -407,6 +441,74 @@ def _cost_cell(cost: Optional[dict], key: str, fmt: str) -> str:
     if value is None:
         return "-"
     return format(float(value), fmt)
+
+
+def _render_grid(runs: Sequence[RunRow]) -> List[str]:
+    """The paper's result sections, from the runs' journal meta lines.
+
+    A result table per workload (rows are dataset and system, columns
+    the machine counts the runs bill; a repeated run's system carries
+    its key's #n), the failure census, the best system per column, and
+    the §5.12 strong-scaling labels.
+    """
+    workloads = sorted({row.workload for row in runs})
+    datasets = sorted({row.dataset for row in runs})
+    sizes = sorted({row.machines for row in runs})
+    cells = {(row.label, row.workload, row.dataset, row.machines): row
+             for row in runs}
+    ok = [row for row in runs if row.status == "ok"]
+    lines: List[str] = []
+    for workload in workloads:
+        rows = []
+        for dataset in datasets:
+            labels = sorted({row.label for row in runs
+                             if (row.workload, row.dataset)
+                             == (workload, dataset)})
+            for label in labels:
+                rows.append([dataset, label] + [
+                    cells[key].cell() if key in cells else "-"
+                    for key in ((label, workload, dataset, size)
+                                for size in sizes)
+                ])
+        header = ["dataset", "system"] + [f"{size} mach" for size in sizes]
+        lines += [f"### {workload}", ""] + _table(header, rows) + [""]
+
+    failures = Counter(row.status for row in runs if row.status != "ok")
+    lines += [f"### Failures ({sum(failures.values())} of {len(runs)} runs)",
+              ""]
+    lines += [f"- **{kind}**: {count}" for kind, count
+              in sorted(failures.items(), key=lambda kv: (-kv[1], kv[0]))
+              ] or ["- none"]
+
+    winners = []
+    scaling = []
+    for workload in workloads:
+        for dataset in datasets:
+            column = [row for row in ok
+                      if (row.workload, row.dataset) == (workload, dataset)]
+            for size in sizes:
+                entrants = [row for row in column if row.machines == size]
+                if entrants:
+                    best = min(entrants, key=lambda row: row.total_seconds)
+                    winners.append((workload, dataset, str(size), best.label,
+                                    f"{best.total_seconds:.1f}"))
+            points: Dict[str, List[Tuple[int, float]]] = {}
+            for row in column:
+                points.setdefault(row.label, []).append(
+                    (row.machines, row.total_seconds))
+            labels = scaling_classification([
+                ScalingCurve(label, workload, dataset, tuple(sorted(series)))
+                for label, series in points.items()
+            ])
+            if labels:
+                scaling.append(f"- {workload} / {dataset}: " + ", ".join(
+                    f"{label}: {kind}" for label, kind in sorted(labels.items())
+                ))
+    lines += ["", "### Best system per column (end-to-end)", ""]
+    lines += _table(("workload", "dataset", "machines", "winner", "seconds"),
+                    winners) if winners else ["- none"]
+    lines += ["", "### Strong-scaling classification (§5.12)", ""]
+    return lines + (scaling or ["- none"])
 
 
 def _render_runs(runs: Sequence[RunRow]) -> List[str]:
@@ -457,23 +559,37 @@ def _render_runs(runs: Sequence[RunRow]) -> List[str]:
     return _table(header, rows)
 
 
-def _render_hot_spans(runs: Sequence[RunRow], top: int) -> List[str]:
-    ranked = hot_span_rows(runs, top)
+def _render_hot_spans(
+    heading: str,
+    owned_spans: Iterable[Tuple[str, Sequence[dict]]],
+    top: int,
+    owner: str = "",
+    fmt: str = ".1f",
+) -> List[str]:
+    """A hot-span table, led by a blank line; ``[]`` without spans.
+
+    ``heading`` holds ``{n}`` for the row count; ``owner`` names the
+    owner column (none when empty); ``fmt`` formats the seconds.
+    """
+    ranked = hot_span_rows(owned_spans, top)
     if not ranked:
         return []
-    lines = [f"### Hot spans (top {len(ranked)} by self time, simulated)", ""]
+    header = ("span", "count", "self s", "share", "total s")
     rows = [
-        (system, label, str(count), f"{self_time:.1f}",
-         f"{share * 100:.1f}%", f"{total:.1f}")
-        for system, label, count, self_time, share, total in ranked
+        (label, str(count), format(self_time, fmt),
+         f"{share * 100:.1f}%", format(total, fmt))
+        for _, label, count, self_time, share, total in ranked
     ]
-    lines += _table(
-        ("engine", "span", "count", "self s", "share", "total s"), rows
-    )
-    return lines
+    if owner:
+        header = (owner,) + header
+        rows = [(entry[0],) + row for entry, row in zip(ranked, rows)]
+    return ["", f"### {heading.format(n=len(ranked))}", ""] + _table(
+        header, rows)
 
 
-def _render_schedulers(schedulers: Sequence[SchedulerRow]) -> List[str]:
+def _render_schedulers(
+    schedulers: Sequence[SchedulerRow], top: int
+) -> List[str]:
     lines = ["### Scheduler", ""]
     for row in schedulers:
         lines.append(
@@ -493,14 +609,23 @@ def _render_schedulers(schedulers: Sequence[SchedulerRow]) -> List[str]:
                 f"{cost['memory_gb_hours']:.3f} mem GB-h · "
                 f"{answers:.0f} answers{per}"
             )
-    return lines
+        if cost.get("recovery_seconds"):
+            lines.append(
+                f"  chaos recovery {cost['recovery_seconds']:.1f} s "
+                f"simulated (priced inside the machine-second bill)"
+            )
+        lines.append(f"  grid wall {row.host_seconds:.4f} s (host clock)")
+    return lines + _render_hot_spans(
+        "Scheduler spans (top {n} by self time, host clock)",
+        (("", row.spans) for row in schedulers), top, fmt=".4f",
+    )
 
 
-def _render_servers(servers: Sequence[ServerRow]) -> List[str]:
+def _render_servers(servers: Sequence[ServerRow], top: int) -> List[str]:
     lines = ["### Serving", ""]
     for row in servers:
         lines.append(
-            f"- {row.jobs} jobs from {row.clients} clients · "
+            f"- {row.address}: {row.jobs} jobs from {row.clients} clients · "
             f"{row.cells} cells ({row.cache_hits} cached, "
             f"{row.executed} executed, hit-rate "
             f"{row.cache_hit_rate:.2f}) · {row.rejected} rejected · "
@@ -537,7 +662,10 @@ def _render_servers(servers: Sequence[ServerRow]) -> List[str]:
             header = header[1:]
             rows = [row[1:] for row in rows]
         lines += _table(header, rows)
-    return lines
+    return lines + _render_hot_spans(
+        "Server spans (top {n} by self time, host clock)",
+        (("", row.spans) for row in servers), top, fmt=".4f",
+    )
 
 
 def _bench_field(record: dict, name: str) -> Optional[float]:
@@ -613,16 +741,19 @@ def render_report(sources: Sequence[PerfSource], top: int = 10) -> str:
     """The deterministic Markdown report for one or many inputs."""
     lines = ["# Perf & cost report"]
     for source in sources:
-        lines += ["", f"## {source.label}", ""]
+        lines += ["", f"## {source.label}"]
         if source.runs:
-            lines += _render_runs(source.runs)
-            hot = _render_hot_spans(source.runs, top)
-            if hot:
-                lines += [""] + hot
+            lines += [""] + _render_grid(source.runs)
+            lines += ["", "### Cost per run", ""] + _render_runs(source.runs)
+            lines += _render_hot_spans(
+                "Hot spans (top {n} by self time, simulated)",
+                ((row.system, row.spans) for row in source.runs), top,
+                owner="engine",
+            )
         if source.schedulers:
-            lines += [""] + _render_schedulers(source.schedulers)
+            lines += [""] + _render_schedulers(source.schedulers, top)
         if source.servers:
-            lines += [""] + _render_servers(source.servers)
+            lines += [""] + _render_servers(source.servers, top)
         if source.benches:
             lines += [""] + _render_benches(source.benches)
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Tests for log persistence, tables, and ASCII charts."""
+"""Tests for the run-record codec, tables, and ASCII charts."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from repro.analysis import (
     bar_chart,
     histogram,
     line_chart,
-    read_log,
     render_grid,
     render_table,
-    write_log,
 )
 from repro.cluster import FailureKind
 from repro.core import ResultGrid
@@ -29,37 +27,17 @@ def make_result(**kw):
 
 
 class TestLogs:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        original = make_result()
-        write_log([original], path)
-        grid = read_log(path)
-        loaded = grid.get("BV", "pagerank", "twitter", 16)
-        assert loaded is not None
-        assert loaded.total_time == pytest.approx(original.total_time)
-        assert loaded.extras["replication_factor"] == 5.5
-
-    def test_failure_roundtrip(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        failed = make_result(failure=FailureKind.OOM, failure_detail="x")
-        write_log([failed], path)
-        loaded = read_log(path).get("BV", "pagerank", "twitter", 16)
-        assert loaded.failure is FailureKind.OOM
-        assert not loaded.ok
-
-    def test_append_mode(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        write_log([make_result(cluster_size=16)], path)
-        write_log([make_result(cluster_size=32)], path)
-        assert len(read_log(path)) == 2
+    """The run record: one JSON object per run (cache payloads, workers)."""
 
     def test_record_is_json_safe(self):
         import json
 
-        record = result_to_record(make_result(failure=FailureKind.TIMEOUT))
-        text = json.dumps(record)
+        original = make_result(failure=FailureKind.TIMEOUT)
+        text = json.dumps(result_to_record(original))
         back = record_to_result(json.loads(text))
-        assert back.failure is FailureKind.TIMEOUT
+        assert back.failure is FailureKind.TIMEOUT and not back.ok
+        assert back.total_time == pytest.approx(original.total_time)
+        assert back.extras["replication_factor"] == 5.5
 
     def test_answers_not_serialized(self):
         import numpy as np

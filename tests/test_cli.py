@@ -1,19 +1,65 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import write_log
 from repro.cli import _trace_filename, build_parser, main
-from repro.engines.base import RunResult, result_to_record
+from repro.core.runner import ExperimentSpec
+from repro.engines import systems_for_workload
+from repro.exec import execute_grid
 
 
-def _logged_run(system, execute_time):
-    return RunResult(system=system, workload="pagerank", dataset="twitter",
-                     cluster_size=16, load_time=1.0,
-                     execute_time=execute_time, iterations=3)
+@pytest.fixture(scope="module")
+def khop_traces(tmp_path_factory):
+    """The 18-cell khop grid traced by ``repro grid``, and the same grid
+    run in memory (BB fails MPI and GL-S-R-I fails OOM on wrn@16)."""
+    trace_dir = tmp_path_factory.mktemp("khop") / "traces"
+    assert main(["grid", "khop", "--datasets", "twitter", "wrn",
+                 "--machines", "16", "--size", "tiny", "--no-cache",
+                 "--trace", str(trace_dir)]) == 0
+    spec = ExperimentSpec(
+        systems=systems_for_workload("khop"), workloads=("khop",),
+        datasets=("twitter", "wrn"), cluster_sizes=(16,),
+        dataset_size="tiny",
+    )
+    return trace_dir, execute_grid(spec, jobs=1).grid
+
+
+def _md_table(text, heading):
+    """The cells of the Markdown table under ``heading``, header first."""
+    lines = text.split(heading + "\n", 1)[1].splitlines()
+    rows = []
+    for line in lines[1:]:
+        if not line.startswith("|"):
+            break
+        if not line.startswith("|---"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _journal_dirs(tmp_path, mutate):
+    """A good trace dir holding one run journal, and a bad copy that adds
+    the same journal rewritten by ``mutate(lines)``; returns both dirs and
+    the rewritten journal's path."""
+    good = tmp_path / "good"
+    good.mkdir()
+    assert main(["run", "BV", "khop", "twitter", "-m", "16", "--size",
+                 "tiny", "--no-cache", "--trace", str(good / "bv.jsonl")]) == 0
+    bad = tmp_path / "bad"
+    shutil.copytree(good, bad)
+    lines = (good / "bv.jsonl").read_text().splitlines()
+    target = bad / "g.jsonl"
+    target.write_text("\n".join(mutate(lines)) + "\n")
+    return good, bad, target
+
+
+def _rewrite_meta(lines, edit):
+    meta = json.loads(lines[0])
+    edit(meta)
+    return [json.dumps(meta, sort_keys=True)] + lines[1:]
 
 
 class TestParser:
@@ -65,24 +111,14 @@ class TestCommands:
         assert main(cmd) == 0
         assert "cell served from the result cache" in capsys.readouterr().out
 
-    def test_grid_and_log(self, capsys, tmp_path):
-        log = tmp_path / "runs.jsonl"
-        assert main([
-            "grid", "khop", "--datasets", "twitter", "--machines", "16",
-            "--size", "tiny", "--log", str(log), "--no-cache",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "khop results" in out
-        assert "exec:" in out
-        assert log.exists()
-        assert len(log.read_text().splitlines()) == 9   # GRID_SYSTEMS
-
     def test_grid_warm_cache_and_trace(self, capsys, tmp_path):
         cmd = ["grid", "khop", "--datasets", "twitter", "--machines", "16",
                "--size", "tiny", "--cache-dir", str(tmp_path / "cache"),
                "--trace", str(tmp_path / "traces")]
         assert main(cmd) == 0
-        assert "9 executed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "khop results" in out
+        assert "exec: 9 cells" in out and "9 executed" in out
         assert main(cmd + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "9 cached · 0 executed" in out
@@ -90,58 +126,75 @@ class TestCommands:
         assert "_scheduler.jsonl" in journals
         assert len(journals) == 10  # 9 cells + the scheduler's own journal
 
-    def test_report_from_log(self, capsys, tmp_path):
-        log = tmp_path / "runs.jsonl"
-        main(["grid", "khop", "--datasets", "twitter", "--machines", "16",
-              "--size", "tiny", "--log", str(log), "--no-cache"])
-        capsys.readouterr()
-        assert main(["report", str(log)]) == 0
+    def test_report_from_trace_dir(self, capsys, khop_traces):
+        trace_dir, grid = khop_traces
+        assert main(["report", str(trace_dir)]) == 0
         out = capsys.readouterr().out
-        assert "# Experiment report" in out
-        assert "Best system per column" in out
+        assert out.startswith("# Perf & cost report")
+        # every result-table cell is the in-memory grid's cell text
+        header, *rows = _md_table(out, "### khop")
+        assert header == ["dataset", "system", "16 mach"]
+        cells = {(dataset, system): text for dataset, system, text in rows}
+        assert len(cells) == len(rows) == 18
+        assert cells == {
+            (dataset, system): grid.cell_text(system, workload, dataset, size)
+            for system, workload, dataset, size in grid.cells
+        }
+        assert cells["wrn", "BB"] == "MPI"
+        assert cells["wrn", "GL-S-R-I"] == "OOM"
+        census = out.split("### Failures (2 of 18 runs)\n\n", 1)[1]
+        assert census.startswith("- **MPI**: 1\n- **OOM**: 1\n")
+        winners = _md_table(out, "### Best system per column (end-to-end)")
+        expected = []
+        for dataset in ("twitter", "wrn"):
+            best = grid.best_system("khop", dataset, 16)
+            expected.append(["khop", dataset, "16", best.system,
+                             f"{best.total_time:.1f}"])
+        assert winners[1:] == expected
+        # one size: no system has a curve to classify yet
+        assert "- khop / wrn: BB" not in out
+        assert "GL-S-R-I: insufficient-data" in out
 
-    def test_report_diff_of_two_runs_logs(self, capsys, tmp_path):
-        before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
-        write_log([_logged_run("BV", 10.0), _logged_run("G", 20.0)], before)
-        write_log([_logged_run("BV", 10.0), _logged_run("G", 30.0)], after)
-        assert main(["report", "--diff", str(before), str(after)]) == 1
-        out = capsys.readouterr().out
-        assert "compared 2 runs" in out
-        assert "G pagerank/twitter@16 · total seconds: 21.0 -> 31.0" in out
-
-    @pytest.mark.parametrize("coordinate", ["dataset", "cluster_size"])
+    @pytest.mark.parametrize("coordinate",
+                             ["system", "workload", "dataset", "machines"])
     @pytest.mark.parametrize("diff", [False, True])
-    def test_runs_log_line_without_a_coordinate(self, capsys, tmp_path,
-                                                coordinate, diff):
-        good = tmp_path / "good.jsonl"
-        write_log([_logged_run("BV", 10.0)], good)
-        record = result_to_record(_logged_run("G", 20.0))
-        del record[coordinate]
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(good.read_text() + "\n" + json.dumps(record) + "\n")
+    def test_trace_dir_journal_without_a_coordinate(self, capsys, tmp_path,
+                                                    coordinate, diff):
+        good, bad, journal = _journal_dirs(tmp_path, lambda lines: (
+            _rewrite_meta(lines, lambda meta: meta.pop(coordinate))))
         argv = ["report", "--diff", str(good), str(bad)] if diff else [
             "report", str(bad)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"{bad}:3: run record lacks '{coordinate}'" in err
+        assert f"error: {journal}: meta lacks '{coordinate}'" in err
 
-    @pytest.mark.parametrize("field, value", [("failure", "BOOM"),
-                                              ("extras", [1])])
-    def test_runs_log_line_with_a_malformed_field(self, capsys, tmp_path,
-                                                  field, value):
-        record = result_to_record(_logged_run("G", 20.0))
-        record[field] = value
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(record) + "\n")
-        assert main(["report", str(bad)]) == 2
-        assert f"{bad}:1: not a run record" in capsys.readouterr().err
+    @pytest.mark.parametrize("field, value", [("machines", "sixteen"),
+                                              ("total_time", [1])])
+    @pytest.mark.parametrize("diff", [False, True])
+    def test_trace_dir_journal_with_a_malformed_field(self, capsys, tmp_path,
+                                                      field, value, diff):
+        good, bad, journal = _journal_dirs(tmp_path, lambda lines: (
+            _rewrite_meta(lines, lambda meta: meta.update({field: value}))))
+        argv = ["report", "--diff", str(good), str(bad)] if diff else [
+            "report", str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {journal}: meta field '{field}' is not" in err
 
-    def test_report_to_file(self, capsys, tmp_path):
-        log = tmp_path / "runs.jsonl"
-        main(["grid", "khop", "--datasets", "twitter", "--machines", "16",
-              "--size", "tiny", "--log", str(log), "--no-cache"])
-        output = tmp_path / "report.md"
-        assert main(["report", str(log), "-o", str(output)]) == 0
+    @pytest.mark.parametrize("diff", [False, True])
+    def test_trace_dir_journal_with_a_malformed_line(self, capsys, tmp_path,
+                                                     diff):
+        good, bad, journal = _journal_dirs(
+            tmp_path, lambda lines: lines[:2] + ["{not json"] + lines[2:])
+        argv = ["report", "--diff", str(good), str(bad)] if diff else [
+            "report", str(bad)]
+        assert main(argv) == 2
+        assert f"error: {journal}:3: not JSON" in capsys.readouterr().err
+
+    def test_report_to_file(self, capsys, khop_traces):
+        trace_dir, _ = khop_traces
+        output = trace_dir.parent / "report.md"
+        assert main(["report", str(trace_dir), "-o", str(output)]) == 0
         assert output.exists()
         assert "### khop" in output.read_text()
 

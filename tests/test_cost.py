@@ -8,6 +8,7 @@ run for one engine per Table 1 fault-tolerance mechanism, and the
 rendering, and the --diff regression gate's exit codes.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -52,9 +53,9 @@ def tiny_spec(systems=("G", "BV"), datasets=("twitter",), sizes=(16,)):
     )
 
 
-def write_trace_dir(tmp_path, name, jobs=1):
+def write_trace_dir(tmp_path, name, jobs=1, spec=None):
     """Journals + _scheduler.jsonl, the way ``repro grid --trace`` does."""
-    execution = execute_grid(tiny_spec(), jobs=jobs)
+    execution = execute_grid(spec or tiny_spec(), jobs=jobs)
     trace_dir = tmp_path / name
     trace_dir.mkdir()
     for result in execution.grid.cells.values():
@@ -430,10 +431,28 @@ class TestReportCli:
 
     def test_trace_summary_reads_the_scheduler_journal(self, tmp_path,
                                                        capsys):
-        trace_dir = write_trace_dir(tmp_path, "traces")
+        # a crash makes the grid's bill carry recovery seconds
+        spec = dataclasses.replace(tiny_spec(), chaos=ChaosPlan(
+            events=(MachineCrash(time=5.0),), seed=7))
+        trace_dir = write_trace_dir(tmp_path, "traces", spec=spec)
         scheduler = trace_dir / "_scheduler.jsonl"
         assert main(["trace", str(scheduler), "--summary"]) == 0
         out = capsys.readouterr().out
-        assert "scheduler — 2 cells" in out
+        assert main(["report", str(scheduler)]) == 0
+        assert capsys.readouterr().out == out
+        assert "- 2 cells · 0 cached · 2 executed" in out
         assert "grid cost $" in out
         assert "/answer" in out
+        assert "  chaos recovery " in out
+        assert "grid wall " in out
+        assert "### Scheduler spans (top 3 by self time, host clock)" in out
+        assert "| grid [scheduler] | 1 |" in out
+
+    def test_repeated_coordinates_keep_their_run_keys(self, tmp_path):
+        trace_dir = write_trace_dir(tmp_path, "traces")
+        first = sorted(trace_dir.glob("BV_*.jsonl"))[0]
+        (trace_dir / "zz_again.jsonl").write_text(first.read_text())
+        keys = [row.key for row in load_source(trace_dir).runs]
+        assert keys[-1] == "BV pagerank/twitter@16#2"
+        table = render_report([load_source(trace_dir)])
+        assert "| twitter | BV#2 |" in table

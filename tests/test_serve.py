@@ -15,12 +15,12 @@ import threading
 
 import pytest
 
+from repro.cli import main
 from repro.core.runner import ExperimentSpec, run_grid
 from repro.exec.executor import execute_specs
 from repro.exec.serialize import result_to_payload
 from repro.obs import Journal
 from repro.obs import report as perf
-from repro.obs.export import render_summary
 from repro.obs.hostclock import host_now
 from repro.serve import (
     JOB_CANCELLED,
@@ -365,7 +365,8 @@ def test_cancel_through_the_protocol_and_unknown_ops(daemon):
         assert link.ping()["version"] == 1
 
 
-def test_server_journal_classifies_renders_and_diffs(daemon, tmp_path):
+def test_server_journal_classifies_renders_and_diffs(daemon, tmp_path,
+                                                    capsys):
     with ServeClient(daemon.address, client="alice") as link:
         job_id = link.submit(link.request(
             systems=("G",), workloads=("pagerank",), datasets=("twitter",),
@@ -374,8 +375,15 @@ def test_server_journal_classifies_renders_and_diffs(daemon, tmp_path):
     path = daemon.write_journal(tmp_path / "server.jsonl")
 
     assert perf.classify_path(path) == perf.KIND_SERVER
-    summary = render_summary(Journal.read(path))
-    assert "server" in summary and "hit-rate" in summary
+    # repro trace of a server journal prints its repro report
+    assert main(["trace", str(path)]) == 0
+    summary = capsys.readouterr().out
+    assert main(["report", str(path)]) == 0
+    assert capsys.readouterr().out == summary
+    assert f"- {daemon.address}: 1 jobs from 1 clients" in summary
+    assert "hit-rate" in summary
+    assert "### Server spans (top 1 by self time, host clock)" in summary
+    assert "| job [serve] | 1 |" in summary
 
     source = perf.load_source(path)
     assert len(source.servers) == 1

@@ -1,16 +1,13 @@
-"""Tests for the weak-scaling extension and the report generator."""
+"""Tests for the weak-scaling extension and the report's grid sections."""
 
 import pytest
 
-from repro.analysis.report import grid_report
-from repro.cluster import FailureKind
-from repro.core import ResultGrid
 from repro.core.weak_scaling import (
     weak_efficiency,
     weak_scaling_dataset,
     weak_scaling_experiment,
 )
-from repro.engines.base import RunResult
+from repro.obs.report import PerfSource, RunRow, render_report
 
 
 class TestWeakScalingDatasets:
@@ -91,44 +88,61 @@ class TestWeakScalingExperiment:
         assert all(m in (16, 32) for m in eff)
 
 
-def _result(**kw):
-    base = dict(system="BV", workload="pagerank", dataset="twitter",
-                cluster_size=16, execute_time=10.0, load_time=1.0)
-    base.update(kw)
-    return RunResult(**base)
+def _row(system="BV", machines=16, seconds=11.0, status="ok"):
+    row = RunRow(key="", system=system, workload="pagerank",
+                 dataset="twitter", machines=machines, status=status,
+                 total_seconds=seconds, iterations=3, cost=None)
+    row.key = row.coordinates
+    return row
+
+
+def _table(text, heading):
+    """The body rows of the Markdown table under ``heading``."""
+    table = text.split(heading + "\n\n", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
 
 
 class TestGridReport:
-    def make_grid(self):
-        grid = ResultGrid()
-        grid.put(_result())
-        grid.put(_result(cluster_size=32, execute_time=6.0))
-        grid.put(_result(system="HD", execute_time=100.0))
-        grid.put(_result(system="HD", cluster_size=32,
-                         failure=FailureKind.TIMEOUT))
-        return grid
+    def make_rows(self):
+        return [
+            _row(),
+            _row(machines=32, seconds=7.0),
+            _row(system="HD", seconds=101.0),
+            _row(system="HD", machines=32, seconds=0.0, status="TO"),
+        ]
+
+    def report(self, rows):
+        return render_report([PerfSource(label="demo", runs=rows)])
 
     def test_report_sections(self):
-        text = grid_report(self.make_grid(), title="demo")
-        assert text.startswith("# demo")
+        text = self.report(self.make_rows())
+        assert text.startswith("# Perf & cost report\n\n## demo\n")
         assert "### pagerank" in text
-        assert "### Failures" in text
+        assert "### Failures (1 of 4 runs)" in text
         assert "**TO**: 1" in text
         assert "Best system per column" in text
         assert "Strong-scaling classification" in text
 
     def test_winner_identified(self):
-        text = grid_report(self.make_grid())
-        # BV beats HD at 16 machines
-        assert "BV" in text.split("Best system per column")[1]
+        text = self.report(self.make_rows())
+        # BV beats HD at 16 machines; HD timed out at 32
+        assert _table(text, "### Best system per column (end-to-end)") == [
+            ["pagerank", "twitter", "16", "BV", "11.0"],
+            ["pagerank", "twitter", "32", "BV", "7.0"],
+        ]
 
     def test_scaling_labels(self):
-        text = grid_report(self.make_grid())
-        assert "BV: steady" in text
+        text = self.report(self.make_rows())
+        assert ("- pagerank / twitter: BV: steady, HD: insufficient-data"
+                in text)
 
     def test_empty_grid(self):
-        assert "(no runs)" in grid_report(ResultGrid())
+        text = self.report([])
+        assert "### Failures" not in text and "### pagerank" not in text
 
     def test_cell_codes_render(self):
-        text = grid_report(self.make_grid())
-        assert "TO" in text
+        assert _table(self.report(self.make_rows()), "### pagerank") == [
+            ["twitter", "BV", "11", "7"],
+            ["twitter", "HD", "101", "TO"],
+        ]
