@@ -49,6 +49,10 @@ from .graph import compute_stats, estimate_diameter
 
 __all__ = ["main", "build_parser"]
 
+#: span groups `repro report` and `repro trace` rank by default; one
+#: value, so both print the same text for a scheduler or server journal
+TOP_SPANS = 10
+
 
 def _add_exec_options(p: argparse.ArgumentParser) -> None:
     """The executor flags ``repro run`` and ``repro grid`` share."""
@@ -233,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-threshold", type=float, default=None, metavar="REL",
                    help="relative dollars-regression threshold for --diff "
                         "(default: same as --threshold)")
-    p.add_argument("--top", type=int, default=10,
-                   help="hot-span rows per input (default 10)")
+    p.add_argument("--top", type=int, default=TOP_SPANS,
+                   help=f"hot-span rows per input (default {TOP_SPANS})")
 
     p = sub.add_parser(
         "trace", help="inspect or convert a journal (JSONL)"
@@ -251,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "scheduler and server journals print their "
                         "'repro report' (default when no export is "
                         "requested)")
-    p.add_argument("--top", type=int, default=5,
-                   help="how many span groups the summary ranks (default 5)")
+    p.add_argument("--top", type=int, default=TOP_SPANS,
+                   help=f"how many span groups the summary ranks "
+                        f"(default {TOP_SPANS})")
 
     p = sub.add_parser(
         "serve",
@@ -347,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     # linter's own parser before this one runs
     sub.add_parser(
         "lint",
-        help="static analysis of the model contracts "
-             "(RPL001-RPL010; --deep adds RPL012, RPL014, RPL019, RPL020)",
+        help="static analysis of the model contracts: every RPL rule, "
+             "per-file and whole-program, in one pass",
     )
 
     return parser

@@ -16,7 +16,8 @@ machine, and folded once per run rather than once per event:
 * one :meth:`~ResourceTracker.record_memory` call per snapshot keeps
   the whole fleet's resident bytes as one int64 row, from which the
   per-machine peaks and (time, bytes) series are derived on query;
-* network, disk and memory-time counters are running sums.
+* network, disk and memory-time counters are running sums, read-only
+  from outside: only the ``record_*`` methods move them.
 
 Disk, network and memory-time records are simulated work that the
 run's journal must show, so the tracker holds the run's
@@ -71,7 +72,7 @@ class ResourceTracker:
     """
 
     def __init__(self, num_machines: int, tracer: Tracer) -> None:
-        self.num_machines = num_machines
+        self._num_machines = num_machines
         self._tracer = tracer
         self._initial_machines = num_machines
         # Running CPU aggregates (user, system, iowait, idle seconds),
@@ -88,11 +89,34 @@ class ResourceTracker:
         # One (time, int64 bytes per machine) row per memory snapshot;
         # rows change length when the fleet is rescaled.
         self._memory_rows: List[Tuple[float, np.ndarray]] = []
-        self.network_bytes_sent: float = 0.0
-        self.network_bytes_received: float = 0.0
-        self.disk_bytes_read: float = 0.0
-        self.disk_bytes_written: float = 0.0
-        self._memory_byte_seconds: float = 0.0
+        self._network_bytes_sent = 0.0
+        self._network_bytes_received = 0.0
+        self._disk_bytes_read = 0.0
+        self._disk_bytes_written = 0.0
+        self._memory_byte_seconds = 0.0
+
+    # -- counters (read-only: a write bypasses the record_* accounting) ---
+
+    @property
+    def num_machines(self) -> int:
+        """Widest fleet the run has held (the billed machine count)."""
+        return self._num_machines
+
+    @property
+    def network_bytes_sent(self) -> float:
+        return self._network_bytes_sent
+
+    @property
+    def network_bytes_received(self) -> float:
+        return self._network_bytes_received
+
+    @property
+    def disk_bytes_read(self) -> float:
+        return self._disk_bytes_read
+
+    @property
+    def disk_bytes_written(self) -> float:
+        return self._disk_bytes_written
 
     # -- recording -------------------------------------------------------
 
@@ -173,14 +197,14 @@ class ResourceTracker:
     def record_network(self, sent: float, received: float) -> None:
         """Add to the NIC byte counters (inside a cluster span)."""
         self._require_cluster_span("record_network")
-        self.network_bytes_sent += sent
-        self.network_bytes_received += received
+        self._network_bytes_sent += sent
+        self._network_bytes_received += received
 
     def record_disk(self, read: float = 0.0, written: float = 0.0) -> None:
         """Add to the disk byte counters (inside a cluster span)."""
         self._require_cluster_span("record_disk")
-        self.disk_bytes_read += read
-        self.disk_bytes_written += written
+        self._disk_bytes_read += read
+        self._disk_bytes_written += written
 
     def record_rescale(self, num_machines: int) -> None:
         """Track an elastic rescale: billing covers the widest fleet.
@@ -191,12 +215,12 @@ class ResourceTracker:
         """
         if num_machines < 1:
             raise ValueError(f"num_machines must be >= 1, got {num_machines}")
-        self.num_machines = max(self.num_machines, num_machines)
+        self._num_machines = max(self._num_machines, num_machines)
 
     @property
     def machines_joined(self) -> int:
         """Machines added beyond the initial fleet (never negative)."""
-        return max(0, self.num_machines - self._initial_machines)
+        return max(0, self._num_machines - self._initial_machines)
 
     def record_memory_integral(self, byte_seconds: float) -> None:
         """Accrue resident-memory × time for one cluster operation.
@@ -254,7 +278,7 @@ class ResourceTracker:
 
     def network_total_bytes(self) -> float:
         """Total bytes through the NICs (Figure 13c's metric)."""
-        return self.network_bytes_sent + self.network_bytes_received
+        return self._network_bytes_sent + self._network_bytes_received
 
     def memory_byte_seconds(self) -> float:
         """The run's resident-memory × time integral (cost accounting)."""

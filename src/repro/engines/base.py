@@ -171,9 +171,8 @@ class RunResult:
 def result_to_record(result: RunResult) -> dict:
     """A JSON-safe dict for one run (answers are not serialized).
 
-    The one record layout: the runs-log line, the cache and worker
-    payload's ``record``, and what :meth:`ResultGrid.same_results`
-    compares.
+    The one record layout: the cache and worker payload's ``record``,
+    and what :meth:`ResultGrid.same_results` compares.
     """
     return {
         "system": result.system,

@@ -4,7 +4,7 @@ A finished :class:`~repro.engines.base.RunResult` crosses two
 boundaries: back from a worker process to the scheduler, and onto disk
 as a cache entry. Both use the same payload — the run record that
 :func:`~repro.engines.base.result_to_record` defines next to
-``RunResult`` (also the runs-log line), plus the answer array (exact
+``RunResult``, plus the answer array (exact
 bytes, so a cached cell's answer is bit-identical to a fresh run's) and
 the run's canonical journal text (so ``--trace`` on a warm cache still
 writes byte-identical per-cell journals).

@@ -14,53 +14,40 @@ Usage::
     python -m repro.lint --format json src # machine-readable report
     repro lint                             # same, via the main CLI
 
-Each rule has a stable code (RPL001..RPL010); a finding on a line is
-suppressed by a trailing ``# noqa: RPLxxx`` comment (bare ``# noqa``
-suppresses every code on that line).
+One pass parses each file once and runs every rule: the per-file rules
+(RPL001-RPL003, RPL005, RPL008-RPL010) on each module, and the
+whole-program rules (RPL012, RPL014, RPL019, RPL020) on one
+:class:`~repro.lint.program.Program` built from all of them. Each rule
+has a stable code; a finding on a line is suppressed by a trailing
+``# noqa: RPLxxx`` comment (bare ``# noqa`` suppresses every code on
+that line).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
-from .rules import ALL_RULES, RULES_BY_CODE, Rule, Violation
+from .program import build_program
+from .rules import ALL_RULES, RULES_BY_CODE, ProgramRule, Rule, Violation
 from .source import SourceModule
 
 __all__ = [
     "ALL_RULES",
     "RULES_BY_CODE",
     "Rule",
+    "ProgramRule",
     "Violation",
     "SourceModule",
-    "lint_source",
-    "lint_module",
-    "lint_file",
+    "lint_modules",
     "load_module",
     "iter_python_files",
-    "select_rules",
     "expand_selectors",
     "PARSE_ERROR_CODE",
 ]
 
 #: pseudo-code reported when a file cannot be parsed at all
 PARSE_ERROR_CODE = "RPL000"
-
-
-def select_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
-    """Resolve a list of rule codes into rule instances (all by default)."""
-    if select is None:
-        return list(ALL_RULES)
-    rules = []
-    for code in select:
-        code = code.strip().upper()
-        if code not in RULES_BY_CODE:
-            raise KeyError(
-                f"unknown rule code {code!r}; expected one of "
-                f"{sorted(RULES_BY_CODE)}"
-            )
-        rules.append(RULES_BY_CODE[code])
-    return rules
 
 
 def expand_selectors(
@@ -129,35 +116,42 @@ def load_module(
     )
 
 
-def lint_source(
-    text: str,
-    path: str = "<string>",
+def lint_modules(
+    modules: Mapping[str, SourceModule],
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Violation]:
-    """Lint one source string; returns sorted, noqa-filtered violations."""
-    module = load_module(path, text)
-    return [module] if isinstance(module, Violation) else lint_module(module, rules)
+    """Run ``rules`` (default: every rule) over parsed modules keyed by path.
 
-
-def lint_module(
-    module: SourceModule, rules: Optional[Sequence[Rule]] = None
-) -> List[Violation]:
-    """Run shallow rules over an already-parsed module (noqa-filtered)."""
+    Per-file rules check each module; whole-program rules check one
+    :class:`~repro.lint.program.Program` built from all of them, and
+    only when one is selected. Findings on a line whose ``# noqa``
+    names their code are dropped; the rest come back once each, in
+    (path, line, col, code, message) order.
+    """
     if rules is None:
         rules = ALL_RULES
-    violations = []
+    found: List[Violation] = []
+    program = None
     for rule in rules:
-        for violation in rule.check(module):
-            if not module.suppressed(violation.code, violation.line):
-                violations.append(violation)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return violations
-
-
-def lint_file(path: str, rules: Optional[Sequence[Rule]] = None) -> List[Violation]:
-    """Lint one file on disk."""
-    module = load_module(path)
-    return [module] if isinstance(module, Violation) else lint_module(module, rules)
+        if isinstance(rule, ProgramRule):
+            if program is None:
+                program = build_program(modules)
+            found.extend(rule.check_program(program))
+        else:
+            for module in modules.values():
+                found.extend(rule.check(module))
+    by_path = {module.path: module for module in modules.values()}
+    unique = {}
+    for violation in found:
+        source = by_path.get(violation.path)
+        if source is not None and source.suppressed(
+            violation.code, violation.line
+        ):
+            continue
+        key = (violation.path, violation.line, violation.col,
+               violation.code, violation.message)
+        unique[key] = violation
+    return [unique[key] for key in sorted(unique)]
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:

@@ -7,8 +7,8 @@ program functions it may invoke: self/super calls resolve exactly
 through the concrete class's static MRO; name calls resolve through the
 import map; attribute calls try an exact dotted resolution first and
 fall back to *every* same-named method in the program (sound
-over-approximation — the deep rules would rather follow one edge too
-many than miss a call).
+over-approximation — the whole-program rules would rather follow one
+edge too many than miss a call).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import ast
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..source import dotted_parts
 from .program import ClassInfo, FunctionInfo, Program
+from .source import dotted_parts
 
 __all__ = ["CallSite", "call_sites", "resolve_targets"]
 

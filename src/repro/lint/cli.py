@@ -2,12 +2,11 @@
 
 The one parser behind both ``python -m repro.lint`` and ``repro lint``.
 Exit codes follow linter convention: 0 clean, 1 findings, 2 bad usage.
-The shallow pass (RPL001-RPL010) always runs; ``--deep`` additionally
-builds the whole-program model and runs RPL012, RPL014, RPL019 and
-RPL020 over the same parse of each file. ``--select`` / ``--ignore`` filter
-both passes — an exact code matches only itself, anything shorter
-matches ruff-style by prefix — and ``--explain RPLxxx`` prints one
-rule's rationale, the discipline it enforces, and its minimal
+One pass parses each file once and runs every rule over it, the
+whole-program rules included. ``--select`` / ``--ignore`` filter the
+rules — an exact code matches only itself, anything shorter matches
+ruff-style by prefix — and ``--explain RPLxxx`` prints one rule's
+rationale, the discipline it enforces, and its minimal
 positive/negative example. ``# noqa: RPLxxx`` on a line suppresses a
 single finding on purpose.
 """
@@ -20,10 +19,11 @@ from typing import Dict, List, Optional
 
 from . import (
     RULES_BY_CODE,
+    Rule,
     Violation,
     expand_selectors,
     iter_python_files,
-    lint_module,
+    lint_modules,
     load_module,
 )
 from .reporters import RENDERERS, render_rule_list
@@ -37,8 +37,9 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "Domain-aware static analysis for the simulation's model "
-            "contracts (shallow rules RPL001-RPL010; --deep adds the "
-            "whole-program rules RPL012, RPL014, RPL019 and RPL020)."
+            "contracts: per-file rules RPL001-RPL003, RPL005 and "
+            "RPL008-RPL010, and whole-program rules RPL012, RPL014, "
+            "RPL019 and RPL020, in one pass."
         ),
     )
     parser.add_argument(
@@ -58,21 +59,12 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
         help=(
             "comma-separated rule codes or prefixes to run; an exact "
             "code (RPL012) selects only itself, a prefix (RPL01) "
-            "selects every code it starts (default: all active rules)"
+            "selects every code it starts (default: every rule)"
         ),
     )
     parser.add_argument(
         "--ignore",
         help="comma-separated rule codes or prefixes to skip",
-    )
-    parser.add_argument(
-        "--deep",
-        action="store_true",
-        help=(
-            "also run the whole-program pass (RPL012, RPL014, RPL019, "
-            "RPL020): determinism taint, chaos safety, cross-process "
-            "state sharing, and bounded-retry hygiene"
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -85,8 +77,7 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
         help=(
             "print one rule's rationale, the discipline it enforces, "
             "and its minimal positive/negative example, then exit "
-            "(deep rules included without --deep; exit 2 on unknown "
-            "codes)"
+            "(exit 2 on unknown codes)"
         ),
     )
     return parser
@@ -94,14 +85,10 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
 
 def run_explain(code: str) -> int:
     """Print one rule's full documentation; exit 2 on unknown codes."""
-    from .deep import DEEP_RULES_BY_CODE
-
-    merged: Dict[str, object] = dict(RULES_BY_CODE)
-    merged.update(DEEP_RULES_BY_CODE)
     code = code.strip().upper()
-    rule = merged.get(code)
+    rule = RULES_BY_CODE.get(code)
     if rule is None:
-        known = ", ".join(sorted(merged))
+        known = ", ".join(sorted(RULES_BY_CODE))
         print(
             f"unknown rule code {code!r} — known codes: {known}",
             file=sys.stderr,
@@ -115,44 +102,22 @@ def run_explain(code: str) -> int:
     return 0
 
 
-def _active_rules(
-    select: Optional[str], ignore: Optional[str], deep: bool
-) -> Dict[str, object]:
-    """Codes → rule instances after --select/--ignore filtering.
+def _active_rules(select: Optional[str], ignore: Optional[str]) -> List[Rule]:
+    """The rules left after --select/--ignore filtering, in code order.
 
-    Raises KeyError (exit 2 upstream) for a selector matching nothing;
-    a selector that only matches deep codes without ``--deep`` gets a
-    hint to pass the flag.
+    Raises KeyError (exit 2 upstream) for a selector matching nothing.
     """
-    from .deep import DEEP_RULES_BY_CODE
-
-    active: Dict[str, object] = dict(RULES_BY_CODE)
-    if deep:
-        active.update(DEEP_RULES_BY_CODE)
+    codes = sorted(RULES_BY_CODE)
     if select:
-        selectors = [s for s in select.split(",") if s.strip()]
-        try:
-            picked = expand_selectors(selectors, active)
-        except KeyError:
-            if not deep:
-                # distinguish "unknown code" from "deep code without --deep"
-                everything = dict(active)
-                everything.update(DEEP_RULES_BY_CODE)
-                picked = expand_selectors(selectors, everything)
-                raise KeyError(
-                    f"selector {select!r} only matches deep rules "
-                    f"({', '.join(p for p in picked if p not in active)}) "
-                    f"— pass --deep to run them"
-                )
-            raise
-        active = {code: active[code] for code in picked}
+        codes = expand_selectors(
+            [s for s in select.split(",") if s.strip()], codes
+        )
     if ignore:
         ignored = expand_selectors(
-            [s for s in ignore.split(",") if s.strip()],
-            list(RULES_BY_CODE) + list(DEEP_RULES_BY_CODE),
+            [s for s in ignore.split(",") if s.strip()], RULES_BY_CODE
         )
-        active = {c: r for c, r in active.items() if c not in ignored}
-    return active
+        codes = [code for code in codes if code not in ignored]
+    return [RULES_BY_CODE[code] for code in codes]
 
 
 def run_lint(
@@ -161,26 +126,19 @@ def run_lint(
     select: Optional[str] = None,
     list_rules: bool = False,
     ignore: Optional[str] = None,
-    deep: bool = False,
     explain: Optional[str] = None,
 ) -> int:
     """Run the analyzer; prints a report and returns the exit code."""
-    from .deep import DEEP_RULES_BY_CODE, deep_lint_modules
-
     if explain:
         return run_explain(explain)
     if list_rules:
         print(render_rule_list())
         return 0
     try:
-        active = _active_rules(select, ignore, deep)
+        rules = _active_rules(select, ignore)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    shallow_rules = [r for c, r in sorted(active.items()) if c in RULES_BY_CODE]
-    deep_rules = [
-        r for c, r in sorted(active.items()) if c in DEEP_RULES_BY_CODE
-    ]
     files = iter_python_files(paths)
     if not files:
         print(f"no Python files under {paths}", file=sys.stderr)
@@ -196,12 +154,9 @@ def run_lint(
             return 2
         if isinstance(module, Violation):
             violations.append(module)
-            continue
-        sources[path] = module
-        violations.extend(lint_module(module, shallow_rules))
-
-    if deep and deep_rules:
-        violations.extend(deep_lint_modules(sources, rules=deep_rules))
+        else:
+            sources[path] = module
+    violations.extend(lint_modules(sources, rules))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     render = RENDERERS[fmt]
     print(render(violations, files_checked=len(files)))
@@ -219,7 +174,6 @@ def main(
             select=args.select,
             list_rules=args.list_rules,
             ignore=args.ignore,
-            deep=args.deep,
             explain=args.explain,
         )
     except BrokenPipeError:

@@ -1,14 +1,14 @@
 """Whole-program model: module table, class table, static MRO.
 
-The deep rules reason *across* files, so they need what a single
-:class:`~repro.lint.source.SourceModule` cannot give them: which dotted
-module a path is (``src/repro/engines/bsp.py`` → ``repro.engines.bsp``),
-which class a base-class expression refers to after import aliasing and
-relative imports, and what a class's method-resolution order looks like
-without ever importing the code under analysis. Everything here is
-static — built from the ASTs alone — and deterministic: tables are
-keyed and iterated in sorted order so two runs over the same tree
-produce byte-identical reports.
+The whole-program rules reason *across* files, so they need what a
+single :class:`~repro.lint.source.SourceModule` cannot give them: which
+dotted module a path is (``src/repro/engines/bsp.py`` →
+``repro.engines.bsp``), which class a base-class expression refers to
+after import aliasing and relative imports, and what a class's
+method-resolution order looks like without ever importing the code
+under analysis. Everything here is static — built from the ASTs
+alone — and deterministic: tables are keyed and iterated in sorted
+order so two runs over the same tree produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..source import SourceModule, dotted_parts
+from .source import SourceModule, dotted_parts
 
 __all__ = [
     "module_name_for",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from .rules import RULES_BY_CODE, Violation
 
@@ -13,23 +13,7 @@ __all__ = [
     "render_json",
     "render_github",
     "render_rule_list",
-    "rule_for",
 ]
-
-
-def _all_rules_by_code() -> Dict[str, object]:
-    """Shallow and deep registries merged (import kept local: the deep
-    package imports rule helpers from this package's siblings)."""
-    from .deep import DEEP_RULES_BY_CODE
-
-    merged: Dict[str, object] = dict(RULES_BY_CODE)
-    merged.update(DEEP_RULES_BY_CODE)
-    return merged
-
-
-def rule_for(code: str) -> Optional[object]:
-    """The shallow or deep rule instance behind a code, if any."""
-    return _all_rules_by_code().get(code)
 
 
 def render_text(violations: Sequence[Violation], files_checked: int) -> str:
@@ -39,7 +23,7 @@ def render_text(violations: Sequence[Violation], files_checked: int) -> str:
         counts = Counter(v.code for v in violations)
         lines.append("")
         for code in sorted(counts):
-            rule = rule_for(code)
+            rule = RULES_BY_CODE.get(code)
             label = rule.name if rule else "parse-error"
             lines.append(f"{code} ({label}): {counts[code]}")
         lines.append(
@@ -93,11 +77,10 @@ def render_github(violations: Sequence[Violation], files_checked: int) -> str:
 
 
 def render_rule_list() -> str:
-    """The ``--list-rules`` table (shallow RPL001-010 + deep RPL012, 014, 019, 020)."""
-    merged = _all_rules_by_code()
+    """The ``--list-rules`` table: every rule's code, name and rationale."""
     lines = []
-    for code in sorted(merged):
-        rule = merged[code]
+    for code in sorted(RULES_BY_CODE):
+        rule = RULES_BY_CODE[code]
         lines.append(f"{code}  {rule.name}")
         lines.append(f"        {rule.rationale}")
     return "\n".join(lines)

@@ -1,11 +1,10 @@
-"""Rule plumbing: the Violation record, the Rule ABC, class-model helpers.
+"""Rule plumbing: the Violation record and the two kinds of rule.
 
-The domain rules need to know which classes in a module are part of the
-simulation's object model (Engine subclasses, Workload subclasses).
-Inheritance crosses module boundaries, so :func:`model_classes` combines
-two static signals: transitive base resolution *within* the module, and
-the repo's strict naming convention (every engine class name ends in
-``Engine``; the abstract roots are named ``Engine`` / ``Workload``).
+A :class:`Rule` checks one file at a time. A :class:`ProgramRule`
+checks a contract *between* files, over the whole-program model
+(:class:`~repro.lint.program.Program`) built from every parsed file.
+Both emit the same :class:`Violation` records, so the reporters and
+``# noqa`` filtering treat them alike.
 """
 
 from __future__ import annotations
@@ -13,11 +12,12 @@ from __future__ import annotations
 import abc
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
-from ..source import SourceModule, dotted_parts
+from ..program import Program
+from ..source import SourceModule
 
-__all__ = ["Violation", "Rule", "model_classes", "base_names", "iter_methods"]
+__all__ = ["Violation", "Rule", "ProgramRule", "iter_methods"]
 
 
 @dataclass(frozen=True)
@@ -65,50 +65,16 @@ class Rule(abc.ABC):
         return f"{type(self).__name__}(code={self.code!r})"
 
 
-def base_names(cls: ast.ClassDef) -> List[str]:
-    """Last segment of each base class expression (``abc.ABC`` → ``ABC``)."""
-    names = []
-    for base in cls.bases:
-        parts = dotted_parts(base)
-        if parts:
-            names.append(parts[-1])
-    return names
+class ProgramRule(Rule):
+    """A contract between files, checked over the whole-program model."""
 
+    def check(self, module: SourceModule) -> Iterator[Violation]:
+        """One file alone never breaks a whole-program contract."""
+        return iter(())
 
-def model_classes(
-    nodes: Sequence[ast.AST], roots: Tuple[str, ...] = ("Engine", "Workload")
-) -> Dict[str, str]:
-    """Map each model class name among a module's nodes to its root.
-
-    A class belongs to root ``R`` when its own name is ``R`` or ends with
-    ``R`` (the repo's naming convention for cross-module subclasses), one
-    of its base names is ``R`` or ends with ``R``, or one of its bases is
-    another class in this module already classified under ``R``.
-    """
-    classes = [n for n in nodes if isinstance(n, ast.ClassDef)]
-    classified: Dict[str, str] = {}
-
-    def matches(name: str, root: str) -> bool:
-        return name == root or name.endswith(root)
-
-    changed = True
-    while changed:
-        changed = False
-        for cls in classes:
-            if cls.name in classified:
-                continue
-            for root in roots:
-                direct = matches(cls.name, root) or any(
-                    matches(b, root) for b in base_names(cls)
-                )
-                inherited = any(
-                    classified.get(b) == root for b in base_names(cls)
-                )
-                if direct or inherited:
-                    classified[cls.name] = root
-                    changed = True
-                    break
-    return classified
+    @abc.abstractmethod
+    def check_program(self, program: Program) -> Iterator[Violation]:
+        """Yield every violation of this rule across ``program``."""
 
 
 def iter_methods(

@@ -4,7 +4,7 @@ The repo's headline guarantee — same seed ⇒ byte-identical journals,
 parallel == sequential bit-for-bit — holds only if no value flowing into
 a :class:`RunResult` field or a Journal payload depends on unordered
 iteration, unseeded randomness, host time, or other run-to-run-varying
-sources. The shallow rules catch the easy shapes file-locally (RPL001
+sources. The per-file rules catch the easy shapes file-locally (RPL001
 wall-clock, RPL002 RNG, RPL008 set accumulation); this rule applies the
 stricter taint policy to exactly the functions whose return values can
 reach result/journal state: everything reachable from an engine's
@@ -18,7 +18,7 @@ Flagged sources inside that cone:
 - ``.pop()`` with no argument on a set expression (arbitrary element);
 - host-clock calls (RPL001's banned list) and unseeded RNG (RPL002's
   classifier) — re-checked here because the cone crosses files the
-  shallow allowlists may not cover;
+  per-file allowlists may not cover;
 - unsorted ``os.listdir`` / ``os.scandir`` / ``glob.glob`` /
   ``glob.iglob`` (filesystem order is platform-dependent);
 - ``uuid.uuid1()`` / ``uuid.uuid4()`` (host/time/random identity).
@@ -33,15 +33,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from ..rules.base import Violation
+from ..program import ClassInfo, FunctionInfo, Program
+from ..reachability import engine_cone
 from ..source import dotted_name
-from .base import DeepRule, concrete_engines
-from .program import FunctionInfo, Program
-from .reachability import engine_cone
-from ..rules.rpl001_wallclock import _BANNED as _BANNED_CLOCKS
-from ..rules.rpl001_wallclock import _is_allowlisted as _hostclock_door
-from ..rules.rpl002_randomness import RandomnessRule
-from ..rules.rpl008_set_iteration import _set_expression as set_expression
+from .base import ProgramRule, Violation
+from .rpl001_wallclock import _BANNED as _BANNED_CLOCKS
+from .rpl001_wallclock import _is_allowlisted as _hostclock_door
+from .rpl002_randomness import RandomnessRule
+from .rpl008_set_iteration import _set_expression as set_expression
 
 __all__ = ["DeterminismTaintRule"]
 
@@ -61,6 +60,29 @@ _ORDER_SAFE_CONSUMERS = frozenset({
 _RNG = RandomnessRule()
 
 
+def concrete_engines(program: Program) -> List[ClassInfo]:
+    """Every instantiable Engine subclass, sorted by qualified name.
+
+    A class is a concrete engine when a class named ``Engine`` appears
+    in its static MRO (beyond itself) and no method resolved through
+    that MRO is still abstract.
+    """
+    engines = []
+    for qualname in sorted(program.classes):
+        cls = program.classes[qualname]
+        if cls.name == "Engine":
+            continue
+        linear = program.mro(cls)
+        if not any(c.name == "Engine" for c in linear[1:]):
+            continue
+        method_names = {name for c in linear for name in c.methods}
+        resolved = (program.resolve_method(cls, n) for n in method_names)
+        if any(fn is not None and fn.is_abstract for fn in resolved):
+            continue
+        engines.append(cls)
+    return engines
+
+
 def _scoped_functions(program: Program) -> List[FunctionInfo]:
     """Engine cones (chaos included) plus every function in ``obs``."""
     picked = {}
@@ -78,7 +100,7 @@ def _scoped_functions(program: Program) -> List[FunctionInfo]:
     return [picked[q] for q in sorted(picked)]
 
 
-class DeterminismTaintRule(DeepRule):
+class DeterminismTaintRule(ProgramRule):
     """No unordered/unseeded/host-varying source in the result cone."""
 
     code = "RPL012"
@@ -97,7 +119,7 @@ class DeterminismTaintRule(DeepRule):
                 continue
             imports = fn.module.source.imports
             for node, message in self._scan(fn.node, imports):
-                yield self.violation(fn.module.path, node, message)
+                yield self.violation(fn.module.source, node, message)
 
     def _scan(
         self, root: ast.AST, imports

@@ -24,18 +24,17 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set
 
-from ..rules.base import Violation
-from ..rules.rpl010_recovery_sites import (
+from ..callgraph import call_sites, resolve_targets
+from ..program import FunctionInfo, Program
+from ..source import dotted_parts
+from .base import ProgramRule, Violation
+from .rpl010_recovery_sites import (
     _ALLOWED_FRAGMENTS,
     _BROAD,
     _FAILURE_TYPES,
     _named_types,
     _reraises,
 )
-from ..source import dotted_parts
-from .base import DeepRule
-from .callgraph import call_sites, resolve_targets
-from .program import FunctionInfo, Program
 
 __all__ = ["ChaosSafetyRule"]
 
@@ -135,7 +134,7 @@ def _try_body_can_raise(
     return False
 
 
-class ChaosSafetyRule(DeepRule):
+class ChaosSafetyRule(ProgramRule):
     """Broad handlers must not absorb reachable simulated faults."""
 
     code = "RPL014"
@@ -164,7 +163,7 @@ class ChaosSafetyRule(DeepRule):
                         continue
                     if _try_body_can_raise(program, fn, node, can_raise):
                         yield self.violation(
-                            path,
+                            fn.module.source,
                             handler,
                             f"broad except in {fn.qualname} can absorb a "
                             f"simulated fault raised inside its try body "

@@ -30,11 +30,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..rules.base import Violation
+from ..program import FunctionInfo, ModuleInfo, Program
+from ..reachability import Node, reachable
 from ..source import dotted_parts
-from .base import DeepRule
-from .program import FunctionInfo, ModuleInfo, Program
-from .reachability import Node, reachable
+from .base import ProgramRule, Violation
 
 __all__ = ["WorkerSharingRule"]
 
@@ -219,7 +218,7 @@ def _references(
                 yield node, False
 
 
-class WorkerSharingRule(DeepRule):
+class WorkerSharingRule(ProgramRule):
     """Flag exec module state that cannot survive a process boundary."""
 
     code = "RPL019"
@@ -256,7 +255,7 @@ class WorkerSharingRule(DeepRule):
                             )
                 if writes_out and reads_in:
                     yield self.violation(
-                        module.path,
+                        module.source,
                         value,
                         f"'{var}' is written outside the worker cone "
                         f"(e.g. {writes_out[0]}) but read inside it "
@@ -266,7 +265,7 @@ class WorkerSharingRule(DeepRule):
                     )
                 elif writes_in and reads_out:
                     yield self.violation(
-                        module.path,
+                        module.source,
                         value,
                         f"'{var}' is written inside the worker cone "
                         f"(e.g. {writes_in[0]}) but read outside it "

@@ -50,10 +50,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from ..rules.base import Violation
-from .base import DeepRule
-from .callgraph import call_sites, resolve_targets
-from .program import ClassInfo, FunctionInfo, Program
+from ..callgraph import call_sites, resolve_targets
+from ..program import ClassInfo, FunctionInfo, Program
+from .base import ProgramRule, Violation
 
 __all__ = ["BoundedRetryRule"]
 
@@ -167,7 +166,7 @@ def _loop_is_bounded(loop: ast.While) -> bool:
     return False
 
 
-class BoundedRetryRule(DeepRule):
+class BoundedRetryRule(ProgramRule):
     """Flag host-sleeping ``while`` loops that can never give up."""
 
     code = "RPL020"
@@ -189,7 +188,7 @@ class BoundedRetryRule(DeepRule):
                 if not _loop_reaches_sleep(program, fn, node):
                     continue
                 yield self.violation(
-                    fn.module.path,
+                    fn.module.source,
                     node,
                     f"this 'while' loop in '{fn.name}' sleeps through "
                     f"host_sleep but has no reachable bound — its test is "

@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional
 
 __all__ = ["SourceModule", "ImportMap", "dotted_parts", "dotted_name", "target_chain"]
 
-#: flake8-compatible suppression comment: ``# noqa`` or ``# noqa: RPL001, RPL004``
+#: flake8-compatible suppression comment: ``# noqa`` or ``# noqa: RPL001, RPL005``
 _NOQA_RE = re.compile(
     r"#\s*noqa(?::\s*(?P<codes>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*))?",
     re.IGNORECASE,

@@ -224,16 +224,6 @@ class MetricsRegistry:
             key=lambda m: m.name,
         )
 
-    def as_dict(self) -> Dict[str, float]:
-        """Flat name→float view: scalars plus histogram summaries."""
-        flat: Dict[str, float] = {}
-        for name in self.scalar_names():
-            flat[name] = self.value(name)
-        for hist in self.histograms():
-            for key, value in hist.summary().items():
-                flat[f"{hist.name}.{key}"] = value
-        return flat
-
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 

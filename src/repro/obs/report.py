@@ -134,6 +134,20 @@ class RunRow:
     spans: List[dict] = field(default_factory=list)
 
     @property
+    def rescaled(self) -> bool:
+        """Whether a ``recover`` span changed the fleet mid-run.
+
+        Such a run bills its widest fleet as ``machines``, a size no
+        fixed cluster ran at, so it is no point on a scaling curve.
+        """
+        for span in self.spans:
+            args = span.get("args", {})
+            if (span.get("name") == "recover"
+                    and args.get("workers_before") != args.get("workers_after")):
+                return True
+        return False
+
+    @property
     def coordinates(self) -> str:
         """``system workload/dataset@machines``: the key before any #n."""
         return (f"{self.system} {self.workload}/{self.dataset}"
@@ -449,7 +463,7 @@ def _render_grid(runs: Sequence[RunRow]) -> List[str]:
     A result table per workload (rows are dataset and system, columns
     the machine counts the runs bill; a repeated run's system carries
     its key's #n), the failure census, the best system per column, and
-    the §5.12 strong-scaling labels.
+    the §5.12 strong-scaling labels (rescaled runs are no curve point).
     """
     workloads = sorted({row.workload for row in runs})
     datasets = sorted({row.dataset for row in runs})
@@ -494,6 +508,8 @@ def _render_grid(runs: Sequence[RunRow]) -> List[str]:
                                     f"{best.total_seconds:.1f}"))
             points: Dict[str, List[Tuple[int, float]]] = {}
             for row in column:
+                if row.rescaled:
+                    continue
                 points.setdefault(row.label, []).append(
                     (row.machines, row.total_seconds))
             labels = scaling_classification([

@@ -243,10 +243,3 @@ class ServeClient:
                        timeout: Optional[float] = None) -> List[dict]:
         """The complete payload stream, blocking until the job is done."""
         return list(self.stream_payloads(job_id, after=after, timeout=timeout))
-
-    def fetch_grid(self, job_id: str,
-                   payloads: Optional[List[dict]] = None) -> ResultGrid:
-        """The finished job as a result grid (fetches if not given)."""
-        if payloads is None:
-            payloads = self.fetch_payloads(job_id)
-        return grid_from_payloads(payloads)

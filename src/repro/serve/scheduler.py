@@ -83,16 +83,6 @@ class JobRunner:
         self.cache = cache
         self.jobs = max(1, jobs)
 
-    def warm(self, datasets, size: str) -> int:
-        """Pre-generate datasets into the process pool; returns the count."""
-        from ..datasets.registry import load_dataset
-
-        count = 0
-        for name in datasets:
-            load_dataset(name, size)
-            count += 1
-        return count
-
     def run_job(self, job, on_cell, should_stop=None) -> JobOutcome:
         """Execute one job's grid, streaming payloads in plan order.
 

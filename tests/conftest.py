@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,20 @@ def src_repro_modules():
         with open(path, encoding="utf-8") as fh:
             modules[path] = SourceModule.parse(fh.read(), path=path)
     return modules
+
+
+@pytest.fixture(scope="session")
+def src_repro_report(src_repro_modules):
+    """``(findings, seconds)``: every lint rule over the shared parse.
+
+    The one pass runs once per session; the findings come out in the
+    order ``repro lint`` prints them.
+    """
+    from repro.lint import lint_modules
+
+    start = time.perf_counter()
+    violations = lint_modules(src_repro_modules)
+    return violations, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")

@@ -320,6 +320,27 @@ class TestResourceTracker:
         t.record_cpu([1.0], 1.0)
         t.record_memory(0.0, [1.0])
 
+    def test_counters_are_read_only(self):
+        # the counters move only through record_*: a direct write from
+        # outside, the bypass the accounting would not see, raises
+        t = tracker(4)
+        t.record_network(sent=10, received=5)
+        t.record_disk(read=3, written=2)
+        t.record_rescale(6)
+        assert (t.network_bytes_sent, t.network_bytes_received,
+                t.disk_bytes_read, t.disk_bytes_written,
+                t.num_machines) == (10, 5, 3, 2, 6)
+        for counter in ("network_bytes_sent", "network_bytes_received",
+                        "disk_bytes_read", "disk_bytes_written",
+                        "num_machines"):
+            with pytest.raises(AttributeError):
+                setattr(t, counter, 0)
+        cluster = Cluster(ClusterSpec(4))
+        with pytest.raises(AttributeError):
+            cluster.now = 0.0
+        with pytest.raises(AttributeError):
+            cluster.clock.now = 0.0
+
     def test_empty_tracker(self):
         t = tracker(1)
         assert t.peak_memory_bytes() == 0

@@ -448,6 +448,26 @@ class TestReportCli:
         assert "### Scheduler spans (top 3 by self time, host clock)" in out
         assert "| grid [scheduler] | 1 |" in out
 
+    def test_trace_and_report_agree_past_five_span_groups(self, tmp_path,
+                                                          capsys):
+        # both commands rank the same number of span groups by default,
+        # so a scheduler journal with more than five renders the same
+        scheduler = write_trace_dir(tmp_path, "traces") / "_scheduler.jsonl"
+        events = [json.loads(line)
+                  for line in scheduler.read_text().splitlines()]
+        next_id = max(e["id"] for e in events if e["type"] == "span") + 1
+        extra = [{"args": {}, "cat": "scheduler", "dur": 1e-6 * (n + 1),
+                  "id": next_id + n, "name": f"extra{n}", "parent": 1,
+                  "ts": 1e-3, "type": "span"} for n in range(4)]
+        scheduler.write_text("".join(
+            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+            for e in events + extra))
+        assert main(["trace", str(scheduler)]) == 0
+        out = capsys.readouterr().out
+        assert main(["report", str(scheduler)]) == 0
+        assert capsys.readouterr().out == out
+        assert "### Scheduler spans (top 7 by self time, host clock)" in out
+
     def test_repeated_coordinates_keep_their_run_keys(self, tmp_path):
         trace_dir = write_trace_dir(tmp_path, "traces")
         first = sorted(trace_dir.glob("BV_*.jsonl"))[0]

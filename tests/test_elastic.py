@@ -267,3 +267,27 @@ def test_bench_elastic_record_is_gated_and_deterministic(tmp_path):
                   "rescale_seconds_by_mechanism", "dollars_per_rescale",
                   "mean_overhead_seconds", "tolerance"):
         assert again[field] == record[field]
+
+
+# -- the report over an elastic trace ----------------------------------------
+
+
+def test_report_keeps_rescaled_runs_off_the_scaling_curves(tmp_path,
+                                                            capsys):
+    # a scale-out bills the run at its widest fleet (18 machines), a
+    # size no fixed cluster ran at: the run stays in the result table
+    # but is no point on a §5.12 scaling curve
+    from repro.cli import main
+
+    trace = tmp_path / "el"
+    assert main(["elastic", "--systems", "BV", "V", "--size", "tiny",
+                 "--directions", "out", "--timings", "0.5",
+                 "--magnitudes", "2", "--no-cache",
+                 "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "| dataset | system | 16 mach | 18 mach |" in out
+    scaling = out.split("### Strong-scaling classification (§5.12)\n\n")[1]
+    assert scaling.split("\n\n")[0] == (
+        "- pagerank / twitter: BV: insufficient-data, V: insufficient-data")

@@ -1,8 +1,8 @@
-"""repro.lint: every RPL rule has a positive and a negative fixture,
-noqa suppression works, the CLI exits correctly, and — the contract the
-whole package exists for — src/repro itself is lint-clean. The
-whole-tree checks lint the session's shared parse of src/repro; the
-deep pass over it is in test_lint_deep.py."""
+"""repro.lint: every per-file RPL rule has a positive and a negative
+fixture, noqa suppression works, the CLI exits correctly, and — the
+contract the whole package exists for — src/repro itself is lint-clean.
+The whole-tree checks lint the session's shared parse of src/repro; the
+whole-program rules and their program model are in test_lint_deep.py."""
 
 import json
 import os
@@ -16,11 +16,11 @@ from repro.lint import (
     ALL_RULES,
     PARSE_ERROR_CODE,
     RULES_BY_CODE,
+    ProgramRule,
+    Violation,
     expand_selectors,
-    lint_file,
-    lint_module,
-    lint_source,
-    select_rules,
+    lint_modules,
+    load_module,
 )
 from repro.lint.cli import main as lint_main
 
@@ -32,35 +32,49 @@ def codes(violations):
     return [v.code for v in violations]
 
 
+def lint_source(text, path="<string>", rules=None):
+    """Lint ``text`` standing for the file at ``path``."""
+    module = load_module(path, text)
+    if isinstance(module, Violation):
+        return [module]
+    return lint_modules({path: module}, rules)
+
+
 def run(snippet, select=None):
-    rules = select_rules([select]) if select else None
+    rules = [RULES_BY_CODE[select]] if select else None
     return lint_source(textwrap.dedent(snippet), path="fixture.py", rules=rules)
 
 
 # -- registry ---------------------------------------------------------------
 
+#: codes whose rules a type, a census or a run replaced; never reused
+RETIRED = ("RPL004", "RPL006", "RPL007", "RPL011", "RPL013", "RPL015",
+           "RPL016", "RPL017", "RPL018")
+
+
 def test_registry_covers_rpl001_through_rpl010():
-    assert sorted(RULES_BY_CODE) == [f"RPL{i:03d}" for i in range(1, 11)]
-    assert len(ALL_RULES) == 10
+    # the per-file rules; RPL004, RPL006 and RPL007 are retired
+    per_file = [rule.code for rule in ALL_RULES
+                if not isinstance(rule, ProgramRule)]
+    assert per_file == ["RPL001", "RPL002", "RPL003", "RPL005", "RPL008",
+                        "RPL009", "RPL010"]
+    assert len(RULES_BY_CODE) == len(ALL_RULES) == 11
     for rule in ALL_RULES:
         assert rule.name and rule.rationale
 
 
 def test_select_rules_rejects_unknown_code(tmp_path, capsys):
-    for code in ("RPL999", "RPL016"):
-        with pytest.raises(KeyError):
-            select_rules([code])
-    # the retired deep codes are unknown to --select, with --deep or not
+    # the retired codes are unknown to --select and --ignore
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    for code in ("RPL011", "RPL013", "RPL015", "RPL016", "RPL017", "RPL018"):
-        assert lint_main([str(clean), "--deep", "--select", code]) == 2
+    for code in ("RPL999",) + RETIRED:
         assert lint_main([str(clean), "--select", code]) == 2
-    assert "no rule code matches" in capsys.readouterr().err
+        assert "no rule code matches" in capsys.readouterr().err
+        assert lint_main([str(clean), "--ignore", code]) == 2
 
 
 def test_expand_selectors_prefix_matching():
-    available = list(RULES_BY_CODE) + ["RPL011", "RPL012"]
+    available = ["RPL001", "RPL002", "RPL009", "RPL010", "RPL011", "RPL012"]
     assert expand_selectors(["RPL001"], available) == ["RPL001"]
     assert expand_selectors(["RPL01"], available) == [
         "RPL010", "RPL011", "RPL012",
@@ -88,15 +102,12 @@ def test_expand_selectors_exact_match_beats_prefix():
 def test_expand_selectors_rpl01_matches_ten_deep_rules():
     # ten codes until RPL015-RPL017 were retired, then RPL011, RPL013
     # and RPL018; four remain
-    from repro.lint.deep import DEEP_RULES_BY_CODE
-
-    available = list(RULES_BY_CODE) + list(DEEP_RULES_BY_CODE)
-    expanded = expand_selectors(["RPL01"], available)
+    expanded = expand_selectors(["RPL01"], RULES_BY_CODE)
     assert expanded == ["RPL010", "RPL012", "RPL014", "RPL019"]
-    assert expand_selectors(["RPL019"], available) == ["RPL019"]
-    for retired in ("RPL011", "RPL013", "RPL016", "RPL018"):
+    assert expand_selectors(["RPL019"], RULES_BY_CODE) == ["RPL019"]
+    for retired in RETIRED:
         with pytest.raises(KeyError):
-            expand_selectors([retired], available)
+            expand_selectors([retired], RULES_BY_CODE)
 
 
 # -- RPL001 wall-clock ------------------------------------------------------
@@ -229,41 +240,6 @@ def test_rpl003_clean_state_mutation():
     assert found == []
 
 
-# -- RPL004 mutable class defaults ------------------------------------------
-
-def test_rpl004_flags_mutable_defaults_on_model_classes():
-    found = run(
-        """
-        class MyEngine:
-            features = {}
-            pending = []
-
-        class MyWorkload(Workload):
-            seen = set()
-        """,
-        select="RPL004",
-    )
-    assert codes(found) == ["RPL004", "RPL004", "RPL004"]
-    assert "features" in found[0].message
-
-
-def test_rpl004_ignores_immutable_defaults_and_non_model_classes():
-    found = run(
-        """
-        from types import MappingProxyType
-
-        class MyEngine:
-            features = MappingProxyType({"a": "b"})
-            order = ("load", "execute")
-
-        class Unrelated:
-            cache = {}
-        """,
-        select="RPL004",
-    )
-    assert found == []
-
-
 # -- RPL005 exception discipline --------------------------------------------
 
 def test_rpl005_flags_bare_except_everywhere():
@@ -316,96 +292,6 @@ def test_rpl005_clean_typed_or_reraising_handlers():
                 return 0
         """,
         select="RPL005",
-    )
-    assert found == []
-
-
-# -- RPL006 engine metadata -------------------------------------------------
-
-def test_rpl006_flags_concrete_engine_missing_metadata():
-    found = run(
-        """
-        class SparseEngine(Engine):
-            key = "SP"
-
-            def _load(self, dataset, workload, cluster, result):
-                pass
-        """,
-        select="RPL006",
-    )
-    assert codes(found) == ["RPL006"]
-    assert "display_name" in found[0].message
-    assert "language" in found[0].message
-
-
-def test_rpl006_accepts_inherited_and_init_assigned_metadata():
-    found = run(
-        """
-        class FullEngine(Engine):
-            key = "F"
-            display_name = "Full"
-            language = "C++"
-
-        class DerivedEngine(FullEngine):
-            key = "F2"
-            display_name = "Full v2"
-
-        class InitEngine(Engine):
-            display_name = "Init"
-            language = "Java"
-
-            def __init__(self, mode):
-                self.key = f"I-{mode}"
-        """,
-        select="RPL006",
-    )
-    assert found == []
-
-
-def test_rpl006_skips_abstract_and_mixin_classes():
-    found = run(
-        """
-        import abc
-
-        class LoopMixin:
-            pass
-
-        class PartialEngine(Engine):
-            @abc.abstractmethod
-            def _execute(self, dataset, workload, cluster, result, scale):
-                ...
-        """,
-        select="RPL006",
-    )
-    assert found == []
-
-
-# -- RPL007 cost accounting -------------------------------------------------
-
-def test_rpl007_flags_clock_and_tracker_writes():
-    found = run(
-        """
-        def cheat(cluster):
-            cluster.now = 0.0
-            cluster.clock.now = 10.0
-            cluster.tracker.network_bytes_sent += 1024
-        """,
-        select="RPL007",
-    )
-    assert codes(found) == ["RPL007", "RPL007", "RPL007"]
-    assert "advance" in found[0].message
-
-
-def test_rpl007_clean_api_usage():
-    found = run(
-        """
-        def charge(cluster):
-            cluster.advance(5.0)
-            cluster.tracker.record_network(sent=10.0, received=10.0)
-            now = cluster.now
-            return now
-        """,
-        select="RPL007",
     )
     assert found == []
 
@@ -466,7 +352,7 @@ def test_rpl009_flags_concurrency_imports_outside_exec():
             """
         ),
         path="src/repro/core/runner.py",
-        rules=select_rules(["RPL009"]),
+        rules=[RULES_BY_CODE["RPL009"]],
     )
     assert codes(found) == ["RPL009"] * 4
     assert "repro/exec" in found[0].message
@@ -481,7 +367,7 @@ def test_rpl009_allowlists_the_executor_package():
             """
         ),
         path="src/repro/exec/executor.py",
-        rules=select_rules(["RPL009"]),
+        rules=[RULES_BY_CODE["RPL009"]],
     )
     assert found == []
 
@@ -491,7 +377,7 @@ def test_rpl009_allowlists_the_serving_package():
         "import queue\nimport selectors\nimport threading\n"
         "done = threading.Event()\n",
         path="src/repro/serve/daemon.py",
-        rules=select_rules(["RPL009"]),
+        rules=[RULES_BY_CODE["RPL009"]],
     )
     assert found == []
 
@@ -510,7 +396,7 @@ def test_rpl009_flags_shared_state_primitives_inside_the_doors():
             """
         ),
         path="src/repro/exec/executor.py",
-        rules=select_rules(["RPL009"]),
+        rules=[RULES_BY_CODE["RPL009"]],
     )
     assert codes(found) == ["RPL009"] * 5
     assert sorted(v.message.split("'")[1] for v in found) == [
@@ -528,7 +414,7 @@ def test_rpl009_mutation_condition_back_in_the_daemon():
     assert anchor in text
     mutated = text.replace(
         anchor, anchor + "        self.cond = threading.Condition()\n")
-    rules = select_rules(["RPL009"])
+    rules = [RULES_BY_CODE["RPL009"]]
     assert lint_source(text, path=source, rules=rules) == []
     found = lint_source(mutated, path=source, rules=rules)
     assert codes(found) == ["RPL009"]
@@ -552,10 +438,7 @@ def test_rpl009_src_repro_has_only_sanctioned_concurrency_doors(
     # the repo-level contract: every concurrency import in src/repro
     # lives under repro/exec/ or repro/serve/ (linting the real tree
     # proves it)
-    rules = select_rules(["RPL009"])
-    violations = [v for module in src_repro_modules.values()
-                  for v in lint_module(module, rules=rules)]
-    assert violations == []
+    assert lint_modules(src_repro_modules, [RULES_BY_CODE["RPL009"]]) == []
 
 
 # -- RPL010 recovery sites --------------------------------------------------
@@ -572,7 +455,7 @@ def test_rpl010_flags_simulated_failure_catch_outside_recovery_sites():
             """
         ),
         path="src/repro/core/runner.py",
-        rules=select_rules(["RPL010"]),
+        rules=[RULES_BY_CODE["RPL010"]],
     )
     assert codes(found) == ["RPL010"]
     assert "recovery sites" in found[0].message
@@ -592,7 +475,7 @@ def test_rpl010_flags_failure_subtypes_and_dotted_names():
             """
         ),
         path="src/repro/workloads/pagerank.py",
-        rules=select_rules(["RPL010"]),
+        rules=[RULES_BY_CODE["RPL010"]],
     )
     assert codes(found) == ["RPL010", "RPL010"]
     assert "SimulatedOOM, SimulatedTimeout" in found[0].message
@@ -610,7 +493,7 @@ def test_rpl010_flags_swallowed_broad_except_in_guarded_packages():
             """
         ),
         path="src/repro/engines/bsp.py",
-        rules=select_rules(["RPL010"]),
+        rules=[RULES_BY_CODE["RPL010"]],
     )
     assert codes(found) == ["RPL010"]
     assert "recovery cost" in found[0].message
@@ -628,7 +511,7 @@ def test_rpl010_allowlists_the_sanctioned_recovery_sites():
     )
     for path in ("src/repro/engines/base.py", "src/repro/exec/executor.py"):
         assert lint_source(
-            snippet, path=path, rules=select_rules(["RPL010"])
+            snippet, path=path, rules=[RULES_BY_CODE["RPL010"]]
         ) == []
 
 
@@ -650,7 +533,7 @@ def test_rpl010_clean_specific_or_reraising_handlers_elsewhere():
             """
         ),
         path="src/repro/exec/workers.py",
-        rules=select_rules(["RPL010"]),
+        rules=[RULES_BY_CODE["RPL010"]],
     )
     assert found == []
 
@@ -675,7 +558,7 @@ def test_noqa_bare_suppresses_all_and_wrong_code_does_not():
 
     def f():
         a = time.time()  # noqa
-        b = time.time()  # noqa: RPL004
+        b = time.time()  # noqa: RPL002
         return a, b
     """
     found = run(src)
@@ -700,7 +583,7 @@ def test_noqa_multiple_codes_suppress_only_whats_listed():
     import random
 
     def f():
-        return time.time(), random.random()  # noqa: RPL002, RPL004
+        return time.time(), random.random()  # noqa: RPL002, RPL005
     """
     found = run(src)
     assert codes(found) == ["RPL001"]
@@ -714,26 +597,28 @@ def test_parse_error_reported_as_rpl000():
 def test_undecodable_file_reported_as_rpl000_not_traceback(tmp_path):
     bad = tmp_path / "latin.py"
     bad.write_bytes(b'x = "\xff\xfe"\n')
-    found = lint_file(str(bad))
-    assert codes(found) == [PARSE_ERROR_CODE]
-    assert found[0].line == 1
-    assert "decode" in found[0].message
+    found = load_module(str(bad))
+    assert isinstance(found, Violation)
+    assert found.code == PARSE_ERROR_CODE
+    assert found.line == 1
+    assert "decode" in found.message
     assert lint_main([str(bad)]) == 1
 
 
 def test_null_byte_file_reported_as_rpl000(tmp_path):
     bad = tmp_path / "nul.py"
     bad.write_bytes(b"x = 1\x00\n")
-    found = lint_file(str(bad))
-    assert codes(found) == [PARSE_ERROR_CODE]
+    found = load_module(str(bad))
+    assert isinstance(found, Violation)
+    assert found.code == PARSE_ERROR_CODE
     assert lint_main([str(bad)]) == 1
 
 
 # -- the meta-test: this repo honours its own contracts ---------------------
 
-def test_src_repro_is_lint_clean(src_repro_modules):
-    violations = [v for module in src_repro_modules.values()
-                  for v in lint_module(module)]
+def test_src_repro_is_lint_clean(src_repro_report):
+    # every rule, whole-program ones included, over the shared parse
+    violations, _ = src_repro_report
     assert violations == [], "\n".join(v.format() for v in violations)
 
 
@@ -749,7 +634,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert lint_main([str(dirty)]) == 1
     out = capsys.readouterr().out
     assert "RPL001" in out
-    assert lint_main([str(dirty), "--select", "RPL004"]) == 0
+    assert lint_main([str(dirty), "--select", "RPL002"]) == 0
     assert lint_main([str(dirty), "--select", "NOPE"]) == 2
 
 
@@ -766,12 +651,11 @@ def test_cli_json_format(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in RULES_BY_CODE:
-        assert code in out
-    # deep rules are part of the listing even without --deep
-    for code in ("RPL012", "RPL014", "RPL019", "RPL020"):
-        assert code in out
-    for retired in ("RPL011", "RPL013", "RPL018"):
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("RPL")]
+    assert listed == sorted(RULES_BY_CODE)
+    assert len(listed) == 11
+    for retired in RETIRED:
         assert retired not in out
 
 
@@ -795,13 +679,16 @@ def test_cli_select_prefix_and_ignore(tmp_path, capsys):
     assert lint_main([str(dirty), "--ignore", "XYZ"]) == 2
 
 
-def test_cli_deep_rule_selection_requires_deep_flag(tmp_path, capsys):
+def test_cli_rejects_the_deep_flag(tmp_path, capsys):
+    # one pass runs every rule: --deep is gone, and a whole-program
+    # code is selectable on its own
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    assert lint_main([str(clean), "--select", "RPL012"]) == 2
-    err = capsys.readouterr().err
-    assert "--deep" in err
-    assert lint_main([str(clean), "--deep", "--select", "RPL012"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        lint_main([str(clean), "--deep"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --deep" in capsys.readouterr().err
+    assert lint_main([str(clean), "--select", "RPL012"]) == 0
 
 
 def test_cli_github_format(tmp_path, capsys):
@@ -810,7 +697,7 @@ def test_cli_github_format(tmp_path, capsys):
     assert lint_main([str(dirty), "--format", "github"]) == 1
     out = capsys.readouterr().out
     assert f"::error file={dirty},line=2,col=5,title=RPL001::" in out
-    assert lint_main([str(dirty), "--select", "RPL004",
+    assert lint_main([str(dirty), "--select", "RPL002",
                       "--format", "github"]) == 0
     assert "clean" in capsys.readouterr().out
 
@@ -859,7 +746,8 @@ def test_repro_lint_and_python_m_repro_lint_agree(tmp_path):
     cases = [
         ([str(clean)], 0),
         ([str(dirty)], 1),
-        ([deep, "--deep", "--format", "json"], 1),
+        ([deep, "--format", "json"], 1),
+        ([str(clean), "--deep"], 2),
         (["--list-rules"], 0),
         (["--explain", "RPL999"], 2),
     ]
@@ -867,7 +755,7 @@ def test_repro_lint_and_python_m_repro_lint_agree(tmp_path):
         via_repro, via_module = _front_end_outputs(argv)
         assert via_repro == via_module, argv
         assert via_repro[1] == code, argv
-        if "--deep" in argv:
+        if argv[0] == deep:
             assert b"RPL019" in via_repro[0]
 
 
@@ -893,8 +781,8 @@ def test_repro_cli_lint_deep_subcommand(tmp_path, capsys):
         def work(task):
             return _MEMO.setdefault(task, task * 2)
         """)
-    # the parent primes what the worker reads: only the deep pass
-    # (RPL019) sees it
+    # the parent primes what the worker reads: only a whole-program
+    # rule (RPL019) sees it, and the one pass runs it
     dirty = _exec_package(tmp_path / "dirty", """
         __all__ = ["work"]
 
@@ -906,12 +794,13 @@ def test_repro_cli_lint_deep_subcommand(tmp_path, capsys):
         def prime(task, value):
             _MEMO[task] = value
         """)
-    assert repro_main(["lint", clean, "--deep"]) == 0
+    assert repro_main(["lint", clean]) == 0
     assert "clean" in capsys.readouterr().out
-    assert repro_main(["lint", dirty]) == 0
-    capsys.readouterr()
-    assert repro_main(["lint", dirty, "--deep"]) == 1
+    assert repro_main(["lint", dirty]) == 1
     assert "RPL019" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["lint", dirty, "--deep"])
+    assert exc.value.code == 2
 
 
 def test_cli_explain_shallow_rule(capsys):
@@ -922,8 +811,8 @@ def test_cli_explain_shallow_rule(capsys):
 
 
 def test_cli_explain_deep_rule_without_deep_flag(capsys):
-    # deep rules are explainable without --deep; the docstring carries
-    # the positive/negative example pair
+    # a whole-program rule explains like any other; the docstring
+    # carries the positive/negative example pair
     assert lint_main(["--explain", "rpl020"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("RPL020 — bounded-retry")
@@ -932,11 +821,9 @@ def test_cli_explain_deep_rule_without_deep_flag(capsys):
 
 
 def test_cli_explain_unknown_code_exits_2(capsys):
-    retired = ("RPL011", "RPL013", "RPL015", "RPL018")
-    for code in ("RPL999",) + retired:
+    for code in ("RPL999",) + RETIRED:
         assert lint_main(["--explain", code]) == 2
         err = capsys.readouterr().err
         assert "unknown rule code" in err
-        assert "RPL020" in err  # the known-codes list includes deep rules
         known = err.split("known codes:")[1]
-        assert not any(code in known for code in retired)
+        assert known.strip() == ", ".join(sorted(RULES_BY_CODE))

@@ -1,12 +1,11 @@
-"""repro.lint.deep: the whole-program pass builds a faithful model of the
-tree (modules, MROs, call graph), each deep rule fires on a seeded
-mutation of the real engines, the pass is fast and byte-deterministic,
-and — the contract the subpackage exists for — src/repro itself is
-clean under every rule.
+"""The whole-program lint rules: the program model is faithful to the
+tree (modules, MROs, call graph), each whole-program rule fires on a
+seeded mutation of the real code, and the one lint pass over src/repro
+is clean, fast and byte-deterministic.
 
 src/repro is parsed once per session (``src_repro_modules`` in
-conftest.py) and linted once in-process; mutation tests re-parse only
-the file they mutate."""
+conftest.py) and linted once in-process (``src_repro_report``);
+mutation tests re-parse only the file they mutate."""
 
 import json
 import os
@@ -14,21 +13,10 @@ import re
 import subprocess
 import sys
 import textwrap
-import time
 
-import pytest
-
-from repro.lint import lint_module
-from repro.lint.deep import (
-    DEEP_RULES,
-    DEEP_RULES_BY_CODE,
-    build_program,
-    deep_lint_modules,
-    deep_lint_paths,
-)
-from repro.lint.deep.program import module_name_for
+from repro.lint import ALL_RULES, RULES_BY_CODE, ProgramRule, lint_modules
+from repro.lint.program import build_program, module_name_for
 from repro.lint.reporters import render_json
-from repro.lint.rules.base import Violation
 from repro.lint.source import SourceModule
 
 SRC_REPRO = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
@@ -36,7 +24,7 @@ REPO_SRC = os.path.abspath(os.path.join(SRC_REPRO, ".."))
 
 
 def rules(code):
-    return [DEEP_RULES_BY_CODE[code]]
+    return [RULES_BY_CODE[code]]
 
 
 def codes(violations):
@@ -46,15 +34,13 @@ def codes(violations):
 # -- registry ---------------------------------------------------------------
 
 def test_deep_registry_covers_rpl011_through_rpl020():
-    # RPL015-RPL017 are retired, and so are RPL011, RPL013 and RPL018,
-    # which run-time checks replace (tests/test_model_contracts.py,
+    # the whole-program rules share the one registry. RPL015-RPL017 are
+    # retired, and so are RPL011, RPL013 and RPL018, which run-time
+    # checks replace (tests/test_model_contracts.py,
     # tests/test_import_census.py); the retired codes stay unused
-    assert sorted(DEEP_RULES_BY_CODE) == [
-        "RPL012", "RPL014", "RPL019", "RPL020",
-    ]
-    assert len(DEEP_RULES) == 4
-    for rule in DEEP_RULES:
-        assert rule.name and rule.rationale
+    program_rules = [rule.code for rule in ALL_RULES
+                     if isinstance(rule, ProgramRule)]
+    assert program_rules == ["RPL012", "RPL014", "RPL019", "RPL020"]
 
 
 # -- program model ----------------------------------------------------------
@@ -68,7 +54,8 @@ def test_module_name_for_walks_packages():
     ) == "repro.lint"
 
 
-def _program_from(tmp_path, files):
+def _tree(tmp_path, files):
+    """Write ``files`` under ``tmp_path``; return them parsed, by path."""
     sources = {}
     for relpath, text in files.items():
         path = tmp_path / relpath
@@ -77,7 +64,11 @@ def _program_from(tmp_path, files):
         sources[str(path)] = SourceModule.parse(
             textwrap.dedent(text), path=str(path)
         )
-    return build_program(sources)
+    return sources
+
+
+def _program_from(tmp_path, files):
+    return build_program(_tree(tmp_path, files))
 
 
 def test_mro_linearizes_mixin_diamonds(tmp_path):
@@ -147,7 +138,7 @@ def test_super_resolution_skips_past_the_defining_class(tmp_path):
 # -- RPL019-RPL020 on fixture packages: one positive + one negative each ----
 
 def test_rpl019_flags_parent_written_worker_read_state(tmp_path):
-    _program_from(tmp_path, {
+    tree = _tree(tmp_path, {
         "pkg/__init__.py": "",
         "pkg/exec/__init__.py": "",
         "pkg/exec/workers.py": """
@@ -162,14 +153,14 @@ def test_rpl019_flags_parent_written_worker_read_state(tmp_path):
                 _MEMO[task] = value
             """,
     })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL019"))
+    found = lint_modules(tree, rules("RPL019"))
     assert codes(found) == ["RPL019"]
     assert "'_MEMO'" in found[0].message
     assert "outside the worker cone" in found[0].message
 
 
 def test_rpl019_per_process_memo_is_clean(tmp_path):
-    _program_from(tmp_path, {
+    tree = _tree(tmp_path, {
         "pkg/__init__.py": "",
         "pkg/exec/__init__.py": "",
         "pkg/exec/workers.py": """
@@ -189,11 +180,11 @@ def test_rpl019_per_process_memo_is_clean(tmp_path):
     })
     # _LOCAL is filled and read inside the cone (re-derived per
     # process); _LIMITS is read-only everywhere — both are sound
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL019")) == []
+    assert lint_modules(tree, rules("RPL019")) == []
 
 
 def test_rpl019_flags_worker_written_parent_read_state(tmp_path):
-    _program_from(tmp_path, {
+    tree = _tree(tmp_path, {
         "pkg/__init__.py": "",
         "pkg/exec/__init__.py": "",
         "pkg/exec/workers.py": """
@@ -208,7 +199,7 @@ def test_rpl019_flags_worker_written_parent_read_state(tmp_path):
                 return list(_RESULTS)
             """,
     })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL019"))
+    found = lint_modules(tree, rules("RPL019"))
     assert codes(found) == ["RPL019"]
     assert "inside the worker cone" in found[0].message
     assert "pool future" in found[0].message
@@ -239,8 +230,8 @@ def test_rpl020_flags_unbounded_poll_loop(tmp_path):
                     return conn.take()
                 host_sleep(0.1)
         """
-    _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL020"))
+    tree = _tree(tmp_path, files)
+    found = lint_modules(tree, rules("RPL020"))
     # the data-dependent exit is the condition being waited for, not a
     # bound on the wait — the loop spins forever when ready() never comes
     assert codes(found) == ["RPL020"]
@@ -276,10 +267,10 @@ def test_rpl020_counter_deadline_and_condition_bounds_are_clean(tmp_path):
             while not conn.closed():
                 host_sleep(0.1)
         """
-    _program_from(tmp_path, files)
+    tree = _tree(tmp_path, files)
     # attempt counter, host-clock deadline, and a non-constant loop test
     # are the three sanctioned bounds
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL020")) == []
+    assert lint_modules(tree, rules("RPL020")) == []
 
 
 def test_rpl020_follows_same_module_calls_only(tmp_path):
@@ -305,8 +296,8 @@ def test_rpl020_follows_same_module_calls_only(tmp_path):
                     return conn.take()
                 backoff(1)
         """
-    _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL020"))
+    tree = _tree(tmp_path, files)
+    found = lint_modules(tree, rules("RPL020"))
     # spin sleeps through a same-module helper and is charged for it;
     # dispatch merely enters another module's machinery, which owns its
     # own bounds — one finding, on local.py
@@ -321,7 +312,7 @@ def _mutated_tree(modules, relpath, mutate):
     """The shared parse with one real file swapped for its mutation.
 
     Only the mutated file is re-parsed, under its original path, so the
-    deep pass sees the real tree with one seeded change.
+    lint pass sees the real tree with one seeded change.
     """
     path = os.path.join(SRC_REPRO, relpath)
     text = modules[path].text
@@ -353,7 +344,7 @@ def test_rpl012_mutation_unordered_iteration_leak(src_repro_modules):
     tree = _mutated_tree(
         src_repro_modules, os.path.join("engines", "gelly.py"), mutate
     )
-    found = deep_lint_modules(tree, rules=rules("RPL012"))
+    found = lint_modules(tree, rules("RPL012"))
     assert codes(found) == ["RPL012"]
     assert "set literal" in found[0].message
 
@@ -373,7 +364,7 @@ def test_rpl014_mutation_stray_broad_except(src_repro_modules):
     tree = _mutated_tree(
         src_repro_modules, os.path.join("engines", "spark.py"), mutate
     )
-    found = deep_lint_modules(tree, rules=rules("RPL014"))
+    found = lint_modules(tree, rules("RPL014"))
     assert codes(found) == ["RPL014"]
     assert "broad except" in found[0].message
     assert "fault" in found[0].message
@@ -397,7 +388,7 @@ def test_rpl019_mutation_parent_primed_dataset_memo(src_repro_modules):
     tree = _mutated_tree(
         src_repro_modules, os.path.join("exec", "workers.py"), mutate
     )
-    found = deep_lint_modules(tree, rules=rules("RPL019"))
+    found = lint_modules(tree, rules("RPL019"))
     assert codes(found) == ["RPL019"]
     assert "'_WARM_DATASETS'" in found[0].message
     assert "worker processes never see" in found[0].message.lower()
@@ -411,7 +402,7 @@ def test_rpl020_mutation_unbounding_the_submit_backoff(src_repro_modules):
         os.path.join("serve", "client.py"),
         lambda s: s.replace("if rejections >= retries:", "if False:", 1),
     )
-    found = deep_lint_modules(tree, rules=rules("RPL020"))
+    found = lint_modules(tree, rules("RPL020"))
     assert codes(found) == ["RPL020"]
     assert found[0].path.endswith("client.py")
     assert "submit" in found[0].message
@@ -419,27 +410,10 @@ def test_rpl020_mutation_unbounding_the_submit_backoff(src_repro_modules):
 
 # -- the meta-test: the tree honours its own contracts ----------------------
 
-@pytest.fixture(scope="module")
-def src_repro_report(src_repro_modules):
-    """Findings of the shallow and deep passes over the shared parse.
-
-    The passes run once, and the findings come out in the order
-    ``repro lint --deep`` prints them. Returns them with the passes'
-    wall time.
-    """
-    start = time.perf_counter()
-    violations = []
-    for module in src_repro_modules.values():
-        violations.extend(lint_module(module))
-    violations.extend(deep_lint_modules(src_repro_modules))
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return violations, time.perf_counter() - start
-
-
 def test_src_repro_is_deep_clean_and_fast(src_repro_report):
-    """src/repro is clean under every shallow and deep rule, in budget.
+    """src/repro is clean under every rule, and the pass is in budget.
 
-    The shallow pass includes RPL009, so this also proves that every
+    The pass includes RPL009, so this also proves that every
     concurrency import lives under repro/exec/ or repro/serve/ and that
     neither names a lock primitive.
     """
@@ -470,8 +444,7 @@ def test_deep_report_is_byte_identical_across_hash_seeds(
         os.environ, PYTHONHASHSEED=_other_hash_seed(), PYTHONPATH=REPO_SRC
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.lint", "--deep",
-         "--format", "json", SRC_REPRO],
+        [sys.executable, "-m", "repro.lint", "--format", "json", SRC_REPRO],
         capture_output=True,
         env=env,
     )
@@ -482,7 +455,7 @@ def test_deep_report_is_byte_identical_across_hash_seeds(
     assert json.loads(proc.stdout)["count"] == 0
 
 
-# -- noqa across passes -----------------------------------------------------
+# -- noqa across per-file and whole-program rules --------------------------
 
 def test_noqa_line_covered_by_shallow_and_deep_rule(tmp_path):
     obs_dir = tmp_path / "obs"
@@ -499,8 +472,7 @@ def test_noqa_line_covered_by_shallow_and_deep_rule(tmp_path):
     from repro.lint.cli import main as lint_main
 
     target.write_text(body.replace("<NOQA>", ""))
-    args = [str(tmp_path), "--deep", "--select", "RPL008,RPL012",
-            "--format", "json"]
+    args = [str(tmp_path), "--select", "RPL008,RPL012", "--format", "json"]
     import io
     from contextlib import redirect_stdout
 
@@ -511,14 +483,14 @@ def test_noqa_line_covered_by_shallow_and_deep_rule(tmp_path):
     hit_codes = {v["code"] for v in payload["violations"]}
     assert hit_codes == {"RPL008", "RPL012"}
     lines = {v["line"] for v in payload["violations"]}
-    assert len(lines) == 1  # both passes anchored on the same loop line
+    assert len(lines) == 1  # both rules anchored on the same loop line
 
     target.write_text(body.replace("<NOQA>", "  # noqa: RPL008, RPL012"))
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert lint_main(args) == 0
 
-    # suppressing only the shallow code leaves the deep finding alive
+    # suppressing only the per-file code leaves the whole-program one
     target.write_text(body.replace("<NOQA>", "  # noqa: RPL008"))
     buf = io.StringIO()
     with redirect_stdout(buf):

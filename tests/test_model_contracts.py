@@ -12,7 +12,17 @@ inside the engine's ``model_primitives``, and that declaration inside
 
 The same runs check span coverage: ``ResourceTracker`` raises
 ``SpanError`` for disk, network or memory-time work charged outside a
-cluster span, so a cell that charges such work unspanned fails.
+cluster span, so a cell that charges such work unspanned fails. They
+check cost accounting by type: the simulated clock and the tracker's
+counters are read-only properties, so an engine that writes them
+instead of charging through ``advance`` and ``record_*`` raises
+``AttributeError``.
+
+A census over the loaded classes checks the rest of what Table 1 and
+the result grids rely on: no ``Engine`` or ``Workload`` class holds a
+mutable class attribute that every run in the process would share, and
+every registered engine carries its ``key`` (equal to its registry
+key), ``display_name`` and ``language``.
 
 The mutation tests seed a contract breach into a copy of src/repro and
 run the same check against the copy in a new interpreter.
@@ -24,12 +34,15 @@ import json
 from contextlib import contextmanager
 from typing import Iterable, Iterator, List, Set, Tuple
 
+import pytest
+
 from repro.cluster import Cluster
 from repro.core.runner import run_cell
 from repro.datasets import load_dataset
 from repro.engines import ENGINE_KEYS, make_engine
 from repro.engines.base import (EXTENSION_WORKLOADS, MODEL_PRIMITIVES,
-                                WORKLOAD_NAMES)
+                                WORKLOAD_NAMES, Engine)
+from repro.workloads.base import Workload
 
 Cell = Tuple[str, str, str]  # (system, workload, tiny dataset)
 
@@ -111,6 +124,67 @@ def breaches_in(fresh_python, src, cells: List[Cell]):
         f"print(json.dumps(contract_breaches({cells!r})))", src=src)
 
 
+def model_classes() -> List[type]:
+    """Every ``Engine`` and ``Workload`` class ``repro`` defines, roots
+    included, by qualified name."""
+    found = {}
+    stack = [Engine, Workload]
+    while stack:
+        cls = stack.pop()
+        if cls.__module__.startswith("repro."):
+            found[f"{cls.__module__}.{cls.__qualname__}"] = cls
+        stack.extend(cls.__subclasses__())
+    return [found[name] for name in sorted(found)]
+
+
+#: class-attribute types one run could mutate under another's feet
+MUTABLE = (dict, list, set, bytearray)
+
+
+def shared_mutable_attributes() -> List[str]:
+    """Each non-dunder class attribute of a model class that is mutable."""
+    return [f"{cls.__name__}.{name} ({type(value).__name__})"
+            for cls in model_classes()
+            for name, value in sorted(vars(cls).items())
+            if not (name.startswith("__") and name.endswith("__"))
+            and isinstance(value, MUTABLE)]
+
+
+def metadata_breaches() -> List[str]:
+    """Each registered engine's missing metadata, or key mismatch."""
+    breaches = []
+    for key in ENGINE_KEYS:
+        engine = make_engine(key)
+        name = f"{type(engine).__name__} ({key})"
+        breaches += [f"{name} has no {attr}"
+                     for attr in ("key", "display_name", "language")
+                     if not getattr(engine, attr)]
+        if engine.key and engine.key != key:
+            breaches.append(f"{name} has key {engine.key!r}")
+    return breaches
+
+
+def census_in(fresh_python, src, check: str):
+    """Run one census function against the code under ``src``."""
+    return fresh_python(
+        "import json\n"
+        f"from tests.test_model_contracts import {check}\n"
+        f"print(json.dumps({check}()))", src=src)
+
+
+def test_model_classes_hold_no_mutable_class_attributes():
+    classes = model_classes()
+    engines = [cls for cls in classes if issubclass(cls, Engine)]
+    assert {type(make_engine(key)) for key in ENGINE_KEYS} <= set(engines)
+    assert len(engines) >= 12 and len(classes) - len(engines) >= 7
+    assert shared_mutable_attributes() == []
+
+
+def test_every_engine_declares_its_metadata():
+    assert len(ENGINE_KEYS) >= 20
+    assert metadata_breaches() == []
+
+
 def test_every_engine_calls_only_its_models_primitives():
     cells = every_cell()
     assert {system for system, _, _ in cells} == set(ENGINE_KEYS)
@@ -172,3 +246,52 @@ def test_memory_time_inside_a_cluster_span_runs_clean(fresh_python,
                        [("GL-S-R-I", "pagerank", "twitter")])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_a_mutable_engine_class_attribute_fails_the_census(fresh_python,
+                                                           mutated_src):
+    # Giraph's Table 1 features as a plain dict literal, not a
+    # read-only mapping: one run could rewrite every later run's row
+    src = mutated_src("engines/giraph.py", "    features = MappingProxyType({",
+                      "    features = ({")
+    proc = census_in(fresh_python, src, "shared_mutable_attributes")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["GiraphEngine.features (dict)"]
+
+
+def test_a_mutable_workload_class_attribute_fails_the_census(fresh_python,
+                                                             mutated_src):
+    src = mutated_src("workloads/pagerank.py", "    combinable = True\n",
+                      "    combinable = True\n    seen = set()\n")
+    proc = census_in(fresh_python, src, "shared_mutable_attributes")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["PageRank.seen (set)"]
+
+
+def test_an_engine_without_language_fails_the_census(fresh_python,
+                                                     mutated_src):
+    # Vertica's root default is the empty string: Table 1 would render
+    # a blank language column
+    src = mutated_src("engines/vertica.py", '    language = "SQL"\n', "")
+    proc = census_in(fresh_python, src, "metadata_breaches")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["VerticaEngine (V) has no language"]
+
+
+@pytest.mark.parametrize("write", [
+    "cluster.now = 0.0",
+    "cluster.clock.now = 10.0",
+    "cluster.tracker.network_bytes_sent += 1024",
+], ids=["cluster-now", "clock-now", "tracker-counter"])
+def test_writing_the_clock_or_a_counter_fails_the_run(fresh_python,
+                                                      mutated_src, write):
+    path, anchor = GIRAPH_LOAD
+    src = mutated_src(path, anchor, write + "\n        " + anchor)
+    proc = fresh_python(
+        "from repro.core.runner import run_cell\n"
+        "from repro.datasets import load_dataset\n"
+        "run_cell('G', 'pagerank', load_dataset('twitter', 'tiny'), 16)",
+        src=src)
+    assert proc.returncode != 0
+    assert write in proc.stderr  # the traceback ends at the mutation
+    assert "AttributeError" in proc.stderr
