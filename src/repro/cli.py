@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint",
         help="static analysis of the model contracts: every RPL rule, "
-             "per-file and whole-program, in one pass",
+             "one file at a time, in one pass",
     )
 
     return parser

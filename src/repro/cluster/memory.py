@@ -17,7 +17,7 @@ allocations would, down to which machine an OOM names.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -53,10 +53,6 @@ class MemoryAccountant:
     def used_bytes(self, machine_id: int) -> float:
         """Current resident bytes on one machine."""
         return float(self._used[machine_id])
-
-    def used_by_machine(self) -> Tuple[float, ...]:
-        """Current resident bytes on every machine, in machine order."""
-        return tuple(self._used.tolist())
 
     def used_array(self) -> np.ndarray:
         """The same bytes as a read-only float64 view (no copy)."""
@@ -198,8 +194,3 @@ class MemoryAccountant:
         used[~(used > 0.0)] = 0.0
         self._total_used = None
 
-    def free_all(self) -> None:
-        """Release every allocation (end of a run)."""
-        self._used[:] = 0.0
-        self._by_label.clear()
-        self._total_used = None

@@ -9,7 +9,7 @@ most-loaded NIC.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .specs import MachineSpec
 
@@ -36,11 +36,6 @@ class NetworkModel:
     def _bps(self) -> float:
         """Effective per-NIC bandwidth under the current degradation."""
         return self.machine.network_bps / self.degradation
-
-    def point_to_point_time(self, nbytes: float) -> float:
-        """One machine streaming ``nbytes`` to another."""
-        self._record(nbytes)
-        return self.base_latency + nbytes / self._bps()
 
     def broadcast_time(self, nbytes: float) -> float:
         """Master sends ``nbytes`` to every worker (tree-structured)."""

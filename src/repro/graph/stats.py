@@ -41,17 +41,6 @@ class DatasetStats:
     max_degree: int
     diameter: float
 
-    def as_row(self) -> Dict[str, object]:
-        """Render as a table row (used by the bench harness)."""
-        return {
-            "Dataset": self.name,
-            "|V|": self.num_vertices,
-            "|E|": self.num_edges,
-            "Avg Degree": round(self.avg_degree, 2),
-            "Max Degree": self.max_degree,
-            "Diameter": round(self.diameter, 2),
-        }
-
 
 def bfs_levels(graph: Graph, source: int, undirected: bool = True) -> np.ndarray:
     """BFS level (hop distance) of every vertex from ``source``.

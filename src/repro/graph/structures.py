@@ -141,12 +141,6 @@ class Graph:
             return np.bincount(self._dst, minlength=self._n).astype(np.int64)
         return np.zeros(self._n, dtype=np.int64)
 
-    def in_degree(self, v: int) -> int:
-        """In-degree of vertex ``v``."""
-        return int(self.in_degrees()[v]) if self._in_offsets is None else int(
-            self._in_offsets[v + 1] - self._in_offsets[v]
-        )
-
     # -- edge views -----------------------------------------------------
 
     def edge_sources(self) -> np.ndarray:
@@ -275,19 +269,10 @@ class GraphBuilder:
         self._src.append(self._intern(src))
         self._dst.append(self._intern(dst))
 
-    def add_edges(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Add many directed edges."""
-        for s, d in pairs:
-            self.add_edge(s, d)
-
     @property
     def num_vertices(self) -> int:
         """Vertices interned so far."""
         return len(self._id_map)
-
-    def id_map(self) -> dict:
-        """Mapping raw id -> dense id (a copy)."""
-        return dict(self._id_map)
 
     def build(self) -> Graph:
         """Freeze into an immutable :class:`Graph`."""

@@ -14,13 +14,15 @@ Usage::
     python -m repro.lint --format json src # machine-readable report
     repro lint                             # same, via the main CLI
 
-One pass parses each file once and runs every rule: the per-file rules
-(RPL001-RPL003, RPL005, RPL008-RPL010) on each module, and the
-whole-program rules (RPL012, RPL014, RPL019, RPL020) on one
-:class:`~repro.lint.program.Program` built from all of them. Each rule
-has a stable code; a finding on a line is suppressed by a trailing
-``# noqa: RPLxxx`` comment (bare ``# noqa`` suppresses every code on
-that line).
+One pass parses each file once and runs every rule (RPL001-RPL003,
+RPL005, RPL008-RPL010) on each file by itself. The contracts between
+files are checked by running the code instead: hash-seed independence
+and spawn-safe workers against the golden manifest, fault handling by
+an injection census, and bounded retries under a subprocess timeout
+(``tests/test_golden_manifest.py``, ``tests/test_model_contracts.py``,
+``tests/test_bounded_waits.py``). Each rule has a stable code; a
+finding on a line is suppressed by a trailing ``# noqa: RPLxxx``
+comment (bare ``# noqa`` suppresses every code on that line).
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ from __future__ import annotations
 import os
 from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
-from .program import build_program
-from .rules import ALL_RULES, RULES_BY_CODE, ProgramRule, Rule, Violation
+from .rules import ALL_RULES, RULES_BY_CODE, Rule, Violation
 from .source import SourceModule
 
 __all__ = [
     "ALL_RULES",
     "RULES_BY_CODE",
     "Rule",
-    "ProgramRule",
     "Violation",
     "SourceModule",
     "lint_modules",
@@ -58,11 +58,9 @@ def expand_selectors(
     Two forms, checked in order:
 
     * **exact** — a selector that *is* a known code selects only that
-      code: ``RPL012`` selects RPL012 alone, never anything it happens
-      to prefix;
+      code, never anything it happens to prefix;
     * **prefix** — anything else matches ruff-style by prefix:
-      ``RPL01`` selects every RPL01x rule (RPL010, RPL012, RPL014 and
-      RPL019), ``RPL`` selects everything.
+      ``RPL00`` selects every RPL00x rule, ``RPL`` selects everything.
 
     Returns the sorted matching subset of ``codes``; raises KeyError for
     a selector that matches nothing (the CLI turns that into exit 2).
@@ -122,35 +120,21 @@ def lint_modules(
 ) -> List[Violation]:
     """Run ``rules`` (default: every rule) over parsed modules keyed by path.
 
-    Per-file rules check each module; whole-program rules check one
-    :class:`~repro.lint.program.Program` built from all of them, and
-    only when one is selected. Findings on a line whose ``# noqa``
-    names their code are dropped; the rest come back once each, in
-    (path, line, col, code, message) order.
+    Findings on a line whose ``# noqa`` names their code are dropped;
+    the rest come back once each, in (path, line, col, code, message)
+    order.
     """
     if rules is None:
         rules = ALL_RULES
-    found: List[Violation] = []
-    program = None
-    for rule in rules:
-        if isinstance(rule, ProgramRule):
-            if program is None:
-                program = build_program(modules)
-            found.extend(rule.check_program(program))
-        else:
-            for module in modules.values():
-                found.extend(rule.check(module))
-    by_path = {module.path: module for module in modules.values()}
     unique = {}
-    for violation in found:
-        source = by_path.get(violation.path)
-        if source is not None and source.suppressed(
-            violation.code, violation.line
-        ):
-            continue
-        key = (violation.path, violation.line, violation.col,
-               violation.code, violation.message)
-        unique[key] = violation
+    for module in modules.values():
+        for rule in rules:
+            for violation in rule.check(module):
+                if module.suppressed(violation.code, violation.line):
+                    continue
+                key = (violation.path, violation.line, violation.col,
+                       violation.code, violation.message)
+                unique[key] = violation
     return [unique[key] for key in sorted(unique)]
 
 

@@ -2,13 +2,12 @@
 
 The one parser behind both ``python -m repro.lint`` and ``repro lint``.
 Exit codes follow linter convention: 0 clean, 1 findings, 2 bad usage.
-One pass parses each file once and runs every rule over it, the
-whole-program rules included. ``--select`` / ``--ignore`` filter the
+One pass parses each file once and runs every rule over it; every rule
+checks one file by itself. ``--select`` / ``--ignore`` filter the
 rules — an exact code matches only itself, anything shorter matches
 ruff-style by prefix — and ``--explain RPLxxx`` prints one rule's
-rationale, the discipline it enforces, and its minimal
-positive/negative example. ``# noqa: RPLxxx`` on a line suppresses a
-single finding on purpose.
+rationale and the discipline it enforces. ``# noqa: RPLxxx`` on a line
+suppresses a single finding on purpose.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "Domain-aware static analysis for the simulation's model "
-            "contracts: per-file rules RPL001-RPL003, RPL005 and "
-            "RPL008-RPL010, and whole-program rules RPL012, RPL014, "
-            "RPL019 and RPL020, in one pass."
+            "contracts: rules RPL001-RPL003, RPL005 and RPL008-RPL010, "
+            "each checking one file at a time, in one pass."
         ),
     )
     parser.add_argument(
@@ -58,7 +56,7 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
         "--select",
         help=(
             "comma-separated rule codes or prefixes to run; an exact "
-            "code (RPL012) selects only itself, a prefix (RPL01) "
+            "code (RPL001) selects only itself, a prefix (RPL00) "
             "selects every code it starts (default: every rule)"
         ),
     )
@@ -75,9 +73,8 @@ def build_parser(prog: str = "python -m repro.lint") -> argparse.ArgumentParser:
         "--explain",
         metavar="CODE",
         help=(
-            "print one rule's rationale, the discipline it enforces, "
-            "and its minimal positive/negative example, then exit "
-            "(exit 2 on unknown codes)"
+            "print one rule's rationale and the discipline it "
+            "enforces, then exit (exit 2 on unknown codes)"
         ),
     )
     return parser

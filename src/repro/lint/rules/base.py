@@ -1,11 +1,4 @@
-"""Rule plumbing: the Violation record and the two kinds of rule.
-
-A :class:`Rule` checks one file at a time. A :class:`ProgramRule`
-checks a contract *between* files, over the whole-program model
-(:class:`~repro.lint.program.Program`) built from every parsed file.
-Both emit the same :class:`Violation` records, so the reporters and
-``# noqa`` filtering treat them alike.
-"""
+"""Rule plumbing: the Violation record and the per-file Rule."""
 
 from __future__ import annotations
 
@@ -14,10 +7,9 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from ..program import Program
 from ..source import SourceModule
 
-__all__ = ["Violation", "Rule", "ProgramRule", "iter_methods"]
+__all__ = ["Violation", "Rule", "iter_methods"]
 
 
 @dataclass(frozen=True)
@@ -63,18 +55,6 @@ class Rule(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(code={self.code!r})"
-
-
-class ProgramRule(Rule):
-    """A contract between files, checked over the whole-program model."""
-
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        """One file alone never breaks a whole-program contract."""
-        return iter(())
-
-    @abc.abstractmethod
-    def check_program(self, program: Program) -> Iterator[Violation]:
-        """Yield every violation of this rule across ``program``."""
 
 
 def iter_methods(

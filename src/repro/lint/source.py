@@ -107,7 +107,6 @@ class SourceModule:
     """One file's worth of everything a rule needs."""
 
     path: str
-    text: str
     tree: ast.Module
     #: every node of ``tree`` in ``ast.walk`` order, walked once so the
     #: module-wide scans of every rule share it
@@ -133,7 +132,6 @@ class SourceModule:
                 )
         return cls(
             path=path,
-            text=text,
             tree=tree,
             nodes=nodes,
             imports=ImportMap.from_nodes(nodes),

@@ -463,14 +463,16 @@ def _render_grid(runs: Sequence[RunRow]) -> List[str]:
     A result table per workload (rows are dataset and system, columns
     the machine counts the runs bill; a repeated run's system carries
     its key's #n), the failure census, the best system per column, and
-    the §5.12 strong-scaling labels (rescaled runs are no curve point).
+    the §5.12 strong-scaling labels. Only completed fixed-size runs
+    compete for a column or make a curve point: a rescaled run is
+    billed at a size no fixed cluster ran at.
     """
     workloads = sorted({row.workload for row in runs})
     datasets = sorted({row.dataset for row in runs})
     sizes = sorted({row.machines for row in runs})
     cells = {(row.label, row.workload, row.dataset, row.machines): row
              for row in runs}
-    ok = [row for row in runs if row.status == "ok"]
+    fixed = [row for row in runs if row.status == "ok" and not row.rescaled]
     lines: List[str] = []
     for workload in workloads:
         rows = []
@@ -498,7 +500,7 @@ def _render_grid(runs: Sequence[RunRow]) -> List[str]:
     scaling = []
     for workload in workloads:
         for dataset in datasets:
-            column = [row for row in ok
+            column = [row for row in fixed
                       if (row.workload, row.dataset) == (workload, dataset)]
             for size in sizes:
                 entrants = [row for row in column if row.machines == size]
@@ -508,8 +510,6 @@ def _render_grid(runs: Sequence[RunRow]) -> List[str]:
                                     f"{best.total_seconds:.1f}"))
             points: Dict[str, List[Tuple[int, float]]] = {}
             for row in column:
-                if row.rescaled:
-                    continue
                 points.setdefault(row.label, []).append(
                     (row.machines, row.total_seconds))
             labels = scaling_classification([

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -56,35 +57,56 @@ def src_repro_report(src_repro_modules):
 
 @pytest.fixture(scope="session")
 def fresh_python():
-    """``run(code, src=None)``: run ``code`` in a new interpreter.
+    """``run(code, src=None, env=None, timeout=None)``: run ``code`` in a
+    new interpreter.
 
     The interpreter imports ``repro`` from ``src`` (default: this
     repo's ``src``) and this repo's ``tests`` package, so a check
     defined in a test module runs as-is against another copy of the
-    code. Returns the ``CompletedProcess``, with text output.
+    code. ``env`` adds environment variables. A run that outlives
+    ``timeout`` seconds is killed, with every process it started (a
+    pool's workers would outlive it otherwise), and raises
+    ``subprocess.TimeoutExpired``. Returns the ``CompletedProcess``,
+    with text output.
     """
-    def run(code: str, src=None) -> subprocess.CompletedProcess:
+    def run(code: str, src=None, env=None,
+            timeout=None) -> subprocess.CompletedProcess:
         paths = [str(src or ROOT / "src"), str(ROOT)]
         if os.environ.get("PYTHONPATH"):
             paths.append(os.environ["PYTHONPATH"])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-        return subprocess.run([sys.executable, "-c", code], cwd=ROOT,
-                              env=env, capture_output=True, text=True)
+        env = dict(os.environ, **(env or {}),
+                   PYTHONPATH=os.pathsep.join(paths))
+        with subprocess.Popen([sys.executable, "-c", code], cwd=ROOT,
+                              env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              start_new_session=True) as proc:
+            try:
+                out, err = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                raise
+        return subprocess.CompletedProcess(proc.args, proc.returncode,
+                                           out, err)
     return run
 
 
 @pytest.fixture
 def mutated_src(tmp_path):
-    """``mutate(relpath, old, new)``: a mutated copy of src/repro.
+    """``mutate(relpath, old, new, copy="src")``: a mutated copy of
+    src/repro.
 
-    Copies src/repro under ``tmp_path``, replaces the first ``old`` in
-    the file ``relpath`` (relative to the package) with ``new``, and
-    returns the ``src`` directory that holds the copy. A mutation whose
+    Copies src/repro into ``tmp_path / copy`` on the first call for
+    that ``copy``, replaces the first ``old`` in the file ``relpath``
+    (relative to the package) with ``new``, and returns the directory
+    that holds the copy. Later calls for the same ``copy`` edit it
+    again, so one mutation may span several edits. A mutation whose
     ``old`` text is missing fails the test instead of checking nothing.
     """
-    def mutate(relpath: str, old: str, new: str) -> Path:
-        src = tmp_path / "src"
-        shutil.copytree(SRC_REPRO, src / "repro")
+    def mutate(relpath: str, old: str, new: str, copy: str = "src") -> Path:
+        src = tmp_path / copy
+        if not src.exists():
+            shutil.copytree(SRC_REPRO, src / "repro")
         path = src / "repro" / relpath
         text = path.read_text(encoding="utf-8")
         assert old in text, f"mutation did not apply to {relpath}"

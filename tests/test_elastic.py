@@ -8,7 +8,9 @@ bit-equal to its fixed-size reference), and the elasticity benchmark
 record.
 """
 
+import io
 import json
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -272,22 +274,43 @@ def test_bench_elastic_record_is_gated_and_deterministic(tmp_path):
 # -- the report over an elastic trace ----------------------------------------
 
 
-def test_report_keeps_rescaled_runs_off_the_scaling_curves(tmp_path,
-                                                            capsys):
-    # a scale-out bills the run at its widest fleet (18 machines), a
-    # size no fixed cluster ran at: the run stays in the result table
-    # but is no point on a §5.12 scaling curve
+@pytest.fixture(scope="module")
+def elastic_report(tmp_path_factory):
+    """``repro report`` over an elastic trace of BV and V.
+
+    A scale-out bills the run at its widest fleet (18 machines), a size
+    no fixed cluster ran at.
+    """
     from repro.cli import main
 
-    trace = tmp_path / "el"
-    assert main(["elastic", "--systems", "BV", "V", "--size", "tiny",
-                 "--directions", "out", "--timings", "0.5",
-                 "--magnitudes", "2", "--no-cache",
-                 "--trace", str(trace)]) == 0
-    capsys.readouterr()
-    assert main(["report", str(trace)]) == 0
-    out = capsys.readouterr().out
-    assert "| dataset | system | 16 mach | 18 mach |" in out
-    scaling = out.split("### Strong-scaling classification (§5.12)\n\n")[1]
-    assert scaling.split("\n\n")[0] == (
+    trace = tmp_path_factory.mktemp("elastic") / "el"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["elastic", "--systems", "BV", "V", "--size", "tiny",
+                     "--directions", "out", "--timings", "0.5",
+                     "--magnitudes", "2", "--no-cache",
+                     "--trace", str(trace)]) == 0
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["report", str(trace)]) == 0
+    return out.getvalue()
+
+
+def section(report, title):
+    """The body of one ``### title`` section of a report."""
+    return report.split(f"### {title}\n\n")[1].split("\n\n")[0]
+
+
+def test_report_keeps_rescaled_runs_off_the_scaling_curves(elastic_report):
+    # the rescaled run stays in the result table but is no point on a
+    # §5.12 scaling curve
+    assert "| dataset | system | 16 mach | 18 mach |" in elastic_report
+    assert section(elastic_report, "Strong-scaling classification (§5.12)") == (
         "- pagerank / twitter: BV: insufficient-data, V: insufficient-data")
+
+
+def test_rescaled_runs_win_no_column(elastic_report):
+    # only fixed-size runs compete: no 18-machine cluster ran
+    winners = section(elastic_report, "Best system per column (end-to-end)")
+    rows = winners.splitlines()[2:]  # below the header and its rule
+    assert [row.split(" | ")[2] for row in rows] == ["16"]

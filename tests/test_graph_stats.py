@@ -108,11 +108,6 @@ class TestComputeStats:
         assert stats.avg_degree == pytest.approx(1.0)
         assert stats.max_degree == 2
 
-    def test_as_row_keys(self, diamond_graph):
-        row = compute_stats(diamond_graph).as_row()
-        assert set(row) == {"Dataset", "|V|", "|E|", "Avg Degree",
-                            "Max Degree", "Diameter"}
-
     def test_exact_diameter_mode(self, path_graph):
         stats = compute_stats(path_graph, effective=False)
         assert stats.diameter == 9.0

@@ -70,7 +70,7 @@ class TestAdjacency:
         assert diamond_graph.in_degrees().sum() == diamond_graph.num_edges
 
     def test_in_degree_single(self, diamond_graph):
-        assert diamond_graph.in_degree(3) == 2
+        assert diamond_graph.in_degrees()[3] == 2
 
     def test_edge_sources_align_with_targets(self, diamond_graph):
         src = diamond_graph.edge_sources()
@@ -149,9 +149,10 @@ class TestGraphBuilder:
         assert g.num_edges == 2
 
     def test_id_map_first_seen_order(self):
+        # raw ids become dense ids in the order they are first seen
         b = GraphBuilder()
         b.add_edge(50, 10)
-        assert b.id_map() == {50: 0, 10: 1}
+        assert b.build().out_neighbors(0).tolist() == [1]
 
     def test_add_vertex_without_edges(self):
         b = GraphBuilder()
@@ -160,11 +161,6 @@ class TestGraphBuilder:
         g = b.build()
         assert g.num_vertices == 3
         assert g.out_degree(0) == 0
-
-    def test_add_edges_bulk(self):
-        b = GraphBuilder()
-        b.add_edges([(0, 1), (1, 2), (2, 0)])
-        assert b.build().num_edges == 3
 
     def test_empty_builder(self):
         assert GraphBuilder().build().num_vertices == 0
