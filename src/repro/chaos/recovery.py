@@ -50,9 +50,7 @@ class CheckpointRecovery(RecoveryModel):
                                  iteration=ctx.iteration):
             cluster.hdfs_write(ctx.state_bytes)
         ctx.checkpoints.append((cluster.now, ctx.iteration))
-        ctx.result.extras["checkpoints"] = (
-            ctx.result.extras.get("checkpoints", 0) + 1
-        )
+        ctx.result.metrics.gauge("checkpoints").inc()
 
     def recover_crash(self, ctx, event, machine) -> None:
         cluster = ctx.cluster

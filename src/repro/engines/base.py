@@ -23,7 +23,7 @@ import abc
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ if TYPE_CHECKING:
     from ..chaos.plan import ChaosPlan
 from ..datasets.registry import Dataset
 from ..graph.stats import estimate_diameter
-from ..obs import (ExtrasView, FrozenJournalObservation, MetricsRegistry,
-                   RunObservation)
+from ..obs import FrozenJournalObservation, MetricsRegistry, RunObservation
 from ..graph.structures import Graph
 from ..workloads.base import Workload, WorkloadKind, WorkloadState
 from ..workloads.pagerank import INITIAL_RANK, PageRank
@@ -100,10 +99,7 @@ class RunResult:
     """One cell of the paper's result grids.
 
     Quantities live in a typed :class:`~repro.obs.MetricsRegistry`
-    shared with the run's cluster; ``extras`` stays available as a
-    backward-compatible mutable-mapping view over that registry (a dict
-    passed to the constructor — e.g. by the JSONL log reader — is
-    folded into the registry on init).
+    shared with the run's cluster; ``extras`` reads its scalars.
 
     ``per_iteration_time`` is the Table 6 derivation: simulated seconds
     per *paper* superstep. The denominator is ``iterations * scale``
@@ -130,7 +126,6 @@ class RunResult:
     peak_memory_bytes: float = 0.0
     total_memory_bytes: float = 0.0
     per_iteration_time: float = 0.0
-    extras: Dict[str, float] = field(default_factory=dict)
     metrics: MetricsRegistry = field(
         default_factory=MetricsRegistry, repr=False, compare=False
     )
@@ -139,12 +134,11 @@ class RunResult:
         default=None, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.extras, ExtrasView):
-            seed = self.extras
-            self.extras = ExtrasView(self.metrics)  # type: ignore[assignment]
-            for key, value in seed.items():
-                self.extras[key] = value
+    @property
+    def extras(self) -> Mapping[str, float]:
+        """Every counter and gauge of the run, by name (read-only)."""
+        return MappingProxyType({name: self.metrics.value(name)
+                                 for name in self.metrics.scalar_names()})
 
     @property
     def ok(self) -> bool:
@@ -201,7 +195,7 @@ def record_to_result(record: dict) -> RunResult:
     cluster_size) is missing and ``ValueError`` on an unknown failure.
     """
     failure = record.get("failure")
-    return RunResult(
+    result = RunResult(
         system=record["system"],
         workload=record["workload"],
         dataset=record["dataset"],
@@ -217,8 +211,10 @@ def record_to_result(record: dict) -> RunResult:
         peak_memory_bytes=record.get("peak_memory_bytes", 0.0),
         total_memory_bytes=record.get("total_memory_bytes", 0.0),
         per_iteration_time=record.get("per_iteration_time", 0.0),
-        extras=record.get("extras", {}),
     )
+    for name, value in record.get("extras", {}).items():
+        result.metrics.gauge(name).set(value)
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -515,21 +511,18 @@ class Engine(abc.ABC):
             result.network_bytes = cluster.tracker.network_total_bytes()
             result.peak_memory_bytes = cluster.memory.max_peak_bytes()
             result.total_memory_bytes = cluster.memory.total_peak_bytes()
-            result.extras["tracker_peak_total"] = float(
-                cluster.tracker.total_memory_bytes()
-            )
+            gauge = result.metrics.gauge
+            gauge("tracker_peak_total").set(cluster.tracker.total_memory_bytes())
             # memory×time integral accrued by the cluster primitives —
             # journaled as a metric so the cost record can bill GB-hours
-            result.extras["memory_byte_seconds"] = float(
-                cluster.tracker.memory_byte_seconds()
-            )
+            gauge("memory_byte_seconds").set(cluster.tracker.memory_byte_seconds())
             cpu = cluster.tracker.cpu_totals()
-            result.extras["cpu_user_seconds"] = cpu["user"]
-            result.extras["cpu_system_seconds"] = cpu["system"]
-            result.extras["cpu_iowait_seconds"] = cpu["iowait"]
+            gauge("cpu_user_seconds").set(cpu["user"])
+            gauge("cpu_system_seconds").set(cpu["system"])
+            gauge("cpu_iowait_seconds").set(cpu["iowait"])
             util = cluster.tracker.max_cpu_utilization()
-            result.extras["max_user_utilization"] = util["user"]
-            result.extras["max_iowait_utilization"] = util["iowait"]
+            gauge("max_user_utilization").set(util["user"])
+            gauge("max_iowait_utilization").set(util["iowait"])
             tracer.end(
                 run_span,
                 status="ok" if result.ok else str(result.failure),

@@ -131,12 +131,6 @@ class BlogelVEngine(BspExecutionMixin, Engine):
         )
         cluster.memory.free_label("messages")
 
-    def _execute(self, dataset, workload, cluster, result, scale):
-        return self.run_superstep_loop(
-            self.graph_for(dataset, workload), dataset, workload, cluster,
-            result, scale,
-        )
-
 
 @lru_cache(maxsize=None)
 def _cached_property_partition(
@@ -290,7 +284,7 @@ class BlogelBEngine(BspExecutionMixin, Engine):
                 )
 
         bp = self._partition(dataset, cluster.num_workers)
-        result.extras["num_blocks"] = float(bp.num_blocks)
+        result.metrics.gauge("num_blocks").set(bp.num_blocks)
         if self.partitioner == "voronoi":
             # GVD: each sampling round is a multi-source BFS over the
             # graph plus a master-side aggregation.
@@ -474,7 +468,7 @@ class BlogelBEngine(BspExecutionMixin, Engine):
         state.iteration = outer_rounds
         self.scale_fixed = 1.0
         self.scale_messages = 1.0
-        result.extras["outer_rounds"] = float(outer_rounds)
+        result.metrics.gauge("outer_rounds").set(outer_rounds)
         return state
 
     def _execute_pagerank(

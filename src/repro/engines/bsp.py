@@ -58,6 +58,16 @@ class BspExecutionMixin(abc.ABC):
     #: so volume costs scale by sqrt of the superstep ratio.
     scale_messages: float = 1.0
 
+    def _execute(
+        self, dataset: Dataset, workload: Workload, cluster: Cluster,
+        result: RunResult, scale: float,
+    ) -> WorkloadState:
+        """Run the superstep loop on the engine's graph (``graph_for``)."""
+        return self.run_superstep_loop(
+            self.graph_for(dataset, workload),  # type: ignore[attr-defined]
+            dataset, workload, cluster, result, scale,
+        )
+
     def run_superstep_loop(
         self,
         graph: Graph,
@@ -230,9 +240,7 @@ class BspExecutionMixin(abc.ABC):
             seconds = cluster.now - started
             cluster.metrics.counter("recovery_seconds").inc(seconds)
             cluster.metrics.counter("rescales").inc()
-            ctx.result.extras["recoveries"] = (
-                ctx.result.extras.get("recoveries", 0) + 1
-            )
+            ctx.result.metrics.gauge("recoveries").inc()
             cluster.tracer.end(span, seconds=seconds)
 
     def _recover(
@@ -274,7 +282,5 @@ class BspExecutionMixin(abc.ABC):
         finally:
             seconds = cluster.now - started
             cluster.metrics.counter("recovery_seconds").inc(seconds)
-            ctx.result.extras["recoveries"] = (
-                ctx.result.extras.get("recoveries", 0) + 1
-            )
+            ctx.result.metrics.gauge("recoveries").inc()
             cluster.tracer.end(span, seconds=seconds)

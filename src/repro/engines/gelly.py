@@ -124,12 +124,6 @@ class GellyEngine(BspExecutionMixin, Engine):
             * self.scale_fixed
         )
 
-    def _execute(self, dataset, workload, cluster, result, scale):
-        return self.run_superstep_loop(
-            self.graph_for(dataset, workload), dataset, workload, cluster,
-            result, scale,
-        )
-
     def _overhead(self, dataset, cluster, result):
         """The forced cluster restart between workloads (§5.7)."""
         cluster.advance(self.restart_overhead)

@@ -134,12 +134,6 @@ class GiraphEngine(BspExecutionMixin, Engine):
         )
         cluster.memory.free_label("messages")
 
-    def _execute(self, dataset, workload, cluster, result, scale):
-        return self.run_superstep_loop(
-            self.graph_for(dataset, workload), dataset, workload, cluster,
-            result, scale,
-        )
-
     def _overhead(self, dataset, cluster, result):
         """MapReduce resource allocation/release grows with cluster size."""
         machines = cluster.spec.num_machines

@@ -76,7 +76,7 @@ class GiraphPlusPlusEngine(BlogelBEngine):
         cluster.shuffle(raw)
 
         bp = self._partition(dataset, cluster.num_workers)
-        result.extras["num_blocks"] = float(bp.num_blocks)
+        result.metrics.gauge("num_blocks").set(bp.num_blocks)
         # the in-job METIS-like partitioning pass
         cluster.uniform_compute(
             dataset.profile.num_edges * COSTS.jvm_edge_cost * 2.0

@@ -137,7 +137,7 @@ class GraphLabEngine(BspExecutionMixin, Engine):
         cluster.shuffle(raw)   # edges move to their assigned machines
 
         rf = partition.replication_factor()
-        result.extras["replication_factor"] = rf
+        result.metrics.gauge("replication_factor").set(rf)
         # Small-graph partitions overstate imbalance; see GiraphEngine.
         skew = min(max(partition.balance_skew(), 0.05), 0.15)
         cluster.memory.allocate_even(
@@ -201,12 +201,6 @@ class GraphLabEngine(BspExecutionMixin, Engine):
             )
             cluster.memory.allocate_even(leak, "async-locks", skew=0.3)
         cluster.sample_memory()
-
-    def _execute(self, dataset, workload, cluster, result, scale):
-        return self.run_superstep_loop(
-            self.graph_for(dataset, workload), dataset, workload, cluster,
-            result, scale,
-        )
 
 
 @lru_cache(maxsize=None)

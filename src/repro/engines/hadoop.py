@@ -127,12 +127,6 @@ class HadoopEngine(BspExecutionMixin, Engine):
     def _post_iteration(self, dataset, cluster, stats) -> None:
         """Hook for HaLoop's failure injection and cache maintenance."""
 
-    def _execute(self, dataset, workload, cluster, result, scale):
-        return self.run_superstep_loop(
-            self.graph_for(dataset, workload), dataset, workload, cluster,
-            result, scale,
-        )
-
     def _save(self, dataset, workload, cluster, result, state):
         """The last job's output *is* the result; only a rename remains."""
         cluster.advance(1.0)

@@ -235,7 +235,7 @@ class SingleThreadEngine(Engine):
                 + dataset.profile.num_vertices * self.vertex_op_cost,
                 cores_per_machine=1,
             )
-        result.extras["ops"] = float(ops)
+        result.metrics.gauge("ops").set(ops)
         return state
 
     def _save(self, dataset, workload, cluster, result, state):

@@ -149,10 +149,10 @@ class GraphXEngine(BspExecutionMixin, Engine):
         cluster.shuffle(raw)   # vertex-cut repartitioning
 
         parts = self.partitions_for(dataset, cluster)
-        result.extras["num_partitions"] = float(parts)
+        result.metrics.gauge("num_partitions").set(parts)
         placement = partition_placement(dataset.name, parts, cluster.num_workers)
         skew = float(placement.max() / max(placement.mean(), 1e-9) - 1.0)
-        result.extras["placement_skew"] = skew
+        result.metrics.gauge("placement_skew").set(skew)
 
         cluster.memory.allocate_even(
             cluster.num_workers * self.executor_base_bytes, "executors", skew=0.0
@@ -211,12 +211,6 @@ class GraphXEngine(BspExecutionMixin, Engine):
             "lineage", skew=self.memory_skew,
         )
         cluster.sample_memory()
-
-    def _execute(self, dataset, workload, cluster, result, scale):
-        return self.run_superstep_loop(
-            self.graph_for(dataset, workload), dataset, workload, cluster,
-            result, scale,
-        )
 
     def _overhead(self, dataset, cluster, result):
         """Spark application start/stop (§5.7)."""

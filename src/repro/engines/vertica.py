@@ -113,12 +113,6 @@ class VerticaEngine(BspExecutionMixin, Engine):
                               write=True)
         cluster.advance(self.table_drop_overhead * sf)
 
-    def _execute(self, dataset, workload, cluster, result, scale):
-        return self.run_superstep_loop(
-            self.graph_for(dataset, workload), dataset, workload, cluster,
-            result, scale,
-        )
-
     def _save(self, dataset, workload, cluster, result, state):
         """Results stay in a table; export is a parallel scan + write."""
         nbytes = workload.result_bytes_from_state(dataset.graph, state)

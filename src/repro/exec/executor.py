@@ -21,40 +21,51 @@ Two guarantees shape the implementation:
   a killed grid re-run with ``resume=True`` executes only the missing
   cells.
 
-The pool receives **batches**, not single cells: the portable misses,
-sorted by (dataset, size, workload, cluster size) so that a worker's
-partition, diameter and trajectory memos stay warm, then cut into
-contiguous runs (:func:`_batches`: ``BATCHES_PER_WORKER`` per worker).
-A worker runs its batch cell by cell and writes each finished cell's
+One loop, :meth:`_GridRun.run_cells`, serves two backends behind one
+``submit``: a process pool at ``jobs > 1``, and :class:`_InProcess`,
+which runs a batch as it is submitted, at ``jobs=1`` and for cells
+whose dataset a worker cannot rebuild. The pool receives **batches**:
+the portable misses, sorted by (dataset, size, workload, cluster size)
+so that a worker's partition, diameter and trajectory memos stay warm,
+then cut into contiguous runs (:func:`_batches`: ``BATCHES_PER_WORKER``
+per worker). In process, every cell is its own batch, in plan order.
+At most ``jobs`` batches are in flight; the next goes out as one
+returns. A batch runs cell by cell and writes each finished cell's
 cache entry itself; the scheduler records that entry against the
 cache's budget (:meth:`~repro.exec.cache.ResultCache.record`) and
-assembles results in plan order. A cell that raises comes back as its own outcome and
-alone is retried. A broken pool loses every batch in flight: the cells
-of those batches whose entries a worker already wrote are read back,
-neither re-run nor counted as retries, and the rest cost one backoff
-between them and one attempt each. Every exit sets the workers' stop
-event and cancels queued batches, so an interrupted grid stops at the
-next cell boundary; the scheduler then waits for the running batches
-to stop and records every entry their workers wrote, so a bounded
-cache stays bounded.
+assembles results in plan order. A cell that raises comes back as its
+own outcome; the cells of a batch that raised go back to the front of
+the queue as one batch, after one backoff. A broken pool loses only
+the batches that were running: the cells of those batches whose
+entries a worker already wrote are read back, neither re-run nor
+counted as retries, and the rest cost one backoff between them and
+one attempt each. Every exit sets the workers' stop event and cancels
+queued batches, so an interrupted grid stops at the next cell
+boundary; the scheduler then waits for the running batches to stop
+and records every entry their workers wrote, so a bounded cache stays
+bounded.
 
 The executor observes itself: scheduler spans (plan, one per cell) and
 cache hit/miss/retry counters land in a host-clock
 :class:`~repro.obs.RunObservation`, journalable next to the per-cell
-simulated-clock journals. A cell span's ``host_seconds`` is the cell's
-own run time inline. Pooled, it runs from the submission of the cell's
-batch until the worker finished the cell, plus the batch's trip back:
-queueing for a worker, the earlier cells of its batch, and its own run.
+simulated-clock journals. A cell span's ``host_seconds`` runs from the
+submission of the cell's batch until the cell finished, plus the
+batch's trip back: in process, that is the cell's own run and cache
+write; pooled, it adds queueing for a worker and the earlier cells of
+its batch.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import traceback
+from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from queue import SimpleQueue
 from typing import (
@@ -75,8 +86,8 @@ from .progress import (
     ProgressFn,
 )
 from .retry import ExecutorError, RetryPolicy
-from .serialize import payload_to_result, result_to_payload
-from .workers import _maybe_inject_fault, run_cell_task
+from .serialize import payload_to_result
+from .workers import run_cell_task
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.runner import ExperimentSpec, ResultGrid
@@ -174,6 +185,21 @@ def run_cell_batch(
             cache.put(key, payload)
         outcomes.append((host_now() - start, payload))
     return outcomes
+
+
+class _InProcess:
+    """The serial backend: runs each batch in this process as it is submitted."""
+
+    def submit(self, fn: Any, *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # the batch is lost, as in a pool
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        """Nothing is queued or running between submissions."""
 
 
 @dataclass
@@ -332,79 +358,56 @@ class _GridRun:
                 misses.append((task, key))
         return misses
 
-    def run_inline(self, task: CellTask, key: Optional[str]) -> None:
-        """Execute one cell in this process (the ``jobs=1`` path)."""
-        from ..core.runner import run_cell
+    def run_cells(self, misses: List[Tuple[CellTask, Optional[str]]], jobs: int) -> None:
+        """Run cells in batches, at most ``jobs`` in flight, with retry.
 
-        dataset = self.datasets[(task.dataset, task.size)]
-        attempt = 1
-        while True:
-            t0 = host_now()
-            try:
-                _maybe_inject_fault(task.payload(attempt))
-                result = run_cell(
-                    task.system, task.workload, dataset, task.cluster_size,
-                    chaos=task.chaos,
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:  # worker-equivalent failure: retry
-                if attempt >= self.retry.max_attempts:
-                    raise self._exhausted(task, attempt, exc) from exc
-                self._count_retry()
-                host_sleep(self.retry.delay(attempt))
-                attempt += 1
-                continue
-            if self.cache is not None and key is not None:
-                self.cache.put(key, result_to_payload(result))
-            self._finish(
-                task, result, SOURCE_INLINE, attempt, host_now() - t0
-            )
-            return
-
-    def run_pool(self, misses: List[Tuple[CellTask, Optional[str]]]) -> None:
-        """Fan portable cells out over a process pool in batches, with retry.
-
-        Cells go out in affinity order (:func:`_batches`), and each
-        batch's future announces itself on one queue when it finishes,
-        so a completion costs one ``get`` rather than a waiter on every
-        pending future. Every exit sets the workers' stop event and
-        cancels the queued batches, so cells left behind by an
-        interruption or an exhausted retry are never run. An exit that
+        ``jobs > 1`` sends the batches of :func:`_batches` to a process
+        pool; ``jobs == 1`` sends one cell per batch, in plan order, to
+        :class:`_InProcess`. A batch goes out as one returns, and each
+        announces itself on one queue when it finishes. An exit that
         leaves keyed cells unfinished waits for the running batches to
         stop, then records the entries their workers wrote, so they
         count against the cache's budget.
         """
-        stop = multiprocessing.get_context().Event()
-
-        def new_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_init_worker,
-                initargs=(stop,),
-            )
+        if not misses:
+            return
+        fresh = [(task, key, 1) for task, key in misses]
+        if jobs > 1:
+            stop: Any = multiprocessing.get_context().Event()
+            queue = deque(_batches(fresh, jobs))
+            new_pool: Any = partial(ProcessPoolExecutor, max_workers=jobs,
+                                    initializer=_init_worker, initargs=(stop,))
+        else:
+            stop = threading.Event()  # in process, nothing runs between submits
+            queue = deque([cell] for cell in fresh)
+            new_pool = _InProcess
+        source = SOURCE_RUN if jobs > 1 else SOURCE_INLINE
 
         pool = new_pool()
         cache_dir = None if self.cache is None else self.cache.cache_dir
         pending: Dict[Future, Tuple[List[_Cell], float]] = {}
         finished: "SimpleQueue[Future]" = SimpleQueue()
 
-        def submit(cells: List[_Cell]) -> None:
-            self.outstanding.update(key for _, key, _ in cells if key)
-            for batch in _batches(cells, self.jobs):
+        def fill() -> None:
+            """Submit queued batches until ``jobs`` are in flight."""
+            while queue and len(pending) < jobs:
+                batch = queue.popleft()
+                self.outstanding.update(key for _, key, _ in batch if key)
                 work = [(task.payload(attempt), key) for task, key, attempt in batch]
+                submitted = host_now()
                 try:
                     future = pool.submit(run_cell_batch, work, cache_dir)
                 except BrokenProcessPool as exc:
-                    # a worker died before every batch was submitted:
-                    # fail this batch like the ones in flight, so the
-                    # loop below rebuilds the pool once for all of them
+                    # a worker died while this batch was submitted: fail
+                    # it like the ones in flight, so the loop below
+                    # rebuilds the pool once for all of them
                     future = Future()
                     future.set_exception(exc)
-                pending[future] = (batch, host_now())
+                pending[future] = (batch, submitted)
                 future.add_done_callback(finished.put)
 
         def retry_or_raise(cells: List[_Cell], exc: Exception) -> None:
-            """Back off once for one failure, then resubmit every cell.
+            """Back off once, then requeue the cells first, as one batch.
 
             A broken pool fails every batch in flight at once; one
             worker death is still one backoff, not one per cell.
@@ -415,7 +418,8 @@ class _GridRun:
             host_sleep(self.retry.delay(max(a for _, _, a in cells)))
             for _ in cells:
                 self._count_retry()
-            submit([(task, key, attempt + 1) for task, key, attempt in cells])
+            queue.appendleft([(task, key, attempt + 1)
+                              for task, key, attempt in cells])
 
         def salvage(cells: List[_Cell], submitted: float) -> List[_Cell]:
             """Finish the lost cells whose entries a worker wrote; return the rest."""
@@ -426,12 +430,12 @@ class _GridRun:
                 if payload is None:
                     unfinished.append((task, key, attempt))
                 else:
-                    self._finish_pooled(task, key, payload, attempt,
-                                        host_now() - submitted)
+                    self._finish_ran(task, key, payload, source, attempt,
+                                     host_now() - submitted)
             return unfinished
 
         try:
-            submit([(task, key, 1) for task, key in misses])
+            fill()
             while pending:
                 future = finished.get()
                 if future not in pending:
@@ -469,10 +473,11 @@ class _GridRun:
                             error = outcome.unwrap()
                         else:
                             # submit-to-result, less the batch's later cells
-                            self._finish_pooled(task, key, outcome, attempt,
-                                                received - (ran - ended))
+                            self._finish_ran(task, key, outcome, source, attempt,
+                                             received - (ran - ended))
                     if error is not None:
                         retry_or_raise(failed, error)
+                fill()
         finally:
             stop.set()
             # Running batches end at their next cell boundary; wait for
@@ -482,13 +487,13 @@ class _GridRun:
                 if self.cache is not None and key in self.cache:
                     self.cache.record(key)
 
-    def _finish_pooled(self, task: CellTask, key: Optional[str], payload: dict,
-                       attempt: int, host_seconds: float) -> None:
-        """Finish a cell a worker ran; the worker wrote its cache entry."""
+    def _finish_ran(self, task: CellTask, key: Optional[str], payload: dict,
+                    source: str, attempt: int, host_seconds: float) -> None:
+        """Finish a cell that ran; ``run_cell_batch`` wrote its cache entry."""
         if self.cache is not None and key is not None:
             self.outstanding.discard(key)
             self.cache.record(key)
-        self._finish(task, payload_to_result(payload), SOURCE_RUN, attempt,
+        self._finish(task, payload_to_result(payload), source, attempt,
                      host_seconds)
 
     def _aggregate_costs(self, ordered: List[RunResult]) -> None:
@@ -628,15 +633,9 @@ def execute_specs(
     )
     try:
         misses = run.plan()
-        if run.jobs > 1:
-            parallel = [(t, k) for t, k in misses if t.portable]
-            inline = [(t, k) for t, k in misses if not t.portable]
-        else:
-            parallel, inline = [], misses
-        if parallel:
-            run.run_pool(parallel)
-        for task, key in inline:
-            run.run_inline(task, key)
+        pooled = run.jobs > 1
+        run.run_cells([m for m in misses if pooled and m[0].portable], run.jobs)
+        run.run_cells([m for m in misses if not (pooled and m[0].portable)], 1)
     finally:
         run.obs.tracer.end(
             root, cells=len(run.tasks), cache_hits=run.hits,

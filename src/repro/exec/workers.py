@@ -1,9 +1,10 @@
 """What a worker process runs per cell: one cell in, one payload out.
 
-The pool's entry point, :func:`repro.exec.executor.run_cell_batch`,
-calls :func:`run_cell_task` for each cell of its batch: it rebuilds the
-(deterministic) dataset in the worker's process, runs the cell, and
-returns the serialized result. Simulated failures — TO/OOM/MPI/SHFL —
+The batch entry point, :func:`repro.exec.executor.run_cell_batch`,
+calls :func:`run_cell_task` for each cell of its batch, in a pool
+worker or, at ``jobs=1``, in the scheduler's own process: it rebuilds
+the (deterministic) dataset, runs the cell, and returns the serialized
+result. Simulated failures — TO/OOM/MPI/SHFL —
 are *results* and come back inside the payload like any completed run;
 only a real exception escaping the simulation (a bug, a dying
 interpreter) goes back to the scheduler, where the retry policy deals
@@ -12,7 +13,7 @@ with it.
 ``_REPRO_EXEC_FAULT`` is the retry path's failure drill (the process-
 level counterpart of :mod:`repro.chaos`): set it to
 ``SYSTEM:N`` and every cell of that system crashes its first ``N``
-attempts, deterministically, in the worker — which is how the tests
+attempts, deterministically, wherever it runs — which is how the tests
 exercise backoff and retry exhaustion without a flaky dependency.
 """
 

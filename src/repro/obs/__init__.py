@@ -31,7 +31,6 @@ from .hostclock import HostTimer, host_now, host_sleep
 from .journal import Journal, JournalError, build_journal
 from .metrics import (
     Counter,
-    ExtrasView,
     Gauge,
     Histogram,
     MetricError,
@@ -53,7 +52,6 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "ExtrasView",
     "RunObservation",
     "FrozenJournalObservation",
     "Journal",

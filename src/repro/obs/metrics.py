@@ -1,23 +1,19 @@
 """Typed metrics registry: counters, gauges, histograms.
 
-Replaces the ad-hoc ``result.extras`` dict as the canonical store for a
-run's quantities (``messages_sent``, ``bytes_shuffled``,
-``replication_factor``, per-superstep memory, ...). Each name is bound
-to exactly one metric type for the life of a registry — re-registering
-``messages_sent`` as a gauge after it was a counter is a bug the
-registry raises on, where a plain dict would silently overwrite.
+The one store for a run's quantities (``messages_sent``,
+``bytes_shuffled``, ``replication_factor``, per-superstep memory,
+...). Each name is bound to exactly one metric type for the life of a
+registry — re-registering ``messages_sent`` as a gauge after it was a
+counter is a bug the registry raises on, where a plain dict would
+silently overwrite.
 
-:class:`ExtrasView` keeps the old surface alive: it is a mutable
-mapping over the registry's scalar metrics, so every existing
-``result.extras["checkpoints"] += 1`` call keeps working while the
-values land in the registry and therefore in the run journal.
+Engines and chaos write their quantities here, so they land in the
+run journal; ``RunResult.extras`` reads the scalars back by name.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict, Iterable, Iterator, List, Mapping, MutableMapping, Optional, Union,
-)
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -29,7 +25,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ExtrasView",
 ]
 
 
@@ -199,10 +194,6 @@ class MetricsRegistry:
         """The metric registered under ``name``, or None."""
         return self._metrics.get(name)
 
-    def remove(self, name: str) -> None:
-        """Drop a metric (the extras view's ``del``)."""
-        del self._metrics[name]
-
     def scalar_names(self) -> List[str]:
         """Sorted names of every counter and gauge."""
         return sorted(
@@ -232,53 +223,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._metrics)} metrics)"
-
-
-class ExtrasView(MutableMapping):
-    """The backward-compatible ``result.extras`` mapping.
-
-    Reads and writes go straight to the registry's scalars: assigning a
-    new key creates a gauge, assigning an existing counter or gauge
-    updates its value. Histograms are not part of the view (they have
-    no single value); use the registry directly for those.
-    """
-
-    __slots__ = ("registry",)
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-
-    def __getitem__(self, key: str) -> float:
-        return self.registry.value(key)
-
-    def __setitem__(self, key: str, value: float) -> None:
-        metric = self.registry.get(key)
-        if isinstance(metric, (Counter, Gauge)):
-            metric.value = float(value)
-        elif metric is None:
-            self.registry.gauge(key).set(float(value))
-        else:
-            raise MetricError(f"extras key {key!r} is a histogram, not a scalar")
-
-    def __delitem__(self, key: str) -> None:
-        if key not in self.registry or isinstance(self.registry.get(key), Histogram):
-            raise KeyError(key)
-        self.registry.remove(key)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.registry.scalar_names())
-
-    def __len__(self) -> int:
-        return len(self.registry.scalar_names())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Mapping):
-            return dict(self) == dict(other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __repr__(self) -> str:
-        return f"ExtrasView({dict(self)!r})"

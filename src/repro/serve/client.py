@@ -163,6 +163,7 @@ class ServeClient:
         """
         rng = random.Random(f"serve-submit:{self.client}")
         rejections = 0
+        doubling = 1
         while True:
             response = self.call({"op": "submit", "job": request.to_dict()})
             if response.get("ok"):
@@ -179,7 +180,9 @@ class ServeClient:
                     rejections=rejections + 1,
                 )
             hint = float(response.get("retry_after", _STREAM_POLL))
-            delay = min(backoff_cap, hint * (2 ** rejections))
+            delay = min(backoff_cap, hint * doubling)
+            if 0 < delay < backoff_cap:  # no doubling past the cap
+                doubling *= 2
             rejections += 1
             host_sleep(delay * (0.5 + 0.5 * rng.random()))
 

@@ -20,10 +20,11 @@ def make_result(**kw):
         load_time=10.0, execute_time=90.0, save_time=1.0, overhead_time=2.0,
         iterations=30, network_bytes=1e9, peak_memory_bytes=2e9,
         total_memory_bytes=3e10, per_iteration_time=3.0,
-        extras={"replication_factor": 5.5},
     )
     base.update(kw)
-    return RunResult(**base)
+    result = RunResult(**base)
+    result.metrics.gauge("replication_factor").set(5.5)
+    return result
 
 
 class TestLogs:

@@ -1,14 +1,15 @@
 """Every retry and backoff loop ends in its error, checked by running.
 
 The serve client backs off while a daemon's queue is full, and the
-executor retries a crashed cell, inline and in a pool. Each loop has a
-bound, and one test drives each bound until it runs out. Here those
-tests run in a new interpreter under a subprocess timeout, so a loop
-that lost its bound fails the check even when it would spin forever:
-no pytest timeout plugin guards the suite itself.
+executor retries a crashed cell. The executor has one retry loop for
+in-process and pooled cells, so one bound ends both; a test drives it
+until it runs out each way, and another drives the client's bound.
+Here those tests run in a new interpreter under a subprocess timeout,
+so a loop that lost its bound fails the check even when it would spin
+forever: no pytest timeout plugin guards the suite itself.
 
-The mutation tests remove one bound from a copy of src/repro and run
-the test that exercises it, under a shorter timeout.
+The mutation test removes one bound at a time from a copy of src/repro
+and runs the tests that rely on it, under a shorter timeout.
 """
 
 import re
@@ -48,18 +49,15 @@ def test_every_bounded_wait_ends_in_its_error(fresh_python, tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+#: the executor's one retry bound, for in-process and pooled cells
+EXECUTOR_BOUND = ("exec/executor.py",
+                  "            for task, _, attempt in cells:\n"
+                  "                if attempt >= self.retry.max_attempts:")
 #: the bound each test exercises: (file under repro/, the bound's text)
 BOUNDS = {
     BOUNDED_WAITS[0]: ("serve/client.py", "if rejections >= retries:"),
-    BOUNDED_WAITS[1]: (
-        "exec/executor.py",
-        "                if attempt >= self.retry.max_attempts:\n"
-        "                    raise self._exhausted(task, attempt, exc) from exc\n"
-        "                self._count_retry()"),
-    BOUNDED_WAITS[2]: (
-        "exec/executor.py",
-        "            for task, _, attempt in cells:\n"
-        "                if attempt >= self.retry.max_attempts:"),
+    BOUNDED_WAITS[1]: EXECUTOR_BOUND,
+    BOUNDED_WAITS[2]: EXECUTOR_BOUND,
 }
 
 

@@ -431,6 +431,56 @@ def test_a_broken_pool_charges_no_retry_to_cells_that_finished(
     assert journal_bytes(execution.grid) == journal_bytes(clean.grid)
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched worker entry point reaches the "
+                           "workers only through fork")
+def test_a_broken_pool_charges_only_the_batches_that_were_running(monkeypatch):
+    # Without a cache no lost cell can be read back, so every cell of a
+    # batch that was running when BV@16 killed its worker is charged an
+    # attempt. Only ``jobs`` batches are ever in the pool, so the queued
+    # ones are not.
+    spec, jobs = lineup_spec(), 2
+    batches = [{t.cell_id for t, _, _ in batch} for batch in
+               executor_module._batches([(t, None, 1) for t in plan_grid(spec)],
+                                        jobs)]
+    monkeypatch.setattr(executor_module, "run_cell_task",
+                        _die_on_first_bv16_attempt)
+    monkeypatch.setattr(executor_module, "host_sleep", lambda seconds: None)
+    events = []
+    execute_grid(spec, jobs=jobs, progress=events.append,
+                 retry=RetryPolicy(max_attempts=3, base_delay=0.25))
+    charged = {e.task.cell_id for e in events if e.attempts > 1}
+    running = [batch for batch in batches if batch & charged]
+    assert batches[0] <= charged
+    assert len(running) <= jobs and charged == set().union(*running)
+
+
+def _fail(task):
+    raise RuntimeError(f"{task['system']} cannot run here")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched worker entry point reaches the "
+                           "workers only through fork")
+def test_when_every_cell_fails_each_running_batch_backs_off_once_per_attempt(
+        monkeypatch):
+    # 20 cells in 8 batches, every one of them raising: the failed cells
+    # of a batch go around again as one batch, so only the ``jobs``
+    # batches in flight ever back off
+    spec = ExperimentSpec(
+        systems=("BB", "BV", "G", "S", "FG"), workloads=("pagerank",),
+        datasets=("wrn",), cluster_sizes=(16, 32, 64, 128),
+        dataset_size="tiny",
+    )
+    jobs, retry = 2, RetryPolicy(max_attempts=3, base_delay=0.05)
+    monkeypatch.setattr(executor_module, "run_cell_task", _fail)
+    backoffs = []
+    monkeypatch.setattr(executor_module, "host_sleep", backoffs.append)
+    with pytest.raises(ExecutorError, match="failed after 3 attempt"):
+        execute_grid(spec, jobs=jobs, retry=retry)
+    assert 0 < len(backoffs) <= jobs * (retry.max_attempts - 1)
+
+
 class RecordingPool(ProcessPoolExecutor):
     """A real pool that remembers its stop event and its shutdowns."""
 

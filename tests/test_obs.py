@@ -20,11 +20,10 @@ import pytest
 
 from repro.cli import main
 from repro.core import run_cell
-from repro.engines.base import RunResult
+from repro.engines.base import record_to_result
 from repro.lint.rules.rpl001_wallclock import WallClockRule
 from repro.lint.source import SourceModule
 from repro.obs import (
-    ExtrasView,
     Journal,
     JournalError,
     MetricError,
@@ -168,29 +167,15 @@ class TestMetrics:
             registry.value("superstep_seconds")
 
 
-class TestExtrasView:
-    def test_dict_surface(self):
-        view = ExtrasView(MetricsRegistry())
-        view["checkpoints"] = 1.0
-        view["checkpoints"] += 1
-        assert view["checkpoints"] == 2.0
-        assert "checkpoints" in view
-        assert dict(view) == {"checkpoints": 2.0}
-        del view["checkpoints"]
-        assert len(view) == 0
-
-    def test_writes_reach_registry(self):
-        registry = MetricsRegistry()
-        view = ExtrasView(registry)
-        view["replication_factor"] = 3.2
-        assert registry.value("replication_factor") == 3.2
-
-    def test_runresult_seeds_extras_into_registry(self):
-        result = RunResult("BV", "pagerank", "twitter", 16,
-                           extras={"checkpoints": 2.0})
-        assert isinstance(result.extras, ExtrasView)
-        assert result.extras["checkpoints"] == 2.0
-        assert result.metrics.value("checkpoints") == 2.0
+def test_a_record_seeds_its_extras_into_the_registry():
+    result = record_to_result({
+        "system": "BV", "workload": "pagerank", "dataset": "twitter",
+        "cluster_size": 16, "extras": {"checkpoints": 2.0},
+    })
+    assert result.extras == {"checkpoints": 2.0}
+    assert result.metrics.get("checkpoints").kind == "gauge"
+    with pytest.raises(TypeError):  # extras reads; the registry is written
+        result.extras["checkpoints"] = 3.0
 
 
 @pytest.fixture(scope="module")

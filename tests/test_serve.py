@@ -44,6 +44,7 @@ from repro.serve import (
     percentile,
     server_observation,
 )
+from repro.serve import client as client_module
 from repro.serve import protocol
 from repro.serve import daemon as daemon_module
 from repro.serve.daemon import WorkOrder, stop_reason
@@ -732,6 +733,22 @@ def test_queue_full_exhaustion_raises_typed_error_and_streams_time_out(tmp_path)
     finally:
         release.set()
         server.stop()
+
+
+def test_submit_backoff_stops_doubling_at_its_cap(monkeypatch):
+    # a daemon that never admits: past about 1,024 rejections a delay of
+    # ``hint * 2 ** rejections`` no longer fits in a float
+    link = ServeClient.__new__(ServeClient)  # no connection needed
+    link.client = "pushy"
+    monkeypatch.setattr(link, "call", lambda message: {
+        "ok": False, "error": "queue-full", "retry_after": 0.05,
+        "message": "queue full"})
+    sleeps = []
+    monkeypatch.setattr(client_module, "host_sleep", sleeps.append)
+    with pytest.raises(QueueFullError) as info:
+        link.submit(request(), retries=1100, backoff_cap=2.0)
+    assert info.value.rejections == 1101
+    assert len(sleeps) == 1100 and max(sleeps) <= 2.0
 
 
 def raw_connection(address):
