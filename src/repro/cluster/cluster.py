@@ -52,7 +52,7 @@ class Cluster:
             )
         self.clock = SimClock()
         self.obs = obs if obs is not None else RunObservation()
-        self.obs.tracer.bind(lambda: self.clock.now)
+        self.obs.tracer.bind(self.clock.read)
         self.memory = MemoryAccountant(self.num_workers, spec.machine)
         self.network = NetworkModel(self.num_workers, spec.machine)
         self.hdfs = HdfsModel(self.num_workers, spec.machine)

@@ -56,6 +56,10 @@ class SimClock:
         """Current simulated time in seconds."""
         return self._now
 
+    def read(self) -> float:
+        """Current simulated time: the one bound reader a tracer calls."""
+        return self._now
+
     def advance(self, seconds: float) -> float:
         """Move time forward; negative advances are a bug."""
         if seconds < 0:

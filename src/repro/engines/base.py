@@ -23,7 +23,9 @@ import abc
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Collection, FrozenSet, List, Mapping, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -99,7 +101,10 @@ class RunResult:
     """One cell of the paper's result grids.
 
     Quantities live in a typed :class:`~repro.obs.MetricsRegistry`
-    shared with the run's cluster; ``extras`` reads its scalars.
+    shared with the run's cluster; ``extras`` reads its scalars. A
+    result rebuilt from a payload (a pooled, cached or ``jobs=1`` cell)
+    gets its counters back as counters and its gauges as gauges; its
+    histograms stay in its journal only.
 
     ``per_iteration_time`` is the Table 6 derivation: simulated seconds
     per *paper* superstep. The denominator is ``iterations * scale``
@@ -188,11 +193,15 @@ def result_to_record(result: RunResult) -> dict:
     }
 
 
-def record_to_result(record: dict) -> RunResult:
+def record_to_result(record: dict,
+                     counters: Collection[str] = ()) -> RunResult:
     """Rebuild a :class:`RunResult` (without the answer array).
 
-    Raises ``KeyError`` when a coordinate (system, workload, dataset,
-    cluster_size) is missing and ``ValueError`` on an unknown failure.
+    The record's ``extras`` come back as gauges, except the names in
+    ``counters``, which come back as counters (the payload codec reads
+    them off the run's journal). Raises ``KeyError`` when a coordinate
+    (system, workload, dataset, cluster_size) is missing and
+    ``ValueError`` on an unknown failure.
     """
     failure = record.get("failure")
     result = RunResult(
@@ -212,8 +221,12 @@ def record_to_result(record: dict) -> RunResult:
         total_memory_bytes=record.get("total_memory_bytes", 0.0),
         per_iteration_time=record.get("per_iteration_time", 0.0),
     )
+    metrics = result.metrics
     for name, value in record.get("extras", {}).items():
-        result.metrics.gauge(name).set(value)
+        if name in counters:
+            metrics.counter(name).inc(value)
+        else:
+            metrics.gauge(name).set(value)
     return result
 
 

@@ -27,7 +27,7 @@ from ..datasets.registry import Dataset
 from ..graph.structures import Graph
 from ..workloads.base import SuperstepStats, Workload, WorkloadState
 from .base import RecoveryContext, RecoveryModel, RunResult
-from .common import observed_superstep, superstep_trajectory
+from .common import SuperstepScope, superstep_trajectory
 
 __all__ = ["BspExecutionMixin"]
 
@@ -106,7 +106,7 @@ class BspExecutionMixin(abc.ABC):
                 loop_start=loop_start,
                 state_bytes=dataset.profile.num_vertices * 16.0,
             )
-        trace_model = getattr(self, "trace_model", "bsp")
+        observe = SuperstepScope(cluster, getattr(self, "trace_model", "bsp"))
         try:
             with superstep_trajectory(workload, graph, state) as trajectory:
                 step = 0
@@ -122,7 +122,7 @@ class BspExecutionMixin(abc.ABC):
                         if chaos is not None else 0.0
                     )
                     stats, iteration, done = trajectory.step(step)
-                    with observed_superstep(cluster, stats, model=trace_model):
+                    with observe(stats):
                         try:
                             self.charge_superstep(
                                 dataset, workload, cluster, stats, step == 0

@@ -26,7 +26,8 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 from ..cluster import Cluster
 from ..datasets.registry import load_dataset
 from ..graph.structures import Graph
-from ..obs import Span
+from ..obs import Counter, Histogram, Span
+from ..obs.spans import record_failure
 from ..workloads.base import SuperstepStats, Workload, WorkloadState
 from ..partitioning.edge_cut import VertexPartition, random_vertex_partition
 from ..partitioning.vertex_cut import (
@@ -39,7 +40,7 @@ from ..partitioning.voronoi import BlockPartition, voronoi_partition
 __all__ = [
     "CostConstants",
     "COSTS",
-    "observed_superstep",
+    "SuperstepScope",
     "SuperstepTrajectory",
     "superstep_trajectory",
     "cached_vertex_partition",
@@ -48,46 +49,95 @@ __all__ = [
 ]
 
 
-@contextmanager
-def observed_superstep(
-    cluster: Cluster,
-    stats: SuperstepStats,
-    model: str = "bsp",
-) -> Iterator[Span]:
-    """Span + metrics for one observed superstep, shared by every engine.
+class SuperstepScope:
+    """Span + metrics for each observed superstep of one run.
 
-    Wrap the engine's charging code in this: the span (category =
-    the engine's ``trace_model``, so BSP/GAS/MapReduce/block-centric/
-    dataflow traces each show their shape) carries the superstep's
-    workload stats, its shuffle-byte delta, and the cluster-wide memory
-    peak; the registry accumulates ``messages_sent``, ``supersteps``,
-    and the per-superstep histograms. A simulated failure mid-superstep
-    closes the span with an ``error`` attr and skips the metrics —
-    half-charged supersteps never pollute the series.
+    Shared by every engine: build one per superstep loop, then wrap
+    each superstep's charging code in ``with scope(stats):``. The span
+    (category = the engine's ``trace_model``, so BSP/GAS/MapReduce/
+    block-centric/dataflow traces each show their shape) carries the
+    superstep's workload stats, its shuffle-byte delta, and the
+    cluster-wide memory peak; the registry accumulates
+    ``messages_sent``, ``supersteps``, and the per-superstep
+    histograms. A simulated failure mid-superstep closes the span with
+    an ``error`` attr and skips the metrics — half-charged supersteps
+    never pollute the series.
+
+    The metric handles are fetched once per loop, each at the moment a
+    superstep first touches it: ``bytes_shuffled`` when the first
+    superstep opens, the rest when one first succeeds. So a run that
+    fails in its first superstep journals no zero-valued series.
     """
-    metrics = cluster.metrics
-    shuffled_before = metrics.counter("bytes_shuffled").value
-    start = cluster.now
-    # plain-int casts: workload stats may carry numpy scalars, which
-    # would break the journal's JSON serialization
-    with cluster.tracer.span(
-        "superstep", cat=model,
-        iteration=int(stats.iteration),
-        active_vertices=int(stats.active_vertices),
-        messages=int(stats.messages),
-        updates=int(stats.updates),
-    ) as span:
-        yield span
-        peak = cluster.memory.max_peak_bytes()
-        span.attrs["bytes_shuffled"] = (
-            metrics.counter("bytes_shuffled").value - shuffled_before
+
+    __slots__ = ("cluster", "model", "stats", "span", "_start",
+                 "_shuffled_before", "_shuffled", "_series")
+
+    def __init__(self, cluster: Cluster, model: str = "bsp") -> None:
+        self.cluster = cluster
+        self.model = model
+        # stats is set by __call__, span by __enter__: one superstep's
+        self.stats: SuperstepStats = None  # type: ignore[assignment]
+        self.span: Span = None  # type: ignore[assignment]
+        self._start = 0.0
+        self._shuffled_before = 0.0
+        self._shuffled: Optional[Counter] = None
+        self._series: Optional[Tuple[Counter, Counter, Histogram, Histogram,
+                                     Histogram]] = None
+
+    def __call__(self, stats: SuperstepStats) -> "SuperstepScope":
+        """Arm the scope for the superstep ``stats`` describes."""
+        self.stats = stats
+        return self
+
+    def __enter__(self) -> Span:
+        cluster = self.cluster
+        shuffled = self._shuffled
+        if shuffled is None:
+            shuffled = self._shuffled = cluster.metrics.counter("bytes_shuffled")
+        self._shuffled_before = shuffled.value
+        self._start = cluster.now
+        stats = self.stats
+        # plain-int casts: workload stats may carry numpy scalars, which
+        # would break the journal's JSON serialization
+        self.span = cluster.tracer.start(
+            "superstep", self.model,
+            iteration=int(stats.iteration),
+            active_vertices=int(stats.active_vertices),
+            messages=int(stats.messages),
+            updates=int(stats.updates),
         )
-        span.attrs["peak_memory_bytes"] = peak
-        metrics.counter("supersteps").inc()
-        metrics.counter("messages_sent").inc(int(stats.messages))
-        metrics.histogram("active_vertices").observe(float(stats.active_vertices))
-        metrics.histogram("superstep_seconds").observe(cluster.now - start)
-        metrics.histogram("superstep_memory_bytes").observe(peak)
+        return self.span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        cluster = self.cluster
+        span = self.span
+        if exc is not None:
+            record_failure(span, exc)
+        else:
+            stats = self.stats
+            peak = cluster.memory.max_peak_bytes()
+            span.attrs["bytes_shuffled"] = (
+                self._shuffled.value - self._shuffled_before  # type: ignore[union-attr]
+            )
+            span.attrs["peak_memory_bytes"] = peak
+            series = self._series
+            if series is None:
+                metrics = cluster.metrics
+                series = self._series = (
+                    metrics.counter("supersteps"),
+                    metrics.counter("messages_sent"),
+                    metrics.histogram("active_vertices"),
+                    metrics.histogram("superstep_seconds"),
+                    metrics.histogram("superstep_memory_bytes"),
+                )
+            supersteps, messages, active, seconds, memory = series
+            supersteps.inc()
+            messages.inc(int(stats.messages))
+            active.observe(float(stats.active_vertices))
+            seconds.observe(cluster.now - self._start)
+            memory.observe(peak)
+        cluster.tracer.end(span)
+        return False
 
 
 class SuperstepTrajectory:

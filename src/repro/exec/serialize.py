@@ -14,7 +14,8 @@ when the run returned (:class:`~repro.obs.FrozenJournalObservation`);
 :func:`result_to_payload` copies that text into the payload and
 :func:`payload_to_result` wraps it in the same frozen type again, so a
 live, pooled, cached, or served result looks the same to every
-consumer.
+consumer. The record keeps no metric kinds: the rebuilt result's
+counters are the ones the journal's metric lines name as counters.
 """
 
 from __future__ import annotations
@@ -66,9 +67,13 @@ def result_to_payload(result: RunResult) -> dict:
 
 def payload_to_result(payload: dict) -> RunResult:
     """Rebuild a :class:`RunResult` from its payload form."""
-    result = record_to_result(payload["record"])
-    result.answer = _decode_answer(payload.get("answer"))
     journal_text = payload.get("journal")
-    if journal_text is not None:
-        result.observation = FrozenJournalObservation(journal_text)
+    observation = (None if journal_text is None
+                   else FrozenJournalObservation(journal_text))
+    result = record_to_result(
+        payload["record"],
+        () if observation is None else observation.counter_names(),
+    )
+    result.answer = _decode_answer(payload.get("answer"))
+    result.observation = observation
     return result

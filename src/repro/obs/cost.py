@@ -12,7 +12,10 @@ record.
 Determinism is inherited, not re-proven: the report is a pure function
 of the journal's event list (meta → spans → metrics), which is already
 byte-identical for the same seed across ``--jobs`` modes and cache
-replay, so the cost record is too.
+replay, so the cost record is too. :func:`cost_report` prices a run
+from the values themselves, so the journal renderer can bill a run in
+the pass that writes its lines; :func:`cost_report_from_events` folds
+a parsed event list into those values.
 
 Every quantity is derived from events:
 
@@ -36,13 +39,14 @@ priced).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 __all__ = [
     "COST_SCHEMA",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "CostReport",
+    "cost_report",
     "cost_report_from_events",
     "cost_event_from_events",
     "aggregate_costs",
@@ -52,7 +56,7 @@ __all__ = [
 COST_SCHEMA = 1
 
 #: span names whose ``bytes`` argument counts as spilled-to-storage
-_STORAGE_SPANS = frozenset({"hdfs_read", "hdfs_write", "disk_read", "disk_write"})
+STORAGE_SPANS = frozenset({"hdfs_read", "hdfs_write", "disk_read", "disk_write"})
 
 GB = 1e9
 HOUR = 3600.0
@@ -186,24 +190,39 @@ def cost_report_from_events(
     scheduler's host-clock journal, partial streams): billing needs the
     meta event's ``machines`` and ``total_time``.
     """
-    if not events:
+    if not events or events[0].get("type") != "meta":
         return None
-    meta = events[0]
-    if meta.get("type") != "meta":
-        return None
-    if "machines" not in meta or "total_time" not in meta:
-        return None
-    machines = int(meta["machines"])  # type: ignore[arg-type]
-    total_seconds = float(meta["total_time"])  # type: ignore[arg-type]
-
     spilled = 0.0
     for event in events:
-        if event.get("type") == "span" and event.get("name") in _STORAGE_SPANS:
+        if event.get("type") == "span" and event.get("name") in STORAGE_SPANS:
             spilled += float(event.get("args", {}).get("bytes", 0.0))
+    scalars = {
+        name: _scalar(events, name)
+        for name in ("memory_byte_seconds", "bytes_shuffled", "recovery_seconds")
+    }
+    return cost_report(events[0], scalars, spilled, model)
 
-    memory_byte_seconds = _scalar(events, "memory_byte_seconds")
-    bytes_shuffled = _scalar(events, "bytes_shuffled")
-    recovery_seconds = _scalar(events, "recovery_seconds")
+
+def cost_report(
+    meta: Mapping[str, object],
+    scalars: Mapping[str, float],
+    bytes_spilled: float,
+    model: CostModel = DEFAULT_COST_MODEL,
+) -> Optional[CostReport]:
+    """Price one run from its meta event, its final counter/gauge values
+    (a name missing from ``scalars`` reads 0.0) and the bytes through
+    its storage spans; ``None`` when ``meta`` is not a run's.
+
+    :func:`~repro.obs.journal.build_journal` calls this with the values
+    it journals while it renders them, so the stream is scanned once.
+    """
+    if "machines" not in meta or "total_time" not in meta:
+        return None
+    machines = int(meta["machines"])  # type: ignore[call-overload]
+    total_seconds = float(meta["total_time"])  # type: ignore[arg-type]
+    memory_byte_seconds = scalars.get("memory_byte_seconds", 0.0)
+    bytes_shuffled = scalars.get("bytes_shuffled", 0.0)
+    recovery_seconds = scalars.get("recovery_seconds", 0.0)
 
     machine_seconds = machines * total_seconds
     recovery_machine_seconds = machines * recovery_seconds
@@ -221,7 +240,7 @@ def cost_report_from_events(
         machine_seconds=machine_seconds,
         memory_byte_seconds=memory_byte_seconds,
         bytes_shuffled=bytes_shuffled,
-        bytes_spilled=spilled,
+        bytes_spilled=bytes_spilled,
         recovery_seconds=recovery_seconds,
         recovery_machine_seconds=recovery_machine_seconds,
         compute_dollars=compute_dollars,

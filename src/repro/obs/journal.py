@@ -27,16 +27,26 @@ The ``cost`` event is the run's resource bill (see
 :mod:`repro.obs.cost`), appended as the final record of every engine
 run's journal; streams without run billing metadata (the scheduler's
 host-clock journal) carry none.
+
+A run journal holds tens of spans per superstep, so
+:func:`build_journal` renders each span line straight from the span's
+slots: one f-string, with the ``args`` dict through one persistent C
+encoder, and no event dict in between. The line is byte-equal to
+:data:`canonical_json` of the event (``tests/test_journal_render.py``
+holds this line). The cost event's spilled bytes are folded in the same
+pass. Such a journal keeps its text; its :attr:`Journal.events` are
+parsed from the text only when someone reads them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .cost import cost_event_from_events
+from .cost import STORAGE_SPANS, cost_report
 from .metrics import Histogram, MetricsRegistry
 from .spans import Tracer
 
@@ -57,7 +67,26 @@ class JournalError(ValueError):
 #: encoder for every journal line and cache entry; its output is what
 #: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` returns,
 #: without building a new encoder per call.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+canonical_json = _CANONICAL.encode
+
+#: ``canonical_json``'s C encoder, built once: ``encode`` makes a new one
+#: per call. Span args are flat dicts of scalars, so the circular-reference
+#: markers are off.
+_encode_chunks = c_make_encoder(
+    None, _CANONICAL.default, encode_basestring_ascii, None,
+    _CANONICAL.key_separator, _CANONICAL.item_separator,
+    True, False, True,
+)
+
+
+def _number(value: object) -> str:
+    """A timestamp's JSON text: ``repr`` for an int or a finite built-in
+    float, :data:`canonical_json` for anything else (numpy scalars, NaN,
+    infinities, bools)."""
+    if type(value) is int or (type(value) is float and value - value == 0.0):
+        return repr(value)
+    return canonical_json(value)
 
 
 def write_atomic(target: Path, text: str) -> None:
@@ -68,10 +97,28 @@ def write_atomic(target: Path, text: str) -> None:
 
 
 class Journal:
-    """An in-memory event stream, readable and writable as JSONL."""
+    """An in-memory event stream, readable and writable as JSONL.
 
-    def __init__(self, events: List[dict]) -> None:
-        self.events = events
+    A journal is built either from its events (:meth:`loads`, tests) or
+    from its canonical text (:func:`build_journal`); the other form is
+    made on first use. Either way it is not edited once built.
+    """
+
+    def __init__(self, events: Optional[List[dict]] = None,
+                 text: Optional[str] = None) -> None:
+        if events is None and text is None:
+            raise ValueError("a journal needs its events or its text")
+        self._events = events
+        self._text = text
+
+    @property
+    def events(self) -> List[dict]:
+        """The events, in stream order (parsed from the text on first read)."""
+        if self._events is None:
+            self._events = json.loads(
+                "[" + ",".join(self._text.splitlines()) + "]"  # type: ignore[union-attr]
+            )
+        return self._events
 
     # -- building ---------------------------------------------------------
 
@@ -118,7 +165,9 @@ class Journal:
 
     def dumps(self) -> str:
         """The canonical JSONL text (what :meth:`write` puts on disk)."""
-        return "\n".join(map(canonical_json, self.events)) + "\n"
+        if self._text is None:
+            self._text = "\n".join(map(canonical_json, self._events)) + "\n"  # type: ignore[arg-type]
+        return self._text
 
     def write(self, path: Union[str, Path]) -> int:
         """Write the canonical JSONL form; returns lines written.
@@ -128,7 +177,7 @@ class Journal:
         journals — never observes a torn journal.
         """
         write_atomic(Path(path), self.dumps())
-        return len(self.events)
+        return len(self)
 
     # -- accessors --------------------------------------------------------
 
@@ -167,7 +216,9 @@ class Journal:
         return default
 
     def __len__(self) -> int:
-        return len(self.events)
+        if self._events is None:
+            return self._text.count("\n")  # type: ignore[union-attr]
+        return len(self._events)
 
     def __repr__(self) -> str:
         meta = self.meta
@@ -182,7 +233,7 @@ def build_journal(
     tracer: Tracer,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Journal:
-    """Assemble the canonical event stream for one finished run.
+    """Render the canonical event stream for one finished run.
 
     Only closed spans are journaled; an open span at build time means a
     code path failed to unwind its tracer and is worth surfacing.
@@ -192,27 +243,41 @@ def build_journal(
             f"cannot journal a run with {tracer.open_depth} open span(s); "
             f"innermost is {tracer.current.name!r}"  # type: ignore[union-attr]
         )
-    events: List[dict] = [dict(meta, type="meta", version=JOURNAL_VERSION)]
+    meta_event = dict(meta, type="meta", version=JOURNAL_VERSION)
+    lines = [canonical_json(meta_event)]
+    append = lines.append
+    spilled = 0.0
+    # Each line is canonical_json of the span's event dict
+    # {"type": "span", "id", "parent", "name", "cat", "ts", "dur",
+    # "args"}, keys in sorted order.
     for span in tracer.finished():
-        events.append({
-            "type": "span",
-            "id": span.id,
-            "parent": span.parent,
-            "name": span.name,
-            "cat": span.cat,
-            "ts": span.start,
-            "dur": span.duration,
-            "args": span.attrs,
-        })
+        name = span.name
+        attrs = span.attrs
+        if name in STORAGE_SPANS:
+            spilled += float(attrs.get("bytes", 0.0))
+        start = span.start
+        dur = span.end - start  # type: ignore[operator]
+        parent = span.parent
+        append(
+            f'{{"args":{"".join(_encode_chunks(attrs, 0))},'
+            f'"cat":{encode_basestring_ascii(span.cat)},'
+            f'"dur":{_number(dur)},"id":{span.id},'
+            f'"name":{encode_basestring_ascii(name)},'
+            f'"parent":{"null" if parent is None else parent},'
+            f'"ts":{_number(start)},"type":"span"}}'
+        )
+    scalars: Dict[str, float] = {}
     if metrics is not None:
         for name in metrics.scalar_names():
             metric = metrics.get(name)
-            events.append({
+            value = metrics.value(name)
+            scalars[name] = float(value)
+            append(canonical_json({
                 "type": "metric",
                 "kind": getattr(metric, "kind", "gauge"),
                 "name": name,
-                "value": metrics.value(name),
-            })
+                "value": value,
+            }))
         for hist in metrics.histograms():
             event: Dict[str, object] = {
                 "type": "metric",
@@ -220,11 +285,13 @@ def build_journal(
                 "name": hist.name,
             }
             event.update(hist.summary())
-            events.append(event)
-    # The resource bill rides last: a pure function of the events above,
-    # so journal byte-determinism carries over to it for free. Non-run
-    # streams (no machines/total_time in meta) get none.
-    cost = cost_event_from_events(events)
+            append(canonical_json(event))
+    # The resource bill rides last: a pure function of the stream above
+    # (the spilled bytes were folded in span order), so journal
+    # byte-determinism carries over to it for free. Non-run streams (no
+    # machines/total_time in meta) get none.
+    cost = cost_report(meta_event, scalars, spilled)
     if cost is not None:
-        events.append(cost)
-    return Journal(events)
+        append(canonical_json(cost.to_event()))
+    append("")
+    return Journal(text="\n".join(lines))

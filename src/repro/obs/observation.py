@@ -8,8 +8,9 @@ barriers land in the same span tree and metrics registry.
 When the run returns, ``Engine.run`` calls :meth:`RunObservation.freeze`
 and attaches the resulting :class:`FrozenJournalObservation` to the
 :class:`~repro.engines.base.RunResult`. Freezing renders the canonical
-journal text exactly once; the live tracer and its spans are then
-garbage. Every finished run carries the frozen form, whether it ran in
+journal text exactly once, each span line straight from the span's
+slots (:func:`~repro.obs.journal.build_journal`), with no event dict
+in between; the live tracer and its spans are then garbage. Every finished run carries the frozen form, whether it ran in
 this process, in a pool worker, or came out of the result cache: the
 cache entry, the worker payload, ``--trace`` files, and the grid's cost
 roll-up all read that one text instead of rebuilding it.
@@ -22,14 +23,20 @@ journal, which render through :meth:`RunObservation.journal`.
 from __future__ import annotations
 
 import json
+from json.decoder import scanstring
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, FrozenSet, Optional, Union
 
 from .journal import Journal, build_journal, write_atomic
 from .metrics import MetricsRegistry
 from .spans import Tracer
 
 __all__ = ["FrozenJournalObservation", "RunObservation"]
+
+#: how every counter's metric line starts in a canonical journal (keys
+#: sort ``kind`` first; a span line starts ``{"args"``, the meta line
+#: is the first)
+_COUNTER_LINE = '\n{"kind":"counter","name":"'
 
 
 class RunObservation:
@@ -66,8 +73,9 @@ class FrozenJournalObservation:
     The text is what :meth:`Journal.dumps` produced when the run
     froze, byte for byte. :attr:`meta` comes from its first line and
     :meth:`cost` from its last (journals start with the meta event and
-    end with the cost record); :meth:`journal` parses the whole stream
-    only when a caller asks for it.
+    end with the cost record), :meth:`counter_names` from the counters'
+    metric lines; :meth:`journal` parses the whole stream only when a
+    caller asks for it.
     """
 
     __slots__ = ("text",)
@@ -83,6 +91,17 @@ class FrozenJournalObservation:
     def journal(self) -> Journal:
         """The recorded event stream."""
         return Journal.loads(self.text)
+
+    def counter_names(self) -> FrozenSet[str]:
+        """The names of the run's counters, read off their metric lines."""
+        text = self.text
+        names = set()
+        at = text.find(_COUNTER_LINE)
+        while at >= 0:
+            name, end = scanstring(text, at + len(_COUNTER_LINE))
+            names.add(name)
+            at = text.find(_COUNTER_LINE, end)
+        return frozenset(names)
 
     def cost(self) -> Optional[dict]:
         """The run's cost event (its final record), or ``None``."""

@@ -457,6 +457,10 @@ def _cost_cell(cost: Optional[dict], key: str, fmt: str) -> str:
     return format(float(value), fmt)
 
 
+#: the result-table column of runs whose fleet changed mid-run
+_RESCALED = "rescaled"
+
+
 def _render_grid(runs: Sequence[RunRow]) -> List[str]:
     """The paper's result sections, from the runs' journal meta lines.
 
@@ -465,28 +469,39 @@ def _render_grid(runs: Sequence[RunRow]) -> List[str]:
     its key's #n), the failure census, the best system per column, and
     the §5.12 strong-scaling labels. Only completed fixed-size runs
     compete for a column or make a curve point: a rescaled run is
-    billed at a size no fixed cluster ran at.
+    billed at a size no fixed cluster ran at, so it gets a row of its
+    own, labelled with that size, and a ``rescaled`` column.
     """
     workloads = sorted({row.workload for row in runs})
     datasets = sorted({row.dataset for row in runs})
-    sizes = sorted({row.machines for row in runs})
-    cells = {(row.label, row.workload, row.dataset, row.machines): row
-             for row in runs}
-    fixed = [row for row in runs if row.status == "ok" and not row.rescaled]
+    # (row label, column) per run; a rescaled run's key size is unique
+    placed = [
+        (f"{row.label} (rescaled, {row.machines} mach)", _RESCALED)
+        if row.rescaled else (row.label, f"{row.machines} mach")
+        for row in runs
+    ]
+    fixed_runs = [row for row, (_, column) in zip(runs, placed)
+                  if column != _RESCALED]
+    sizes = sorted({row.machines for row in fixed_runs})
+    columns = [f"{size} mach" for size in sizes] + (
+        [_RESCALED] if len(fixed_runs) < len(runs) else [])
+    cells = {(label, row.workload, row.dataset, column): row
+             for row, (label, column) in zip(runs, placed)}
+    fixed = [row for row in fixed_runs if row.status == "ok"]
     lines: List[str] = []
     for workload in workloads:
         rows = []
         for dataset in datasets:
-            labels = sorted({row.label for row in runs
+            labels = sorted({label for row, (label, _) in zip(runs, placed)
                              if (row.workload, row.dataset)
                              == (workload, dataset)})
             for label in labels:
                 rows.append([dataset, label] + [
                     cells[key].cell() if key in cells else "-"
-                    for key in ((label, workload, dataset, size)
-                                for size in sizes)
+                    for key in ((label, workload, dataset, column)
+                                for column in columns)
                 ])
-        header = ["dataset", "system"] + [f"{size} mach" for size in sizes]
+        header = ["dataset", "system"] + columns
         lines += [f"### {workload}", ""] + _table(header, rows) + [""]
 
     failures = Counter(row.status for row in runs if row.status != "ok")

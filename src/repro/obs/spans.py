@@ -12,15 +12,20 @@ an untraced run produce byte-identical results.
 
 Spans close strictly LIFO (a child must end before its parent); the
 tracer enforces this so exported traces are always well-nested.
+
+A run opens tens of spans per superstep, so the span path is kept
+lean: :class:`Span` is a ``__slots__`` record, the tracer reads the
+clock through one bound method, and ``with tracer.span(...)`` is a
+small class scope (:class:`SpanScope`) rather than a generator. Every
+span, scoped or not, still opens through :meth:`Tracer.start` and
+closes through :meth:`Tracer.end`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
-__all__ = ["Attr", "Span", "SpanError", "Tracer"]
+__all__ = ["Attr", "Span", "SpanError", "SpanScope", "Tracer", "record_failure"]
 
 #: span attribute values must be JSON scalars so journals stay portable
 Attr = Union[str, int, float, bool]
@@ -30,17 +35,28 @@ class SpanError(RuntimeError):
     """A span was closed out of order, twice, or never opened."""
 
 
-@dataclass
 class Span:
     """One timed region of a run, on the simulated clock."""
 
-    id: int
-    parent: Optional[int]      # id of the enclosing span, None for the root
-    name: str                  # "run", "load", "superstep", "shuffle", ...
-    cat: str                   # grouping: "phase", "cluster", an engine model
-    start: float               # simulated seconds
-    end: Optional[float] = None
-    attrs: Dict[str, Attr] = field(default_factory=dict)
+    __slots__ = ("id", "parent", "name", "cat", "start", "end", "attrs")
+
+    def __init__(
+        self,
+        id: int,
+        parent: Optional[int],     # id of the enclosing span, None for the root
+        name: str,                 # "run", "load", "superstep", "shuffle", ...
+        cat: str,                  # grouping: "phase", "cluster", an engine model
+        start: float,              # simulated seconds
+        end: Optional[float] = None,
+        attrs: Optional[Dict[str, Attr]] = None,
+    ) -> None:
+        self.id = id
+        self.parent = parent
+        self.name = name
+        self.cat = cat
+        self.start = start
+        self.end = end
+        self.attrs: Dict[str, Attr] = {} if attrs is None else attrs
 
     @property
     def closed(self) -> bool:
@@ -57,18 +73,73 @@ class Span:
         return f"Span({self.name!r}, cat={self.cat!r}, {when})"
 
 
+def record_failure(span: Span, exc: BaseException) -> None:
+    """Note on ``span`` the failure unwinding through it.
+
+    The exception type lands in the ``error`` attr, so journals show
+    exactly where a run died. Failures that carry provenance — a
+    ``kind`` (the paper's OOM/TO/MPI/SHFL code) and a ``machine`` — land
+    as attrs too; ``machine`` is ``-1`` for cluster-wide failures.
+    (Duck-typed: obs cannot import
+    :class:`~repro.cluster.failures.SimulatedFailure` without a
+    layering cycle.) Attrs already set are kept.
+    """
+    attrs = span.attrs
+    attrs.setdefault("error", type(exc).__name__)
+    kind = getattr(exc, "kind", None)
+    if kind is not None:
+        attrs.setdefault("kind", str(kind))
+        machine = getattr(exc, "machine", None)
+        attrs.setdefault("machine", int(machine) if machine is not None else -1)
+
+
+class SpanScope:
+    """``with tracer.span(...) as span:`` — open on entry, close on exit.
+
+    The span opens through :meth:`Tracer.start` when the block is
+    entered and closes through :meth:`Tracer.end` when it is left,
+    whether it returns or raises; a failure is noted on the span first
+    (:func:`record_failure`). The exception is never swallowed.
+    """
+
+    __slots__ = ("tracer", "name", "cat", "attrs", "span")
+
+    def __init__(self, tracer: "Tracer", name: str, cat: str,
+                 attrs: Dict[str, Attr]) -> None:
+        self.tracer = tracer
+        self.name = name
+        self.cat = cat
+        self.attrs = attrs
+        self.span: Span = None  # type: ignore[assignment]  # set on entry
+
+    def __enter__(self) -> Span:
+        self.span = self.tracer.start(self.name, self.cat, **self.attrs)
+        return self.span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc is not None:
+            record_failure(self.span, exc)
+        self.tracer.end(self.span)
+        return False
+
+
+def _unbound_clock() -> float:
+    return 0.0
+
+
 class Tracer:
     """Builds the span tree for one run.
 
-    The tracer starts unbound; :class:`~repro.cluster.Cluster` binds it
-    to its :class:`~repro.cluster.tracker.SimClock` on construction so
-    every timestamp is a simulated second. Span ids are sequential,
-    which keeps journals deterministic: the same seed produces the same
-    ids in the same order.
+    The tracer starts unbound (every timestamp 0.0);
+    :class:`~repro.cluster.Cluster` binds it to its
+    :class:`~repro.cluster.tracker.SimClock`'s ``read`` method on
+    construction so every timestamp is a simulated second. Span ids are
+    sequential, which keeps journals deterministic: the same seed
+    produces the same ids in the same order.
     """
 
     def __init__(self, now_fn: Optional[Callable[[], float]] = None) -> None:
-        self._now_fn = now_fn
+        self._now_fn = now_fn if now_fn is not None else _unbound_clock
         self._stack: List[Span] = []
         self._next_id = 1
         #: closed spans, in close order (children before parents)
@@ -80,7 +151,7 @@ class Tracer:
 
     def now(self) -> float:
         """Current simulated time; 0.0 before a clock is bound."""
-        return self._now_fn() if self._now_fn is not None else 0.0
+        return self._now_fn()
 
     @property
     def current(self) -> Optional[Span]:
@@ -93,64 +164,44 @@ class Tracer:
         return len(self._stack)
 
     def start(self, name: str, cat: str = "", **attrs: Attr) -> Span:
-        """Open a span nested under the current one."""
-        parent = self._stack[-1].id if self._stack else None
-        span = Span(
-            id=self._next_id,
-            parent=parent,
-            name=name,
-            cat=cat,
-            start=self.now(),
-            attrs=dict(attrs),
-        )
+        """Open a span nested under the current one.
+
+        ``attrs`` becomes the span's own attribute dict (keyword
+        arguments always arrive as a fresh dict).
+        """
+        stack = self._stack
+        span = Span(self._next_id, stack[-1].id if stack else None,
+                    name, cat, self._now_fn(), None, attrs)
         self._next_id += 1
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def end(self, span: Span, **attrs: Attr) -> Span:
         """Close a span; it must be the innermost open one (LIFO)."""
-        if span.closed:
+        if span.end is not None:
             raise SpanError(f"span {span.name!r} already closed")
-        if not self._stack or self._stack[-1] is not span:
-            open_name = self._stack[-1].name if self._stack else "<none>"
+        stack = self._stack
+        if not stack or stack[-1] is not span:
+            open_name = stack[-1].name if stack else "<none>"
             raise SpanError(
                 f"span {span.name!r} closed out of order; innermost open "
                 f"span is {open_name!r}"
             )
-        self._stack.pop()
-        span.attrs.update(attrs)
-        span.end = self.now()
+        stack.pop()
+        if attrs:
+            span.attrs.update(attrs)
+        span.end = self._now_fn()
         self.spans.append(span)
         return span
 
-    @contextmanager
-    def span(self, name: str, cat: str = "", **attrs: Attr) -> Iterator[Span]:
+    def span(self, name: str, cat: str = "", **attrs: Attr) -> SpanScope:
         """Context manager form; closes the span even on failure.
 
         A simulated failure (OOM, timeout, ...) unwinding through the
-        span records the exception type in the span's ``error`` attr, so
-        journals show exactly where a run died. Failures that carry
-        provenance — a ``kind`` (the paper's OOM/TO/MPI/SHFL code) and a
-        ``machine`` — land as span attrs too; ``machine`` is ``-1`` for
-        cluster-wide failures. (Duck-typed: obs cannot import
-        :class:`~repro.cluster.failures.SimulatedFailure` without a
-        layering cycle.)
+        span is recorded on it by :func:`record_failure` before it
+        closes.
         """
-        opened = self.start(name, cat=cat, **attrs)
-        try:
-            yield opened
-        except BaseException as exc:
-            opened.attrs.setdefault("error", type(exc).__name__)
-            kind = getattr(exc, "kind", None)
-            if kind is not None:
-                opened.attrs.setdefault("kind", str(kind))
-                machine = getattr(exc, "machine", None)
-                opened.attrs.setdefault(
-                    "machine", int(machine) if machine is not None else -1
-                )
-            raise
-        finally:
-            self.end(opened)
+        return SpanScope(self, name, cat, attrs)
 
     def finished(self) -> List[Span]:
         """Closed spans sorted by (start time, id): tree order."""

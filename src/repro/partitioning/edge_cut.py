@@ -60,6 +60,7 @@ class VertexPartition:
             return 0.0
         return self.cut_edges() / self.graph.num_edges
 
+    @memoised
     def balance_skew(self) -> float:
         """Extra load of the heaviest machine over a perfectly even split.
 

@@ -1,14 +1,15 @@
 """Compute a partition's O(|E|) metrics once per partition.
 
-A partition is frozen once built, so every metric that scans the edge
-list (replica counts, per-machine edge counts, cut sizes) has one value
-for the partition's lifetime. Engines ask for some of them every
-superstep; :func:`memoised` keeps the first result on the instance.
+A partition is frozen once built, so every metric it reports (replica
+counts, per-machine edge counts, cut sizes, and scalars reduced from
+them such as balance skew) has one value for the partition's
+lifetime. Engines ask for some of them every superstep; :func:`memoised`
+keeps the first result on the instance.
 
 The decorated method stays a plain method, so code that wraps methods
-(profilers, timing shims) still sees every call; only the scan behind
-it runs once. Cheap scalar reductions over a cached array stay live.
-Cached arrays are marked read-only, since every caller shares them.
+(profilers, timing shims) still sees every call; only the work behind
+it runs once. Cached arrays are marked read-only, since every caller
+shares them.
 """
 
 from __future__ import annotations

@@ -60,6 +60,7 @@ class BlockPartition:
         """Vertices per machine."""
         return np.bincount(self.machine_of_vertex(), minlength=self.num_parts)
 
+    @memoised
     def balance_skew(self) -> float:
         """Heaviest machine's extra vertex load over an even split."""
         loads = self.machine_loads()

@@ -304,9 +304,22 @@ def section(report, title):
 def test_report_keeps_rescaled_runs_off_the_scaling_curves(elastic_report):
     # the rescaled run stays in the result table but is no point on a
     # §5.12 scaling curve
-    assert "| dataset | system | 16 mach | 18 mach |" in elastic_report
+    assert "| twitter | BV (rescaled, 18 mach) | - |" in elastic_report
     assert section(elastic_report, "Strong-scaling classification (§5.12)") == (
         "- pagerank / twitter: BV: insufficient-data, V: insufficient-data")
+
+
+def test_rescaled_runs_get_no_machine_count_column(elastic_report):
+    # no fixed 18-machine cluster ran, so no "18 mach" column: the
+    # rescaled runs sit in rows of their own under "rescaled"
+    table = section(elastic_report, "pagerank").splitlines()
+    assert table[0] == "| dataset | system | 16 mach | rescaled |"
+    assert table[2:] == [
+        "| twitter | BV | 153 | - |",
+        "| twitter | BV (rescaled, 18 mach) | - | 167 |",
+        "| twitter | V | 724 | - |",
+        "| twitter | V (rescaled, 18 mach) | - | 1051 |",
+    ]
 
 
 def test_rescaled_runs_win_no_column(elastic_report):
