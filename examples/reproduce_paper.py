@@ -37,6 +37,8 @@ def main() -> int:
     for workload in ("pagerank", "khop", "sssp", "wcc"):
         print(f"running the {workload} grid ...")
         grid = paper_grid(workload, datasets=DATASETS, cluster_sizes=SIZES)
+        # each finished cell's observation is its run journal, written
+        # byte for byte as the run rendered it
         for i, result in enumerate(grid.cells.values()):
             result.observation.write(traces / f"{workload}_{i:03d}.jsonl")
         text = render_grid(

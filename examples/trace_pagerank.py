@@ -26,7 +26,7 @@ def main() -> None:
 
     # Every run records spans and metrics; nothing to switch on.
     result = run_cell("BV", "pagerank", dataset, cluster_size=16)
-    journal = result.observation.journal()
+    journal = result.observation
 
     print(render_summary(journal, top=5))
 
@@ -48,7 +48,7 @@ def main() -> None:
     # Blogel-B nests an in-block fixpoint inside every outer round
     # (PageRank stays vertex-centric in its step 2, §3.1.2).
     block = run_cell("BB", "wcc", dataset, cluster_size=16)
-    block_journal = block.observation.journal()
+    block_journal = block.observation
     locals_per_round = [
         span["args"].get("local_steps", 0)
         for span in block_journal.supersteps()

@@ -79,8 +79,9 @@ def _add_perturbation_options(
     ``family_options(p)`` adds the plan family's own flags after
     ``--size``.
     """
+    # the single-thread baseline refuses a fault plan: no cluster to perturb
     p.add_argument("--systems", nargs="+", default=list(systems),
-                   choices=sorted(ENGINE_KEYS), metavar="SYS",
+                   choices=sorted(set(ENGINE_KEYS) - {"ST"}), metavar="SYS",
                    help=f"{systems_help} (default: {' '.join(systems)})")
     p.add_argument("--workload", default="pagerank",
                    choices=WORKLOAD_NAMES + EXTENSION_WORKLOADS)

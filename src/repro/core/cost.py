@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..datasets.registry import load_dataset
-from ..engines import make_engine, workload_for
 from ..engines.base import RunResult
 from .runner import run_cell
 
@@ -59,13 +58,10 @@ def cost_experiment(
     the 512 GB machine regardless of ``cluster_size``.
     """
     rows: List[CostRow] = []
-    single = make_engine("ST")
     for dataset_name in datasets:
         dataset = load_dataset(dataset_name, dataset_size)
         for workload_name in workloads:
-            st_result = single.run(
-                dataset, workload_for(single, workload_name, dataset), None
-            )
+            st_result = run_cell("ST", workload_name, dataset, cluster_size)
             best: Optional[RunResult] = None
             for system in systems:
                 result = run_cell(system, workload_name, dataset, cluster_size)

@@ -11,14 +11,17 @@ benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster import ClusterSpec, FailureKind
 from ..datasets import load_dataset
-from ..engines import GRID_SYSTEMS, make_engine, workload_for
+from ..engines import GRID_SYSTEMS
 from .cost import cost_experiment
+from .runner import run_cell
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..chaos import ChaosPlan
 
 __all__ = ["Finding", "verify_all_findings", "FINDINGS", "EXTENSION_FINDINGS"]
 
@@ -38,12 +41,10 @@ class Finding:
         return f"Finding({self.key}: {mark})"
 
 
-def _run(key: str, workload: str, dataset_name: str, machines: int = 16):
-    dataset = load_dataset(dataset_name, "small")
-    engine = make_engine(key)
-    return engine.run(
-        dataset, workload_for(engine, workload, dataset), ClusterSpec(machines)
-    )
+def _run(key: str, workload: str, dataset_name: str, machines: int = 16,
+         chaos: Optional["ChaosPlan"] = None):
+    return run_cell(key, workload, load_dataset(dataset_name, "small"),
+                    machines, chaos)
 
 
 def _blogel_winner() -> Finding:
@@ -227,13 +228,8 @@ def _chaos_recovery_tradeoff() -> Finding:
     )
     from ..chaos import ChaosPlan, MachineCrash
 
-    def run_chaos(key: str, plan: "ChaosPlan", machines: int = 16):
-        dataset = load_dataset("twitter", "small")
-        engine = make_engine(key)
-        return engine.run(
-            dataset, workload_for(engine, "pagerank", dataset),
-            ClusterSpec(machines, fault_plan=plan),
-        )
+    def run_chaos(key: str, plan: "ChaosPlan"):
+        return _run(key, "pagerank", "twitter", chaos=plan)
 
     clean = {k: _run(k, "pagerank", "twitter") for k in ("BV", "HD", "V")}
 

@@ -18,15 +18,15 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from ..cluster import CLUSTER_SIZES, ClusterSpec
+from ..cluster import CLUSTER_SIZES
 from ..datasets.generators import (
     powerlaw_social_graph,
     road_network_graph,
     web_host_graph,
 )
 from ..datasets.registry import PAPER_PROFILES, Dataset, register_dataset
-from ..engines import make_engine, workload_for
 from ..engines.base import RunResult
+from .runner import run_cell
 
 __all__ = ["WeakScalingPoint", "weak_scaling_dataset", "weak_scaling_experiment"]
 
@@ -107,14 +107,11 @@ def weak_scaling_experiment(
     points: List[WeakScalingPoint] = []
     for machines in cluster_sizes:
         dataset = weak_scaling_dataset(kind, machines)
-        engine = make_engine(system)
-        workload = workload_for(engine, workload_name, dataset)
-        result = engine.run(dataset, workload, ClusterSpec(machines))
         points.append(
             WeakScalingPoint(
                 machines=machines,
                 paper_edges=dataset.profile.num_edges,
-                result=result,
+                result=run_cell(system, workload_name, dataset, machines),
             )
         )
     return points

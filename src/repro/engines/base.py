@@ -36,7 +36,7 @@ if TYPE_CHECKING:
     from ..chaos.plan import ChaosPlan
 from ..datasets.registry import Dataset
 from ..graph.stats import estimate_diameter
-from ..obs import FrozenJournalObservation, MetricsRegistry, RunObservation
+from ..obs import Journal, MetricsRegistry, RunObservation
 from ..graph.structures import Graph
 from ..workloads.base import Workload, WorkloadKind, WorkloadState
 from ..workloads.pagerank import INITIAL_RANK, PageRank
@@ -134,8 +134,8 @@ class RunResult:
     metrics: MetricsRegistry = field(
         default_factory=MetricsRegistry, repr=False, compare=False
     )
-    #: the run's journal, frozen when ``Engine.run`` returned
-    observation: Optional[FrozenJournalObservation] = field(
+    #: the run's journal, rendered once when ``Engine.run`` returned
+    observation: Optional[Journal] = field(
         default=None, repr=False, compare=False
     )
 
@@ -457,8 +457,8 @@ class Engine(abc.ABC):
         The run's tracer records run → phase spans here (engines add
         superstep and cluster-op spans below); everything lands in one
         :class:`~repro.obs.RunObservation` shared with the cluster. On
-        return the observation is frozen into ``result.observation``:
-        the canonical journal text, rendered exactly once.
+        return its :class:`~repro.obs.Journal` becomes
+        ``result.observation``: the canonical text, rendered exactly once.
         """
         if obs is None:
             obs = RunObservation()
@@ -558,7 +558,7 @@ class Engine(abc.ABC):
             }
         # not in ``finally``: an escaping exception must propagate as is,
         # never be replaced by a journal error about its open spans
-        result.observation = obs.freeze()
+        result.observation = obs.journal()
         return result
 
     # -- phases implemented per engine -------------------------------------

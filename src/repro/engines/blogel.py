@@ -383,8 +383,8 @@ class BlogelBEngine(BspExecutionMixin, Engine):
 
     def _execute(self, dataset, workload, cluster, result, scale):
         graph = self.graph_for(dataset, workload)
-        bp = self._partition(dataset, cluster.num_workers)
         if isinstance(workload, PageRank):
+            bp = self._partition(dataset, cluster.num_workers)
             return self._execute_pagerank(graph, dataset, workload, cluster,
                                           result, bp)
         from ..workloads.base import WorkloadKind
@@ -396,25 +396,35 @@ class BlogelBEngine(BspExecutionMixin, Engine):
             return self.run_superstep_loop(graph, dataset, workload, cluster,
                                            result, scale)
         return self._execute_block_bsp(graph, dataset, workload, cluster,
-                                       result, scale, bp)
+                                       result, scale)
 
     def _execute_block_bsp(
-        self, graph, dataset, workload, cluster, result, scale, bp
+        self, graph, dataset, workload, cluster, result, scale
     ) -> WorkloadState:
-        """Serial-within-block, BSP-across-blocks (WCC, SSSP)."""
-        intra, cross = _split_by_block(dataset.name, dataset.size,
-                                       cluster.num_workers, self.partitioner)
+        """Serial-within-block, BSP-across-blocks (WCC, SSSP).
+
+        A fault plan gets the same between-rounds chaos round as the
+        superstep loop, after every outer round; each round reads the
+        block partition for the current worker count, so a rescale
+        takes effect in the next one.
+        """
         state = workload.init_state(graph)
         self.scale_fixed = scale
         self.scale_messages = scale ** 0.5
         pending = state.active.copy()
         outer_rounds = 0
         metrics = cluster.metrics
+        rounds = self.chaos_rounds(cluster, dataset, result)
         while True:
             # One outer round is this model's superstep: an in-block
             # fixpoint then one cross-block exchange — traced as a
             # superstep span with block-local/block-global children so
             # the block-centric shape is visible next to plain BSP.
+            bp = self._partition(dataset, cluster.num_workers)
+            intra, cross = _split_by_block(dataset.name, dataset.size,
+                                           cluster.num_workers, self.partitioner)
+            if rounds is not None:
+                rounds.begin()
             round_start = cluster.now
             shuffled_before = metrics.counter("bytes_shuffled").value
             with cluster.tracer.span(
@@ -462,6 +472,8 @@ class BlogelBEngine(BspExecutionMixin, Engine):
                     cluster.now - round_start
                 )
             pending = state.active.copy()
+            if rounds is not None:
+                rounds.end(outer_rounds)
             if stats.updates == 0:
                 break
         state.done = True

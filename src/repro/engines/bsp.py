@@ -29,7 +29,7 @@ from ..workloads.base import SuperstepStats, Workload, WorkloadState
 from .base import RecoveryContext, RecoveryModel, RunResult
 from .common import SuperstepScope, superstep_trajectory
 
-__all__ = ["BspExecutionMixin"]
+__all__ = ["BspExecutionMixin", "ChaosRounds"]
 
 
 class BspExecutionMixin(abc.ABC):
@@ -94,18 +94,7 @@ class BspExecutionMixin(abc.ABC):
         self.scale_fixed = scale
         self.scale_messages = scale ** 0.5
         loop_start = cluster.now
-        chaos = cluster.chaos
-        recovery: Optional[RecoveryModel] = None
-        ctx: Optional[RecoveryContext] = None
-        if chaos is not None:
-            recovery = self.recovery_model(chaos.plan)  # type: ignore[attr-defined]
-            ctx = RecoveryContext(
-                cluster=cluster,
-                dataset=dataset,
-                result=result,
-                loop_start=loop_start,
-                state_bytes=dataset.profile.num_vertices * 16.0,
-            )
+        rounds = self.chaos_rounds(cluster, dataset, result)
         observe = SuperstepScope(cluster, getattr(self, "trace_model", "bsp"))
         try:
             with superstep_trajectory(workload, graph, state) as trajectory:
@@ -116,11 +105,8 @@ class BspExecutionMixin(abc.ABC):
                         raise RuntimeError(
                             f"{workload.name} exceeded {self.max_supersteps} supersteps"
                         )
-                    superstep_start = cluster.now
-                    shuffled_before = (
-                        cluster.metrics.counter("bytes_shuffled").value
-                        if chaos is not None else 0.0
-                    )
+                    if rounds is not None:
+                        rounds.begin()
                     stats, iteration, done = trajectory.step(step)
                     with observe(stats):
                         try:
@@ -142,21 +128,31 @@ class BspExecutionMixin(abc.ABC):
                                     / (iteration * scale)
                                 )
                     step += 1
-                    if chaos is not None:
-                        assert ctx is not None and recovery is not None
-                        ctx.iteration = iteration
-                        ctx.superstep_start = superstep_start
-                        ctx.superstep_shuffled = (
-                            cluster.metrics.counter("bytes_shuffled").value
-                            - shuffled_before
-                        )
-                        self._chaos_round(cluster, chaos, recovery, ctx)
+                    if rounds is not None:
+                        rounds.end(iteration)
                 return trajectory.final_state()
         finally:
             self.scale_fixed = 1.0
             self.scale_messages = 1.0
 
     # -- fault injection (Table 1's fault-tolerance column) -----------------
+
+    def chaos_rounds(
+        self, cluster: Cluster, dataset: Dataset, result: RunResult,
+    ) -> Optional["ChaosRounds"]:
+        """The chaos rounds of a superstep loop starting now, or ``None``
+        when the run has no fault plan (the paper's failure-free
+        experiments are untouched)."""
+        chaos = cluster.chaos
+        if chaos is None:
+            return None
+        return ChaosRounds(self, cluster, chaos, RecoveryContext(
+            cluster=cluster,
+            dataset=dataset,
+            result=result,
+            loop_start=cluster.now,
+            state_bytes=dataset.profile.num_vertices * 16.0,
+        ))
 
     def _chaos_round(
         self,
@@ -172,8 +168,7 @@ class BspExecutionMixin(abc.ABC):
         time has come (a zero-duration ``fault`` marker span each, plus
         a ``recover`` span wherever recovery time is charged), and syncs
         the network-degradation factor for the next superstep. Absent a
-        plan the loop never calls this — the paper's failure-free
-        experiments are untouched.
+        plan no loop calls this.
         """
         chaos.end_superstep()
         recovery.maybe_checkpoint(ctx)
@@ -284,3 +279,38 @@ class BspExecutionMixin(abc.ABC):
             cluster.metrics.counter("recovery_seconds").inc(seconds)
             ctx.result.metrics.gauge("recoveries").inc()
             cluster.tracer.end(span, seconds=seconds)
+
+
+class ChaosRounds:
+    """The between-rounds chaos hook of one superstep loop.
+
+    Built once per loop by :meth:`BspExecutionMixin.chaos_rounds`. The
+    loop calls :meth:`begin` before each superstep (or block-centric
+    outer round) and :meth:`end` after it, which refreshes the recovery
+    context's per-superstep fields and runs the chaos round.
+    """
+
+    def __init__(self, engine: BspExecutionMixin, cluster: Cluster,
+                 chaos: ChaosRuntime, ctx: RecoveryContext) -> None:
+        self.engine = engine
+        self.cluster = cluster
+        self.chaos = chaos
+        self.recovery: RecoveryModel = engine.recovery_model(chaos.plan)  # type: ignore[attr-defined]
+        self.ctx = ctx
+        self._start = 0.0
+        self._shuffled = 0.0
+
+    def begin(self) -> None:
+        """Note the round's start time and the bytes shuffled so far."""
+        self._start = self.cluster.now
+        self._shuffled = self.cluster.metrics.counter("bytes_shuffled").value
+
+    def end(self, iteration: int) -> None:
+        """Run the chaos round after the round that reached ``iteration``."""
+        ctx = self.ctx
+        ctx.iteration = iteration
+        ctx.superstep_start = self._start
+        ctx.superstep_shuffled = (
+            self.cluster.metrics.counter("bytes_shuffled").value - self._shuffled
+        )
+        self.engine._chaos_round(self.cluster, self.chaos, self.recovery, ctx)

@@ -184,7 +184,16 @@ class SingleThreadEngine(Engine):
     def run(self, dataset: Dataset, workload: Workload,
             cluster_spec: ClusterSpec = None,
             obs=None) -> RunResult:   # type: ignore[override]
-        """COST runs ignore the cluster: always the one big machine."""
+        """COST runs ignore the cluster: always the one big machine.
+
+        There is no cluster to inject faults into, so a fault plan is
+        refused rather than dropped.
+        """
+        if cluster_spec is not None and cluster_spec.fault_plan is not None:
+            raise ValueError(
+                "the single-thread baseline has no cluster to inject faults "
+                "into; run it without a fault plan"
+            )
         spec = ClusterSpec(num_machines=2, machine=COST_MACHINE)
         return super().run(dataset, workload, spec, obs=obs)
 

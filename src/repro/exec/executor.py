@@ -291,12 +291,13 @@ class _GridRun:
     def _finish(
         self,
         task: CellTask,
-        result: RunResult,
+        payload: dict,
         source: str,
         attempts: int,
         host_seconds: float,
     ) -> None:
         """Record one finished cell: span, counters, progress, result."""
+        result = payload_to_result(payload)
         span = self.obs.tracer.start(
             "cell", cat="scheduler", cell=task.cell_id, source=source,
             attempts=attempts,
@@ -312,8 +313,8 @@ class _GridRun:
         self.done += 1
         if self.progress is not None:
             self.progress(CellEvent(
-                task=task, result=result, source=source, attempts=attempts,
-                done=self.done, total=len(self.tasks),
+                task=task, result=result, payload=payload, source=source,
+                attempts=attempts, done=self.done, total=len(self.tasks),
             ))
 
     def _count_retry(self) -> None:
@@ -350,10 +351,8 @@ class _GridRun:
             payload = (self.cache.get(key)
                        if self.cache is not None and key else None)
             if payload is not None:
-                self._finish(
-                    task, payload_to_result(payload), SOURCE_CACHE,
-                    attempts=1, host_seconds=0.0,
-                )
+                self._finish(task, payload, SOURCE_CACHE, attempts=1,
+                             host_seconds=0.0)
             else:
                 misses.append((task, key))
         return misses
@@ -493,29 +492,27 @@ class _GridRun:
         if self.cache is not None and key is not None:
             self.outstanding.discard(key)
             self.cache.record(key)
-        self._finish(task, payload_to_result(payload), source, attempt,
-                     host_seconds)
+        self._finish(task, payload, source, attempt, host_seconds)
 
     def _aggregate_costs(self, ordered: List[RunResult]) -> None:
         """Fold every cell's cost record into the scheduler's metrics.
 
         Each run journal ends with a ``cost`` event (live, pooled, and
-        cached cells alike), read from the frozen journal's last line,
-        so the grid's bill lands in ``_scheduler.jsonl`` as ``cost.*``
-        counters next to the cache-hit/retry story.
+        cached cells alike), read from the journal's last line, so the
+        grid's bill lands in ``_scheduler.jsonl`` as ``cost.*`` counters
+        next to the cache-hit/retry story.
         """
-        from ..obs.cost import CostReport, aggregate_costs
+        from ..obs.cost import aggregate_costs
 
-        reports = []
+        events = []
         for result in ordered:
-            if result.observation is None:
-                continue
-            event = result.observation.cost()
+            event = (None if result.observation is None
+                     else result.observation.cost())
             if event is not None:
-                reports.append(CostReport.from_event(event))
-        if not reports:
+                events.append(event)
+        if not events:
             return
-        totals = aggregate_costs(reports)
+        totals = aggregate_costs(events)
         for name in sorted(totals):
             self.obs.metrics.counter(f"cost.{name}").inc(totals[name])
 

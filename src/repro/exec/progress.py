@@ -29,10 +29,16 @@ SOURCE_CACHE = "cache"    # replayed from the result cache
 
 @dataclass(frozen=True)
 class CellEvent:
-    """One finished cell, as reported to the progress callback."""
+    """One finished cell, as reported to the progress callback.
+
+    ``payload`` is the cell's wire form (:mod:`repro.exec.serialize`),
+    as the worker returned it or the cache held it; ``result`` was
+    decoded from it.
+    """
 
     task: CellTask
     result: "RunResult"
+    payload: dict
     source: str      # SOURCE_RUN | SOURCE_INLINE | SOURCE_CACHE
     attempts: int    # 1 unless the retry policy re-ran the cell
     done: int        # cells finished so far, this one included

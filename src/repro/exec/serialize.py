@@ -7,15 +7,17 @@ as a cache entry. Both use the same payload — the run record that
 ``RunResult``, plus the answer array (exact
 bytes, so a cached cell's answer is bit-identical to a fresh run's) and
 the run's canonical journal text (so ``--trace`` on a warm cache still
-writes byte-identical per-cell journals).
+writes byte-identical per-cell journals). The serve daemon streams the
+same payload to its clients.
 
-The journal text is never rendered here. ``Engine.run`` froze it once
-when the run returned (:class:`~repro.obs.FrozenJournalObservation`);
-:func:`result_to_payload` copies that text into the payload and
-:func:`payload_to_result` wraps it in the same frozen type again, so a
-live, pooled, cached, or served result looks the same to every
-consumer. The record keeps no metric kinds: the rebuilt result's
-counters are the ones the journal's metric lines name as counters.
+The journal text is rendered once per run. ``Engine.run`` returns
+its :class:`~repro.obs.Journal` as ``result.observation``;
+:func:`result_to_payload` reads the text through
+:meth:`~repro.obs.Journal.dumps`, and :func:`payload_to_result` wraps
+the payload's text as ``Journal(text=...)`` again, so a live, pooled,
+cached, or served result looks the same to every consumer. The record
+keeps no metric kinds: the rebuilt result's counters are the ones the
+journal's metric lines name as counters.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ..engines.base import RunResult, record_to_result, result_to_record
-from ..obs import FrozenJournalObservation
+from ..obs import Journal
 
 __all__ = ["result_to_payload", "payload_to_result"]
 
@@ -61,15 +63,14 @@ def result_to_payload(result: RunResult) -> dict:
         "version": PAYLOAD_VERSION,
         "record": result_to_record(result),
         "answer": _encode_answer(result.answer),
-        "journal": None if observation is None else observation.text,
+        "journal": None if observation is None else observation.dumps(),
     }
 
 
 def payload_to_result(payload: dict) -> RunResult:
     """Rebuild a :class:`RunResult` from its payload form."""
     journal_text = payload.get("journal")
-    observation = (None if journal_text is None
-                   else FrozenJournalObservation(journal_text))
+    observation = None if journal_text is None else Journal(text=journal_text)
     result = record_to_result(
         payload["record"],
         () if observation is None else observation.counter_names(),

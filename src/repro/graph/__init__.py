@@ -1,20 +1,6 @@
-"""Graph substrate: structures, text formats, and dataset statistics."""
+"""Graph substrate: structures and dataset statistics."""
 
 from .structures import EdgeListError, Graph, GraphBuilder, from_edges
-from .formats import (
-    FORMATS,
-    FormatError,
-    chunk_lines,
-    format_size_bytes,
-    read_adj,
-    read_adj_long,
-    read_edge_list,
-    read_graph,
-    write_adj,
-    write_adj_long,
-    write_edge_list,
-    write_graph,
-)
 from .stats import (
     DatasetStats,
     bfs_levels,
@@ -31,18 +17,6 @@ __all__ = [
     "GraphBuilder",
     "from_edges",
     "EdgeListError",
-    "FORMATS",
-    "FormatError",
-    "read_graph",
-    "write_graph",
-    "read_adj",
-    "read_adj_long",
-    "read_edge_list",
-    "write_adj",
-    "write_adj_long",
-    "write_edge_list",
-    "chunk_lines",
-    "format_size_bytes",
     "DatasetStats",
     "compute_stats",
     "bfs_levels",

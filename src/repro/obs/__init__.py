@@ -38,7 +38,7 @@ from .metrics import (
     fold_rows,
     fold_sum,
 )
-from .observation import FrozenJournalObservation, RunObservation
+from .observation import RunObservation
 from .spans import Span, SpanError, Tracer
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "RunObservation",
-    "FrozenJournalObservation",
     "Journal",
     "JournalError",
     "build_journal",

@@ -39,7 +39,7 @@ priced).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 __all__ = [
     "COST_SCHEMA",
@@ -147,27 +147,6 @@ class CostReport:
             "rates": self.rates,
         }
 
-    @classmethod
-    def from_event(cls, event: dict) -> "CostReport":
-        """Rebuild a report from its journal event."""
-        return cls(
-            machines=int(event["machines"]),
-            total_seconds=float(event["total_seconds"]),
-            machine_seconds=float(event["machine_seconds"]),
-            memory_byte_seconds=float(event["memory_byte_seconds"]),
-            bytes_shuffled=float(event["bytes_shuffled"]),
-            bytes_spilled=float(event["bytes_spilled"]),
-            recovery_seconds=float(event["recovery_seconds"]),
-            recovery_machine_seconds=float(event["recovery_machine_seconds"]),
-            compute_dollars=float(event["compute_dollars"]),
-            shuffle_dollars=float(event["shuffle_dollars"]),
-            memory_dollars=float(event["memory_dollars"]),
-            recovery_dollars=float(event["recovery_dollars"]),
-            dollars=float(event["dollars"]),
-            answers=int(event["answers"]),
-            rates=dict(event["rates"]),
-        )
-
 
 def _scalar(events: Sequence[dict], name: str) -> float:
     for event in events:
@@ -262,8 +241,9 @@ def cost_event_from_events(
     return report.to_event() if report is not None else None
 
 
-def aggregate_costs(reports: List[CostReport]) -> Dict[str, float]:
-    """Grid-level totals the executor folds into its scheduler journal."""
+def aggregate_costs(events: Sequence[Mapping]) -> Dict[str, float]:
+    """Grid-level totals of cost events, which the executor folds into
+    its scheduler journal."""
     totals = {
         "dollars": 0.0,
         "machine_seconds": 0.0,
@@ -272,11 +252,11 @@ def aggregate_costs(reports: List[CostReport]) -> Dict[str, float]:
         "recovery_seconds": 0.0,
         "answers": 0.0,
     }
-    for report in reports:
-        totals["dollars"] += report.dollars
-        totals["machine_seconds"] += report.machine_seconds
-        totals["memory_gb_hours"] += report.memory_gb_hours
-        totals["gb_shuffled"] += report.bytes_shuffled / GB
-        totals["recovery_seconds"] += report.recovery_seconds
-        totals["answers"] += report.answers
+    for event in events:
+        totals["dollars"] += event["dollars"]
+        totals["machine_seconds"] += event["machine_seconds"]
+        totals["memory_gb_hours"] += event["memory_gb_hours"]
+        totals["gb_shuffled"] += event["bytes_shuffled"] / GB
+        totals["recovery_seconds"] += event["recovery_seconds"]
+        totals["answers"] += event["answers"]
     return totals

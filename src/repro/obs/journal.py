@@ -42,9 +42,10 @@ from __future__ import annotations
 
 import json
 import os
+from json.decoder import scanstring
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
 from .cost import STORAGE_SPANS, cost_report
 from .metrics import Histogram, MetricsRegistry
@@ -57,6 +58,11 @@ __all__ = [
 
 #: bump when the event schema changes incompatibly
 JOURNAL_VERSION = 1
+
+#: how every counter's metric line starts in a canonical journal (keys
+#: sort ``kind`` first; a span line starts ``{"args"``, the meta line
+#: is the first)
+_COUNTER_LINE = '\n{"kind":"counter","name":"'
 
 
 class JournalError(ValueError):
@@ -100,8 +106,12 @@ class Journal:
     """An in-memory event stream, readable and writable as JSONL.
 
     A journal is built either from its events (:meth:`loads`, tests) or
-    from its canonical text (:func:`build_journal`); the other form is
-    made on first use. Either way it is not edited once built.
+    from its canonical text (:func:`build_journal`, or a cell payload's
+    ``journal`` field); the other form is made on first use. Either way
+    it is not edited once built. A finished run's
+    ``RunResult.observation`` is such a text journal: :attr:`meta`,
+    :meth:`cost` and :meth:`counter_names` read its lines without
+    parsing the whole stream.
     """
 
     def __init__(self, events: Optional[List[dict]] = None,
@@ -183,8 +193,14 @@ class Journal:
 
     @property
     def meta(self) -> Dict[str, object]:
-        """The run's metadata event (always first)."""
-        for event in self.events:
+        """The run's metadata event (always first).
+
+        While the events are unparsed, only the first line is read.
+        """
+        if self._events is None:
+            text = self._text
+            return json.loads(text[:text.index("\n")])  # type: ignore[union-attr]
+        for event in self._events:
             if event.get("type") == "meta":
                 return event
         return {"type": "meta"}
@@ -202,11 +218,29 @@ class Journal:
         return [e for e in self.spans() if e.get("name") == "superstep"]
 
     def cost(self) -> Optional[dict]:
-        """The run's cost event (its final record), or ``None``."""
-        for event in self.events:
+        """The run's cost event (its final record), or ``None``.
+
+        While the events are unparsed, only the last line is read.
+        """
+        if self._events is None:
+            text = self._text
+            last = json.loads(text[text.rfind("\n", 0, -1) + 1:])  # type: ignore[union-attr]
+            return last if last.get("type") == "cost" else None
+        for event in self._events:
             if event.get("type") == "cost":
                 return event
         return None
+
+    def counter_names(self) -> FrozenSet[str]:
+        """The names of the run's counters, read off their metric lines."""
+        text = self._text if self._text is not None else self.dumps()
+        names = set()
+        at = text.find(_COUNTER_LINE)
+        while at >= 0:
+            name, end = scanstring(text, at + len(_COUNTER_LINE))
+            names.add(name)
+            at = text.find(_COUNTER_LINE, end)
+        return frozenset(names)
 
     def scalar(self, name: str, default: float = 0.0) -> float:
         """A counter/gauge's final value, or ``default``."""
@@ -224,7 +258,7 @@ class Journal:
         meta = self.meta
         return (
             f"Journal({meta.get('system')} {meta.get('workload')}/"
-            f"{meta.get('dataset')}: {len(self.events)} events)"
+            f"{meta.get('dataset')}: {len(self)} events)"
         )
 
 

@@ -20,7 +20,9 @@ Because cells execute through the very same code path as a one-shot
 ``repro grid``, a served result is bit-equal to the grid the client
 would have computed alone (``ResultGrid.same_results`` plus
 byte-identical per-cell journals) — the serving layer adds queueing,
-never new numbers.
+never new numbers. Each cell streams the payload the executor already
+holds (:attr:`~repro.exec.progress.CellEvent.payload`: what the worker
+returned or the cache read), never one re-encoded from its result.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from ..exec.cache import ResultCache
 from ..exec.executor import execute_specs
 from ..exec.progress import SOURCE_CACHE, CellEvent
 from ..exec.retry import ExecutorError
-from ..exec.serialize import result_to_payload
 from .protocol import JOB_DONE, JOB_FAILED
 
 __all__ = ["JobInterrupted", "JobOutcome", "JobRunner"]
@@ -88,7 +89,7 @@ class JobRunner:
 
         ``job`` is anything with a ``request`` (the daemon passes its
         immutable work order) and is only handed back to the callbacks:
-        every rendered payload goes to the mandatory ``on_cell``
+        every cell's payload goes to the mandatory ``on_cell``
         callback as ``on_cell(job, payload, from_cache)``, which is how
         the daemon publishes it. ``should_stop`` is polled at the same
         cell boundary: returning a ``(state, error)`` pair interrupts
@@ -101,8 +102,7 @@ class JobRunner:
         """
 
         def progress(event: CellEvent) -> None:
-            payload = result_to_payload(event.result)
-            on_cell(job, payload, event.source == SOURCE_CACHE)
+            on_cell(job, event.payload, event.source == SOURCE_CACHE)
             if should_stop is not None:
                 stop = should_stop(job)
                 if stop is not None:

@@ -27,8 +27,10 @@ from repro.chaos import (
 )
 from repro.chaos.experiment import plan_for, recovery_cost_experiment
 from repro.cluster import ClusterSpec
+from repro.core.runner import run_cell
 from repro.datasets import load_dataset
-from repro.engines import make_engine, workload_for
+from repro.engines import (ENGINE_KEYS, EXTENSION_WORKLOADS, WORKLOAD_NAMES,
+                           make_engine, workload_for)
 
 
 def run(key, workload_name, dataset, machines=16, plan=None):
@@ -48,7 +50,7 @@ def clean_bv(twitter):
 
 
 def spans(result, name=None):
-    rows = [s for s in result.observation.journal().spans()
+    rows = [s for s in result.observation.spans()
             if s["type"] == "span"]
     return rows if name is None else [s for s in rows if s["name"] == name]
 
@@ -321,8 +323,8 @@ class TestDeterminism:
                         seed=7)
         first = run("BV", "pagerank", twitter, plan=plan)
         second = run("BV", "pagerank", twitter, plan=plan)
-        assert (first.observation.journal().dumps()
-                == second.observation.journal().dumps())
+        assert (first.observation.dumps()
+                == second.observation.dumps())
 
     def test_seed_moves_the_struck_machine(self, twitter, clean_bv):
         t = mid_loop(clean_bv)
@@ -356,8 +358,8 @@ class TestDeterminism:
         for a, b in zip(inline.results, pooled.results):
             assert a.total_time == b.total_time
             assert np.array_equal(a.answer, b.answer)
-            assert (a.observation.journal().dumps()
-                    == b.observation.journal().dumps())
+            assert (a.observation.dumps()
+                    == b.observation.dumps())
 
 
 # -- the exec integration ----------------------------------------------------
@@ -461,3 +463,32 @@ def test_extension_finding_supported():
     assert finding.evidence["faulted_answers_exact"] is True
     # the default verification stays the paper's own findings
     assert len(verify_all_findings.__defaults__) == 1
+
+
+# -- the census: every engine honours a fault plan ---------------------------
+
+#: engines whose partitioner needs dataset structure: coordinates, URLs
+_CENSUS_DATASETS = {"BB-coord": "wrn", "BB-url": "uk0705"}
+
+
+@pytest.mark.parametrize("workload_name", WORKLOAD_NAMES + EXTENSION_WORKLOADS)
+@pytest.mark.parametrize("key", ENGINE_KEYS)
+def test_chaos_census_every_engine_injects_a_crash(key, workload_name):
+    """One crash inside the clean run's execute window reaches every
+    engine's superstep loop (block-centric rounds included), and the
+    single-thread baseline, which has no cluster, refuses the plan."""
+    dataset = load_dataset(_CENSUS_DATASETS.get(key, "twitter"), "tiny")
+    if key == "ST":
+        plan = ChaosPlan(events=(MachineCrash(time=1.0),))
+        with pytest.raises(ValueError, match="fault plan"):
+            run_cell(key, workload_name, dataset, 16, plan)
+        return
+    clean = run_cell(key, workload_name, dataset, 16)
+    window = (clean.load_time, clean.load_time + clean.execute_time)
+    faulted = run_cell(key, workload_name, dataset, 16,
+                       plan_for("crash", 1, window))
+    assert spans(faulted, "fault"), f"{key} {workload_name} dropped the plan"
+    assert faulted.extras["faults_injected"] >= 1
+    assert faulted.ok == clean.ok
+    if clean.ok:
+        assert np.array_equal(faulted.answer, clean.answer)

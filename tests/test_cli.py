@@ -82,6 +82,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "BV", "bfs", "twitter"])
 
+    @pytest.mark.parametrize("command", ["chaos", "elastic"])
+    def test_perturbations_refuse_the_single_thread_baseline(self, command):
+        # ST has no cluster to perturb, so it is no --systems choice
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--systems", "BV", "ST"])
+        assert exit_info.value.code == 2
+        build_parser().parse_args([command, "--systems", "BV"])
+
 
 class TestCommands:
     def test_datasets(self, capsys):

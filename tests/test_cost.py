@@ -25,10 +25,10 @@ from repro.obs.cost import (
     GB,
     HOUR,
     CostModel,
-    CostReport,
     aggregate_costs,
     cost_report_from_events,
 )
+from repro.obs.journal import Journal, canonical_json
 from repro.obs.report import (
     KIND_BENCH,
     KIND_JOURNAL,
@@ -59,7 +59,7 @@ def write_trace_dir(tmp_path, name, jobs=1, spec=None):
     trace_dir = tmp_path / name
     trace_dir.mkdir()
     for result in execution.grid.cells.values():
-        result.observation.journal().write(trace_dir / _trace_filename(result))
+        result.observation.write(trace_dir / _trace_filename(result))
     execution.scheduler_journal().write(trace_dir / "_scheduler.jsonl")
     return trace_dir
 
@@ -151,7 +151,9 @@ class TestCostModel:
         report = cost_report_from_events(SYNTH_EVENTS)
         event = report.to_event()
         assert event["type"] == "cost"
-        assert CostReport.from_event(event).to_event() == event
+        # the journal's last line reads back as the same event
+        assert Journal(text=f'{{"type":"meta"}}\n{canonical_json(event)}\n'
+                       ).cost() == event
         # appending the cost event to the stream does not change the
         # recomputed report: the fold ignores non-span/metric events,
         # so journals stay self-consistent after build_journal appends
@@ -164,7 +166,7 @@ class TestCostModel:
         failed = cost_report_from_events(
             [dict(SYNTH_EVENTS[0], status="failed")] + SYNTH_EVENTS[1:]
         )
-        totals = aggregate_costs([one, failed])
+        totals = aggregate_costs([one.to_event(), failed.to_event()])
         assert totals["dollars"] == pytest.approx(0.20, rel=1e-12)
         assert totals["machine_seconds"] == 800.0
         assert totals["memory_gb_hours"] == pytest.approx(4.0, rel=1e-12)
@@ -190,7 +192,7 @@ def run(key, dataset, machines=16, plan=None):
 
 class TestJournalCostRecord:
     def test_cost_is_the_final_event_and_consistent(self, twitter_tiny):
-        journal = run("BV", twitter_tiny).observation.journal()
+        journal = run("BV", twitter_tiny).observation
         cost = journal.events[-1]
         assert cost["type"] == "cost"
         assert journal.cost() == cost
@@ -221,7 +223,7 @@ class TestJournalCostRecord:
 
         def dumps(execution):
             return {
-                key: result.observation.journal().dumps()
+                key: result.observation.dumps()
                 for key, result in execution.grid.cells.items()
             }
 
@@ -237,7 +239,7 @@ class TestJournalCostRecord:
     def test_scheduler_journal_aggregates_cell_costs(self):
         execution = execute_grid(tiny_spec(), jobs=1)
         cell_costs = [
-            r.observation.journal().cost()
+            r.observation.cost()
             for r in execution.grid.cells.values()
         ]
         scheduler = execution.scheduler_journal()
@@ -261,10 +263,10 @@ def test_mechanism_recovery_is_priced(key, mechanism, twitter_tiny):
     crash = clean.load_time + clean.execute_time * 0.5
     plan = ChaosPlan(events=(MachineCrash(time=crash),), seed=7)
     faulted = run(key, twitter_tiny, plan=plan)
-    journal = faulted.observation.journal()
+    journal = faulted.observation
     cost = journal.cost()
     # the crash made the same answer strictly more expensive
-    clean_cost = clean.observation.journal().cost()
+    clean_cost = clean.observation.cost()
     assert cost["dollars"] > clean_cost["dollars"]
     assert cost["answers"] == 1
     # recovery line-item: the journal's recovery_seconds counter, priced

@@ -141,8 +141,8 @@ class TestRescaleAccounting:
 
     def test_scale_out_bills_the_widest_fleet(self, twitter, clean):
         result = self.rescaled("HD", twitter, clean, magnitude=8)
-        cost = result.observation.journal().cost()
-        ref_cost = clean["HD"].observation.journal().cost()
+        cost = result.observation.cost()
+        ref_cost = clean["HD"].observation.cost()
         assert cost["machines"] == 24  # 16 provisioned + 8 joined
         assert cost["dollars"] > ref_cost["dollars"]
 

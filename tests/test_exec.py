@@ -61,7 +61,7 @@ def lineup_spec():
 def journal_bytes(grid: ResultGrid) -> dict:
     """Canonical per-cell journal text, keyed by cell coordinates."""
     return {
-        key: result.observation.journal().dumps()
+        key: result.observation.dumps()
         for key, result in grid.cells.items()
         if result.observation is not None
     }
@@ -123,8 +123,8 @@ def test_multi_cell_batches_deliver_every_cell_once_in_plan_order(tmp_path):
         assert par.report.executed == len(tasks) and par.report.retries == 0
         assert seq.grid.same_results(par.grid)
         # plan order and byte identity at once: every journal names its cell
-        assert [r.observation.journal().dumps() for r in par.results] == [
-            r.observation.journal().dumps() for r in seq.results
+        assert [r.observation.dumps() for r in par.results] == [
+            r.observation.dumps() for r in seq.results
         ]
         assert sorted(e.task.index for e in events) == list(range(len(tasks)))
         assert len(cache) == len(tasks)
@@ -633,5 +633,5 @@ def test_scheduler_journal_records_spans_and_counters(tmp_path):
 def test_journal_text_roundtrips_canonically():
     execution = execute_grid(tiny_spec(systems=("G",), sizes=(16,)), jobs=1)
     (result,) = execution.grid.cells.values()
-    text = result.observation.journal().dumps()
+    text = result.observation.dumps()
     assert Journal.loads(text).dumps() == text

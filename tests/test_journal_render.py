@@ -166,7 +166,7 @@ def test_tracer_start_runs_once_per_journaled_span(cell, monkeypatch):
     monkeypatch.setattr(Tracer, "start", counting)
     system, workload, dataset, machines = cell
     result = run_cell(system, workload, load_dataset(dataset, "tiny"), machines)
-    journaled = result.observation.journal().spans()
+    journaled = result.observation.spans()
     assert opened == sorted(event["id"] for event in journaled)
 
 
@@ -210,9 +210,9 @@ FIRST_SUPERSTEP_FAILURE_METRICS = [
 def test_first_superstep_failure_journals_the_same_metric_lines():
     result = run_cell("HL", "wcc", load_dataset("wrn", "tiny"), 16)
     assert str(result.failure) == "TO"
-    (superstep,) = result.observation.journal().supersteps()
+    (superstep,) = result.observation.supersteps()
     assert superstep["args"]["error"] == "SimulatedTimeout"
-    lines = [line for line in result.observation.text.splitlines()
+    lines = [line for line in result.observation.dumps().splitlines()
              if '"type":"metric"' in line]
     assert lines == FIRST_SUPERSTEP_FAILURE_METRICS
 

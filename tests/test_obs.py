@@ -185,7 +185,7 @@ def traced_result(tiny_twitter):
 
 @pytest.fixture(scope="module")
 def journal(traced_result):
-    return traced_result.observation.journal()
+    return traced_result.observation
 
 
 class TestJournal:
@@ -209,8 +209,8 @@ class TestJournal:
     def test_deterministic_byte_identical(self, tiny_twitter):
         first = run_cell("BV", "pagerank", tiny_twitter, 16)
         second = run_cell("BV", "pagerank", tiny_twitter, 16)
-        assert (first.observation.journal().dumps()
-                == second.observation.journal().dumps())
+        assert (first.observation.dumps()
+                == second.observation.dumps())
 
     def test_roundtrip(self, journal, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -236,7 +236,7 @@ class TestJournal:
     def test_failure_recorded(self, small_wrn):
         result = run_cell("GL-S-R-I", "pagerank", small_wrn, 16)
         assert not result.ok
-        failed = result.observation.journal()
+        failed = result.observation
         assert failed.meta["status"] == str(result.failure)
         assert any("error" in s.get("args", {}) for s in failed.spans())
 
@@ -246,7 +246,7 @@ class TestJournal:
         # it struck (-1 = cluster-wide)
         result = run_cell("GL-S-R-I", "pagerank", small_wrn, 16)
         assert not result.ok
-        error_spans = [s for s in result.observation.journal().spans()
+        error_spans = [s for s in result.observation.spans()
                        if "error" in s.get("args", {})]
         assert error_spans
         for span in error_spans:

@@ -1,6 +1,4 @@
-"""Additional property-based tests: formats, cluster accounting, costs."""
-
-import io
+"""Additional property-based tests: cluster accounting, costs."""
 
 import numpy as np
 import pytest
@@ -8,54 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos import ChaosPlan, ChaosRuntime, MachineCrash
 from repro.cluster import ClusterSpec, MemoryAccountant, NetworkModel, R3_XLARGE
-from repro.graph import (
-    Graph,
-    chunk_lines,
-    read_graph,
-    write_graph,
-)
-
-
-@st.composite
-def graphs(draw, max_vertices=20, max_edges=60):
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
-    m = draw(st.integers(min_value=0, max_value=max_edges))
-    edges = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-        min_size=m, max_size=m,
-    ))
-    return Graph(n, edges)
-
-
-class TestFormatProperties:
-    @given(graphs(), st.sampled_from(["adj", "adj-long", "edge"]))
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip_preserves_multiset_of_edges(self, g, fmt):
-        buf = io.StringIO()
-        write_graph(g, buf, fmt)
-        buf.seek(0)
-        back = read_graph(buf, fmt)
-        assert back.num_edges == g.num_edges
-        assert sorted(back.edges()) != [] or g.num_edges == 0
-
-    @given(graphs())
-    @settings(max_examples=40, deadline=None)
-    def test_adj_long_roundtrip_exact(self, g):
-        # adj-long preserves every vertex, so the graph rebuilds exactly
-        buf = io.StringIO()
-        write_graph(g, buf, "adj-long")
-        buf.seek(0)
-        assert read_graph(buf, "adj-long") == g
-
-    @given(st.lists(st.text(alphabet="ab", max_size=3), max_size=40),
-           st.integers(min_value=1, max_value=10))
-    @settings(max_examples=50, deadline=None)
-    def test_chunking_partitions_lines(self, lines, chunks):
-        parts = chunk_lines(lines, chunks)
-        assert len(parts) == chunks
-        assert [l for part in parts for l in part] == lines
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestMemoryAccountantProperties:

@@ -1,10 +1,12 @@
 """Each run's journal is rendered once, and every consumer reuses the text.
 
-``Engine.run`` freezes the observation when it returns; the cache, the
-worker wire, the grid's cost roll-up, and the serve scheduler all read
-that frozen text. These tests count the renders on every path, pin the
-frozen accessors to the parsed journal, check the one canonical encoder
-against ``json.dumps``, and pin the left-fold grouped mean that the
+``Engine.run`` returns its :class:`~repro.obs.Journal` as the result's
+observation; the cache, the worker wire, the grid's cost roll-up, and
+the serve scheduler all read that one text, and the serve scheduler
+streams the payload it already holds. These tests count the renders and
+whole-journal parses on every path, pin the line-reading accessors to
+the parsed journal, check the one canonical encoder against
+``json.dumps``, and pin the left-fold grouped mean that the
 perturbation report, the elastic bench and the findings print.
 """
 
@@ -24,7 +26,9 @@ from repro.datasets.registry import load_dataset
 from repro.engines import make_engine, workload_for
 from repro.exec import execute_grid, plan_grid
 from repro.exec.workers import run_cell_task
-from repro.obs import FrozenJournalObservation, Journal, RunObservation
+from repro.exec import executor
+from repro.exec.cache import ResultCache
+from repro.obs import Journal, RunObservation
 from repro.obs import observation as observation_module
 from repro.obs.journal import canonical_json
 from repro.serve import Job, JobRequest, JobRunner
@@ -56,16 +60,46 @@ def renders(monkeypatch):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """Count whole-journal parses (``Journal.loads``) in this process."""
+    """Count whole-journal parses in this process: ``Journal.loads``
+    and the first read of a text journal's ``events``."""
     calls = []
     original = Journal.loads.__func__
+    events = Journal.events.fget
 
     def counting(cls, text, source="<string>"):
         calls.append(source)
         return original(cls, text, source)
 
+    def counting_events(journal):
+        if journal._events is None:
+            calls.append("events")
+        return events(journal)
+
     monkeypatch.setattr(Journal, "loads", classmethod(counting))
+    monkeypatch.setattr(Journal, "events", property(counting_events))
     return calls
+
+
+@pytest.fixture
+def delivered(monkeypatch):
+    """Every payload a worker task returned or the cache read, in order."""
+    payloads = []
+    run_task = executor.run_cell_task
+    cache_get = ResultCache.get
+
+    def task(cell):
+        payloads.append(run_task(cell))
+        return payloads[-1]
+
+    def get(cache, key):
+        payload = cache_get(cache, key)
+        if payload is not None:
+            payloads.append(payload)
+        return payload
+
+    monkeypatch.setattr(executor, "run_cell_task", task)
+    monkeypatch.setattr(ResultCache, "get", get)
+    return payloads
 
 
 # -- one render per executed cell, none per cache hit ------------------------
@@ -76,6 +110,7 @@ def test_inline_grid_renders_once_per_executed_cell(renders, parses,
     cold = execute_grid(spec, jobs=1, cache=tmp_path / "cache")
     assert cold.report.executed == 4
     assert renders == ["run"] * 4
+    assert parses == []  # the cost roll-up reads last lines only
     renders.clear()
     warm = execute_grid(spec, jobs=1, cache=tmp_path / "cache")
     assert warm.report.cache_hits == 4
@@ -86,29 +121,31 @@ def test_pooled_grid_renders_nothing_in_the_scheduler(renders, parses,
                                                       tmp_path):
     execution = execute_grid(tiny_spec(), jobs=2, cache=tmp_path / "cache")
     assert execution.report.executed == 4
-    # the cost roll-up reads each payload's frozen text: no re-render
+    # the cost roll-up reads each payload's last line: no re-render
     assert renders == [] and parses == []
     assert execution.observation.metrics.value("cost.answers") == 4
 
 
-def test_worker_task_renders_exactly_once(renders):
+def test_worker_task_renders_exactly_once(renders, parses):
     (task,) = plan_grid(tiny_spec(systems=("BV",), sizes=(16,)))
     payload = run_cell_task(task.payload(1))
-    assert renders == ["run"]
+    assert renders == ["run"] and parses == []
     assert Journal.loads(payload["journal"]).dumps() == payload["journal"]
 
 
 def test_serve_scheduler_renders_once_per_executed_cell(renders, parses,
-                                                        tmp_path):
+                                                        delivered, tmp_path):
     runner = JobRunner(cache=tmp_path / "cache")
     request = JobRequest(
         client="alice", systems=("G", "BV"), workloads=("pagerank",),
         datasets=("twitter",), cluster_sizes=(16,), dataset_size="tiny",
     )
     seen = []
+    published = []
 
     def publish(job, payload, from_cache):
         seen.append(from_cache)
+        published.append(payload)
 
     runner.run_job(Job(id="j-000001", request=request, seq=1), publish)
     assert seen == [False, False] and renders == ["run", "run"]
@@ -116,9 +153,11 @@ def test_serve_scheduler_renders_once_per_executed_cell(renders, parses,
     runner.run_job(Job(id="j-000002", request=request, seq=2), publish)
     assert seen[2:] == [True, True] and renders == []
     assert parses == []  # hits stream their stored text as is
+    # every cell streams the payload it came in, not a re-encoded copy
+    assert [id(p) for p in published] == [id(p) for p in delivered]
 
 
-# -- the frozen observation --------------------------------------------------
+# -- the finished run's journal ---------------------------------------------
 
 @pytest.mark.parametrize("cell", [
     ("BV", "pagerank", "wrn", 16),         # completes
@@ -128,27 +167,32 @@ def test_serve_scheduler_renders_once_per_executed_cell(renders, parses,
 def test_frozen_meta_and_cost_match_the_parsed_journal(cell):
     system, workload, dataset, machines = cell
     result = run_cell(system, workload, load_dataset(dataset, "tiny"), machines)
-    frozen = result.observation
-    assert isinstance(frozen, FrozenJournalObservation)
-    journal = Journal.loads(frozen.text)
-    assert frozen.meta == journal.meta
-    assert frozen.cost() == journal.cost() is not None
-    assert journal.dumps() == frozen.text
+    finished = result.observation
+    assert isinstance(finished, Journal)
+    parsed = Journal.loads(finished.dumps())
+    assert finished.meta == parsed.meta
+    assert finished.cost() == parsed.cost() is not None
+    assert finished.counter_names() == {
+        event["name"] for event in parsed.metric_events()
+        if event["kind"] == "counter"
+    }
+    assert finished._events is None  # read off single lines, never parsed
+    assert parsed.dumps() == finished.dumps()
 
 
 def test_scheduler_stream_has_no_cost_event():
     execution = execute_grid(tiny_spec(sizes=(16,)), jobs=1)
-    frozen = execution.observation.freeze()
-    assert frozen.meta["kind"] == "scheduler"
-    assert frozen.cost() is None
-    assert frozen.journal().cost() is None
+    journal = execution.scheduler_journal()
+    assert journal.meta["kind"] == "scheduler"
+    assert journal.cost() is None
+    assert Journal.loads(journal.dumps()).cost() is None
 
 
 def test_frozen_write_is_verbatim(tmp_path):
     result = run_cell("BV", "pagerank", load_dataset("twitter", "tiny"), 16)
     lines = result.observation.write(tmp_path / "cell.jsonl")
     assert (tmp_path / "cell.jsonl").read_text(encoding="ascii") == (
-        result.observation.text
+        result.observation.dumps()
     )
     assert lines == len(Journal.read(tmp_path / "cell.jsonl"))
     assert list(tmp_path.iterdir()) == [tmp_path / "cell.jsonl"]
@@ -163,7 +207,7 @@ def test_finished_result_does_not_keep_the_tracer_alive(tiny_twitter):
     del obs
     gc.collect()
     assert tracer() is None
-    assert isinstance(result.observation, FrozenJournalObservation)
+    assert isinstance(result.observation, Journal)
     assert result.extras["memory_byte_seconds"] > 0.0  # metrics stay live
 
 
